@@ -130,7 +130,8 @@ def verify_preservation(
     plan = preservation_plan(retiming, retimed_circuit)
     derived = derive_test_set(test_set, retiming)
 
-    original_faults = collapse_faults(original).representatives
+    collapsed_original = collapse_faults(original)
+    original_faults = collapsed_original.representatives
     retimed_faults = collapse_faults(retimed_circuit).representatives
     result_original = fault_simulate(
         original, test_set.as_lists(), original_faults, engine=engine
@@ -141,7 +142,6 @@ def verify_preservation(
     detected_original: Set[StuckAtFault] = set(result_original.detections)
     # Extend detection over full equivalence classes (a representative's
     # detection covers its whole class).
-    collapsed_original = collapse_faults(original)
     detected_closure: Set[StuckAtFault] = {
         fault
         for fault, rep in collapsed_original.class_of.items()

@@ -3,11 +3,12 @@
 The explicit engines (``reference``, ``bitset``) enumerate all ``2^r``
 initial states; real synthesized FSMs typically reach only a tiny fraction
 of that space from their reset state.  This module BFS-expands only the
-states actually reachable from a chosen initial set, packing each frontier
-level into lanes of one compiled bit-parallel sweep per input vector (the
-same ``backend="bigint"|"numpy"`` word kernels the bitset engine uses),
-and grows the flat ``next_index``/``output_index`` tables incrementally as
-new states are interned.
+states actually reachable from a chosen initial set, sweeping each
+frontier level -- in blocks of at most ``REACH_LANE_BLOCK`` states, with a
+chunk of the input alphabet packed into lanes beside the states -- through
+the same :func:`~repro.equivalence.bitset.alphabet_sweep` the bitset engine
+uses, and grows the flat ``next_index``/``output_index`` tables
+incrementally as new states are interned.
 
 Before traversal the circuit is passed through
 :func:`repro.circuit.cone.cone_of_influence`: registers and gates outside
@@ -36,11 +37,11 @@ specification.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.circuit.cone import ConeReduction, cone_of_influence
 from repro.circuit.netlist import Circuit, LineRef
-from repro.equivalence import bitset as _bitset
+from repro.equivalence.bitset import REACH_LANE_BLOCK, alphabet_sweep
 from repro.equivalence.explicit import (
     ENGINE_LIMITS,
     ExplicitSTG,
@@ -56,12 +57,6 @@ from repro.simulation.cache import vector_fast_stepper
 #: order, or the cone-of-influence reduction semantics change; folded into
 #: :func:`repro.store.core.schema_version`.
 REACH_FORMAT_VERSION = 1
-
-#: Frontier levels are swept in lane blocks of this width.  4096 lanes is
-#: 64 words for the numpy word-plane runner (one fixed-width runner is
-#: reused across all blocks and levels) and keeps the bigint rails at a
-#: comfortable machine-int multiple.
-REACH_LANE_BLOCK = 1 << 12
 
 InitialStates = Union[None, str, Iterable[State]]
 
@@ -207,188 +202,6 @@ def _remap_faults(
     return remapped
 
 
-def _injection_masks(stepper, faults: Sequence[StuckAtFault], width: int):
-    sa1, sa0 = stepper.blank_injection_masks()
-    mask = (1 << width) - 1
-    # Last fault wins per line, matching the reference simulator.
-    forced = {fault.line: fault.value for fault in faults}
-    for line, value in forced.items():
-        slot = stepper.line_slot[line]
-        if value == 1:
-            sa1[slot] = mask
-        else:
-            sa0[slot] = mask
-    return sa1, sa0
-
-
-# -- per-block frontier sweeps -----------------------------------------------
-
-
-#: Below this block width the scalar bigint sweep beats the numpy
-#: word-plane sweep, whose per-gate array-call overhead is width-
-#: independent; ``backend="auto"`` switches per block at this line.
-REACH_NUMPY_MIN_LANES = 512
-
-
-def _make_sweeper(reduced, stepper, faults, alphabet, backend: str):
-    from repro.simulation.backends import resolve_backend
-
-    if resolve_backend(backend) != "numpy":
-        return _sweeper_bigint(reduced, stepper, faults, alphabet)
-    numpy_sweep = _sweeper_numpy(reduced, stepper, faults, alphabet)
-    if backend == "numpy":
-        return numpy_sweep
-    # auto: most reachable frontiers are narrow, where bigint wins; fall
-    # through to the word-plane kernel only on wide blocks.
-    bigint_sweep = _sweeper_bigint(reduced, stepper, faults, alphabet)
-
-    def sweep(block):
-        if len(block) >= REACH_NUMPY_MIN_LANES:
-            return numpy_sweep(block)
-        return bigint_sweep(block)
-
-    return sweep
-
-
-def _sweeper_bigint(reduced, stepper, faults, alphabet):
-    """sweep(codes) -> per-vector (next_codes, output_codes) lists."""
-    num_registers = stepper.compiled.num_registers
-    num_outputs = len(reduced.output_names)
-
-    def sweep(block: Sequence[int]):
-        width = len(block)
-        mask = (1 << width) - 1
-        ones_by_register = [0] * num_registers
-        for lane, code in enumerate(block):
-            remaining = code
-            while remaining:
-                position = (remaining & -remaining).bit_length() - 1
-                ones_by_register[num_registers - 1 - position] |= 1 << lane
-                remaining &= remaining - 1
-        rails = tuple(
-            (ones, mask ^ ones) for ones in ones_by_register
-        )
-        if faults:
-            sa1, sa0 = _injection_masks(stepper, faults, width)
-            step = lambda packed: stepper.step_inject(  # noqa: E731
-                rails, packed, mask, sa1, sa0
-            )
-        else:
-            step = lambda packed: stepper.step_clean(  # noqa: E731
-                rails, packed, mask
-            )
-        results = []
-        for vector in alphabet:
-            packed = stepper.broadcast_vector(vector, width)
-            out_rails, next_rails = step(packed)
-            next_codes = [0] * width
-            for register, (ones, zeros) in enumerate(next_rails):
-                _bitset._check_binary(
-                    reduced, ones, zeros, mask, "register", register
-                )
-                _bitset.decode_plane_into(
-                    next_codes, ones, 1 << (num_registers - 1 - register), width
-                )
-            out_codes = [0] * width
-            for position, (ones, zeros) in enumerate(out_rails):
-                _bitset._check_binary(
-                    reduced, ones, zeros, mask, "output", position
-                )
-                _bitset.decode_plane_into(
-                    out_codes, ones, 1 << (num_outputs - 1 - position), width
-                )
-            results.append((next_codes, out_codes))
-        return results
-
-    return sweep
-
-
-def _sweeper_numpy(reduced, stepper, faults, alphabet):
-    """The word-plane leg: runners sized to the frontier, cached per width.
-
-    Sweeping a fixed ``REACH_LANE_BLOCK``-wide runner regardless of
-    frontier size would make sparse traversals pay the full 4096-lane
-    cost per level, so blocks are padded only up to the next power of two
-    (>= 64 lanes) and one runner is cached per padded width -- at most
-    seven runners ever exist.  Padding lanes are parked in state 0 (ones
-    rail clear, zeros rail set), which keeps every rail binary; only the
-    block's own lanes are decoded.
-    """
-    import numpy as np
-
-    from repro.simulation.wordplane import width_mask_words, wordplane_plan
-
-    num_registers = stepper.compiled.num_registers
-    num_outputs = len(reduced.output_names)
-    plan = wordplane_plan(stepper)
-    reg0 = plan.reg0
-    runners = {}
-
-    def runner_for(width: int):
-        padded = 64
-        while padded < width:
-            padded <<= 1
-        entry = runners.get(padded)
-        if entry is None:
-            runner = plan.runner(padded)
-            mask_words = width_mask_words(padded, runner.words)
-            if faults:
-                sa1, sa0 = _injection_masks(stepper, faults, padded)
-                runner.set_group(sa1, sa0)
-            entry = runners[padded] = (runner, mask_words)
-        return entry
-
-    def lane_bits(words: "np.ndarray", count: int) -> "np.ndarray":
-        return np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
-
-    def sweep(block: Sequence[int]):
-        width = len(block)
-        runner, mask_words = runner_for(width)
-        codes = np.asarray(block, dtype=np.uint64)
-        state_words = np.zeros((2 * num_registers, runner.words), dtype=np.uint64)
-        for register in range(num_registers):
-            shift = np.uint64(num_registers - 1 - register)
-            bits = ((codes >> shift) & np.uint64(1)).astype(np.uint8)
-            packed = np.packbits(bits, bitorder="little")
-            ones = np.zeros(runner.words, dtype=np.uint64)
-            ones.view(np.uint8)[: len(packed)] = packed
-            state_words[2 * register] = ones
-            state_words[2 * register + 1] = mask_words & ~ones
-        results = []
-        for vector in alphabet:
-            runner.V[reg0 : reg0 + 2 * num_registers] = state_words
-            runner.set_broadcast_vector(vector)
-            runner.step()
-            next_block = runner.next_state_view()
-            next_row = np.zeros(width, dtype=np.int64)
-            for register in range(num_registers):
-                ones = next_block[2 * register]
-                zeros = next_block[2 * register + 1]
-                _bitset._check_binary_words(
-                    reduced, ones, zeros, mask_words, "register", register
-                )
-                next_row += lane_bits(ones, width).astype(np.int64) << (
-                    num_registers - 1 - register
-                )
-            out_block = runner.output_view()
-            out_row = np.zeros(width, dtype=np.int64)
-            for position in range(num_outputs):
-                ones = out_block[2 * position]
-                zeros = out_block[2 * position + 1]
-                _bitset._check_binary_words(
-                    reduced, ones, zeros, mask_words, "output", position
-                )
-                out_row += lane_bits(ones, width).astype(np.int64) << (
-                    num_outputs - 1 - position
-                )
-            results.append(
-                ([int(v) for v in next_row], [int(v) for v in out_row])
-            )
-        return results
-
-    return sweep
-
-
 # -- the BFS traversal --------------------------------------------------------
 
 
@@ -400,7 +213,7 @@ def _traverse(
     initial_codes: Sequence[int],
     backend: str,
 ) -> Tuple[List[int], List[List[int]], List[List[int]], int, int]:
-    """BFS over reachable states, one lane-parallel sweep per level block.
+    """BFS over reachable states, one alphabet sweep per level block.
 
     Returns ``(codes, next_rows, output_rows, peak_frontier, levels)``
     where ``codes[i]`` is the packed register code of state ``i`` in
@@ -411,7 +224,7 @@ def _traverse(
     forward-reference states interned later in the same or a deeper level.
     """
     limits = ENGINE_LIMITS["reach"]
-    sweep = _make_sweeper(reduced, stepper, faults, alphabet, backend)
+    sweep = alphabet_sweep(reduced, stepper, faults, alphabet, backend)
 
     intern: Dict[int, int] = {}
     codes: List[int] = []
@@ -442,15 +255,13 @@ def _traverse(
         for start in range(0, len(frontier), REACH_LANE_BLOCK):
             block = frontier[start : start + REACH_LANE_BLOCK]
             for vector_index, (next_codes, out_codes) in enumerate(sweep(block)):
-                row = next_rows[vector_index]
-                for code in next_codes:
-                    index = intern.get(code)
-                    if index is None:
-                        index = len(codes)
-                        intern[code] = index
+                # New successors intern in lane order of first appearance.
+                for code in dict.fromkeys(next_codes):
+                    if code not in intern:
+                        intern[code] = len(codes)
                         codes.append(code)
                         discovered.append(code)
-                    row.append(index)
+                next_rows[vector_index].extend(map(intern.__getitem__, next_codes))
                 output_rows[vector_index].extend(out_codes)
         frontier = discovered
     return codes, next_rows, output_rows, peak_frontier, levels

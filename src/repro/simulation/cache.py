@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.circuit.netlist import Circuit
 from repro.simulation.codegen import FastStepper
@@ -78,13 +78,16 @@ _PERSIST = {"enabled": True}
 
 
 class _Entry:
-    __slots__ = ("compiled", "fast", "vector_fast", "dual_fast")
+    __slots__ = ("compiled", "fast", "vector_fast", "dual_fast", "sources")
 
     def __init__(self) -> None:
         self.compiled: Optional[CompiledCircuit] = None
         self.fast: Optional[FastStepper] = None
         self.vector_fast: Optional[VectorFastStepper] = None
         self.dual_fast: Optional[DualFastStepper] = None
+        # Persisted (scalar, clean, inject, dual) sources, once loaded: a
+        # stepper is exec'd only when asked for, from these texts.
+        self.sources: Optional[Tuple[str, str, str, str]] = None
 
 
 def _entry_for(circuit: Circuit) -> _Entry:
@@ -216,54 +219,53 @@ def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
         pass  # unwritable store degrades to in-memory-only caching
 
 
-def fast_stepper(circuit: Circuit) -> FastStepper:
-    """The cached fault-free scalar :class:`FastStepper` for ``circuit``."""
+def _stepper(
+    circuit: Circuit,
+    attr: str,
+    make: Callable[[CompiledCircuit, Optional[Tuple[str, str, str, str]]], _T],
+) -> _T:
+    """The cached stepper ``attr``, built by ``make(compiled, sources)``.
 
-    def build(entry: _Entry) -> FastStepper:
+    ``sources`` are the persisted texts when the store has them (read at
+    most once per entry, and only the requested stepper is exec'd), else
+    ``None``: ``make`` then generates, and the record is written through.
+    """
+
+    def build(entry: _Entry) -> _T:
         if entry.compiled is None:
             entry.compiled = CompiledCircuit(circuit)
-        sources = _load_sources(circuit)
-        if sources is not None:
-            if entry.vector_fast is None:
-                entry.vector_fast = VectorFastStepper(
-                    circuit, compiled=entry.compiled, sources=(sources[1], sources[2])
-                )
-            if entry.dual_fast is None:
-                entry.dual_fast = DualFastStepper(
-                    circuit, compiled=entry.compiled, source=sources[3]
-                )
-            return FastStepper(circuit, compiled=entry.compiled, source=sources[0])
-        entry.fast = FastStepper(circuit, compiled=entry.compiled)
+        if entry.sources is None:
+            entry.sources = _load_sources(circuit)
+        if entry.sources is not None:
+            return make(entry.compiled, entry.sources)
+        artifact = make(entry.compiled, None)
+        setattr(entry, attr, artifact)
         _persist_sources(circuit, entry)
-        return entry.fast
+        return artifact
 
-    return _get(circuit, "fast", build)
+    return _get(circuit, attr, build)
+
+
+def fast_stepper(circuit: Circuit) -> FastStepper:
+    """The cached fault-free scalar :class:`FastStepper` for ``circuit``."""
+    return _stepper(
+        circuit,
+        "fast",
+        lambda compiled, sources: FastStepper(
+            circuit, compiled=compiled, source=sources and sources[0]
+        ),
+    )
 
 
 def vector_fast_stepper(circuit: Circuit) -> VectorFastStepper:
     """The cached bit-parallel :class:`VectorFastStepper` for ``circuit``."""
-
-    def build(entry: _Entry) -> VectorFastStepper:
-        if entry.compiled is None:
-            entry.compiled = CompiledCircuit(circuit)
-        sources = _load_sources(circuit)
-        if sources is not None:
-            if entry.fast is None:
-                entry.fast = FastStepper(
-                    circuit, compiled=entry.compiled, source=sources[0]
-                )
-            if entry.dual_fast is None:
-                entry.dual_fast = DualFastStepper(
-                    circuit, compiled=entry.compiled, source=sources[3]
-                )
-            return VectorFastStepper(
-                circuit, compiled=entry.compiled, sources=(sources[1], sources[2])
-            )
-        entry.vector_fast = VectorFastStepper(circuit, compiled=entry.compiled)
-        _persist_sources(circuit, entry)
-        return entry.vector_fast
-
-    return _get(circuit, "vector_fast", build)
+    return _stepper(
+        circuit,
+        "vector_fast",
+        lambda compiled, sources: VectorFastStepper(
+            circuit, compiled=compiled, sources=sources and sources[1:3]
+        ),
+    )
 
 
 def dual_fast_stepper(circuit: Circuit) -> DualFastStepper:
@@ -274,28 +276,13 @@ def dual_fast_stepper(circuit: Circuit) -> DualFastStepper:
     engine constructs nothing per fault and the generated source is as
     cacheable as the fault-free steppers'.
     """
-
-    def build(entry: _Entry) -> DualFastStepper:
-        if entry.compiled is None:
-            entry.compiled = CompiledCircuit(circuit)
-        sources = _load_sources(circuit)
-        if sources is not None:
-            if entry.fast is None:
-                entry.fast = FastStepper(
-                    circuit, compiled=entry.compiled, source=sources[0]
-                )
-            if entry.vector_fast is None:
-                entry.vector_fast = VectorFastStepper(
-                    circuit, compiled=entry.compiled, sources=(sources[1], sources[2])
-                )
-            return DualFastStepper(
-                circuit, compiled=entry.compiled, source=sources[3]
-            )
-        entry.dual_fast = DualFastStepper(circuit, compiled=entry.compiled)
-        _persist_sources(circuit, entry)
-        return entry.dual_fast
-
-    return _get(circuit, "dual_fast", build)
+    return _stepper(
+        circuit,
+        "dual_fast",
+        lambda compiled, sources: DualFastStepper(
+            circuit, compiled=compiled, source=sources and sources[3]
+        ),
+    )
 
 
 def warm_compile_cache(circuit: Circuit) -> None:

@@ -33,7 +33,8 @@ test suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit, LineRef
 from repro.circuit.types import NodeKind
@@ -87,19 +88,23 @@ class VectorFastStepper:
         else:
             self._source_clean = self._generate(inject=False)
             self._source_inject = self._generate(inject=True)
+
+    # The entry points are exec'd on first use: the injection source is
+    # several times the size of the clean one, and a fault-free flow, or
+    # one that only drives the word-plane runner, never calls it.
+
+    @cached_property
+    def step_clean(self) -> Callable:
+        return self._exec(self._source_clean, "step_clean", "vectorstep")
+
+    @cached_property
+    def step_inject(self) -> Callable:
+        return self._exec(self._source_inject, "step_inject", "vectorstep+inject")
+
+    def _exec(self, source: str, name: str, tag: str) -> Callable:
         namespace: Dict[str, object] = {}
-        exec(
-            compile(self._source_clean, f"<vectorstep {circuit.name}>", "exec"),
-            namespace,
-        )
-        exec(
-            compile(
-                self._source_inject, f"<vectorstep+inject {circuit.name}>", "exec"
-            ),
-            namespace,
-        )
-        self.step_clean = namespace["step_clean"]  # type: ignore[assignment]
-        self.step_inject = namespace["step_inject"]  # type: ignore[assignment]
+        exec(compile(source, f"<{tag} {self.circuit.name}>", "exec"), namespace)
+        return namespace[name]  # type: ignore[return-value]
 
     # -- code generation ----------------------------------------------------
 

@@ -3,10 +3,12 @@ the scalar reference engine -- same tables, same classification block ids,
 same sync sequences (including tie-breaking and search-budget cutoffs), on
 fault-free and faulty machines alike."""
 
+import functools
 import random
 
 import pytest
 
+from repro.circuit import CircuitBuilder
 from repro.equivalence import (
     classify,
     extract_stg,
@@ -17,12 +19,15 @@ from repro.equivalence import (
     space_equivalent,
     time_equivalence_bound,
 )
+from repro.equivalence.bitset import alphabet_sweep
 from repro.faults.collapse import collapse_faults
 from repro.papercircuits import fig3_pair, fig5_pair, n2_g1_q12_fault
+from repro.simulation import vector_fast_stepper
 from tests.helpers import (
     feedback_and,
     pipelined_logic,
     random_circuit,
+    requires_numpy,
     resettable_counter,
     resettable_random_circuit,
     toggle_counter,
@@ -176,3 +181,102 @@ class TestSyncSequenceParity:
         assert find_functional_sync_sequence(
             reference, engine="reference"
         ) == find_functional_sync_sequence(bitset, engine="bitset")
+
+
+# -- the alphabet sweep against the lane cap ----------------------------------
+
+#: (registers, inputs) of a full-state-space block against the 4096-lane
+#: step cap: 16 states x 8 vectors, 256 x 16 (exactly the cap), 512 x 16
+#: (two steps of 8 vectors), and a 4096-state block that steps one vector
+#: at a time.
+SWEEP_SHAPES = [
+    pytest.param(4, 3, id="below-cap"),
+    pytest.param(8, 4, id="at-cap"),
+    pytest.param(9, 4, id="above-cap"),
+    pytest.param(12, 2, id="block-at-cap"),
+]
+SWEEP_BACKENDS = ["bigint", pytest.param("numpy", marks=requires_numpy)]
+
+
+def sweep_circuit(registers, inputs):
+    # Seed 1 keeps every register in the output cone at each shape, so the
+    # reach engine's states are the full register tuples.
+    return random_circuit(
+        1, num_inputs=inputs, num_gates=3 * registers + 6, num_dffs=registers
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_reference(registers, inputs, faulty):
+    circuit = sweep_circuit(registers, inputs)
+    fault = None
+    if faulty:
+        faults = collapse_faults(circuit).representatives
+        fault = faults[len(faults) // 2]
+    stg = extract_stg(circuit, engine="reference", fault=fault, use_store=False)
+    return circuit, fault, stg
+
+
+class TestAlphabetSweepParity:
+    """One sweep serves the bitset and reach tiers at every step width."""
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["fault-free", "faulty"])
+    @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
+    @pytest.mark.parametrize("registers,inputs", SWEEP_SHAPES)
+    def test_bitset_and_reach_all_match_reference(
+        self, registers, inputs, backend, faulty
+    ):
+        circuit, fault, reference = sweep_reference(registers, inputs, faulty)
+        bitset = extract_stg(
+            circuit, engine="bitset", fault=fault, backend=backend, use_store=False
+        )
+        assert_stg_identical(reference, bitset)
+        reach = extract_stg(
+            circuit,
+            engine="reach",
+            fault=fault,
+            backend=backend,
+            initial_states="all",
+            use_store=False,
+        )
+        assert reach.num_registers == registers  # identity cone
+        assert reach.states == reference.states
+        assert reach.next_index == reference.next_index
+        assert reach.output_index == reference.output_index
+
+    @pytest.mark.parametrize(
+        "backend", SWEEP_BACKENDS + [pytest.param("auto", marks=requires_numpy)]
+    )
+    def test_rows_on_arbitrary_blocks(self, backend):
+        """Blocks of repeated, unordered codes; ``auto`` mixes both legs."""
+        circuit, _, reference = sweep_reference(9, 4, False)
+        stepper = vector_fast_stepper(circuit)
+        sweep = alphabet_sweep(circuit, stepper, (), reference.alphabet, backend)
+        rng = random.Random(3)
+        # 16 vectors: 16, 80, 4096 (the cap), 4800 and 8192 lanes.
+        for width in (1, 5, 256, 300, 512):
+            block = [rng.randrange(1 << 9) for _ in range(width)]
+            rows = [(list(nxt), list(out)) for nxt, out in sweep(block)]
+            assert rows == [
+                (
+                    [reference.next_index[v][code] for code in block],
+                    [reference.output_index[v][code] for code in block],
+                )
+                for v in range(len(reference.alphabet))
+            ]
+
+    @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
+    def test_output_words_wider_than_int64(self, backend):
+        builder = CircuitBuilder("wide_outputs")
+        builder.input("a")
+        builder.xor("t", "a", "q")
+        builder.dff("q", "t")
+        for k in range(70):
+            builder.output(f"z{k}", "t" if k % 3 else "q")
+        circuit = builder.build()
+        reference = extract_stg(circuit, engine="reference", use_store=False)
+        assert max(max(row) for row in reference.output_index) >= 1 << 63
+        bitset = extract_stg(
+            circuit, engine="bitset", backend=backend, use_store=False
+        )
+        assert_stg_identical(reference, bitset)

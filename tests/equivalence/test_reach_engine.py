@@ -142,6 +142,41 @@ class TestBackends:
             assert big.output_index == npy.output_index
             assert (big.peak_frontier, big.levels) == (npy.peak_frontier, npy.levels)
 
+    @pytest.mark.parametrize(
+        "backend", ["bigint", pytest.param("numpy", marks=requires_numpy)]
+    )
+    def test_faulty_reset_sweep_matches_bitset(self, backend):
+        circuit = random_circuit(
+            29, num_inputs=3, num_gates=30, num_dffs=8, num_outputs=2
+        )
+        faults = collapse_faults(circuit).representatives
+        for fault in (faults[2], faults[-3]):
+            full = bitset(circuit, fault=fault, backend="bigint")
+            rch = reach(circuit, fault=fault, backend=backend)
+            full_index = {state: k for k, state in enumerate(full.states)}
+            for v in range(len(full.alphabet)):
+                for k, state in enumerate(rch.states):
+                    successor = full.next_index[v][full_index[state]]
+                    assert rch.states[rch.next_index[v][k]] == full.states[successor]
+                    assert (
+                        rch.output_index[v][k]
+                        == full.output_index[v][full_index[state]]
+                    )
+
+    @pytest.mark.parametrize(
+        "backend", ["bigint", pytest.param("numpy", marks=requires_numpy)]
+    )
+    def test_level_wider_than_the_lane_cap(self, backend):
+        # 8192 initial states: the first level is two 4096-state blocks,
+        # each stepping one vector at a time.
+        circuit = random_circuit(0, num_inputs=2, num_gates=45, num_dffs=13)
+        full = bitset(circuit, backend="bigint")
+        rch = reach(circuit, initial_states="all", backend=backend)
+        assert rch.num_registers == 13  # identity cone
+        assert rch.peak_frontier == 1 << 13
+        assert rch.next_index == full.next_index
+        assert rch.output_index == full.output_index
+
 
 class TestConeReduction:
     def test_unobservable_register_is_dropped(self):

@@ -8,10 +8,13 @@ from repro.simulation import (
     clear_compile_cache,
     compile_cache_stats,
     compiled_circuit,
+    dual_fast_stepper,
     fast_stepper,
     vector_fast_stepper,
     warm_compile_cache,
 )
+from repro.simulation import cache
+from repro.store.core import default_store
 
 from tests.helpers import resettable_counter, toggle_counter
 
@@ -83,3 +86,28 @@ class TestCompileCache:
         after = compile_cache_stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 3
+
+
+class TestPersistentLevel:
+    def setup_method(self):
+        clear_compile_cache()
+
+    def test_hit_execs_only_the_requested_stepper(self):
+        written = toggle_counter()
+        vector_fast_stepper(written)  # miss: generates and writes the record
+        fresh = toggle_counter()  # a new object with the same digest
+        stepper = vector_fast_stepper(fresh)
+        assert compile_cache_stats()["persistent_hits"] == 1
+        entry = getattr(fresh, cache._ATTR)
+        assert entry.fast is None
+        assert entry.dual_fast is None
+        assert stepper.sources() == vector_fast_stepper(written).sources()
+
+        stats = default_store().stats
+        reads = stats.hits + stats.misses
+        dual = dual_fast_stepper(fresh)
+        scalar = fast_stepper(fresh)
+        assert stats.hits + stats.misses == reads  # built from the loaded texts
+        assert compile_cache_stats()["persistent_hits"] == 1
+        assert dual.source() == dual_fast_stepper(written).source()
+        assert scalar._source == fast_stepper(written)._source
