@@ -76,6 +76,8 @@ QUICK_NAMES = ("dk16.ji.sd", "s510.jo.sr", "s820.jo.sd")
 
 
 def _baseline_budget(meta: Dict[str, object]) -> AtpgBudget:
+    """The baseline's budget, PODEM only: the guards measure PODEM, so the
+    exact pair search must not decide the small-alphabet circuits."""
     budget = meta["budget"]
     return AtpgBudget(
         total_seconds=float(budget["total_seconds"]),
@@ -84,6 +86,7 @@ def _baseline_budget(meta: Dict[str, object]) -> AtpgBudget:
         frames_cap=int(budget["frames_cap"]),
         random_sequences=int(budget["random_sequences"]),
         random_length=24,
+        exact_lane_steps=0,
     )
 
 

@@ -1,10 +1,13 @@
 """Structural sequential ATPG (the HITEC stand-in).
 
 Random-phase test generation with fault-simulation feedback, followed by
-deterministic PODEM over time-frame expansion with backtrack/time budgets.
-The deterministic phase runs in-process (``engine="serial"``) or across a
-pool of PODEM worker processes (``engine="process"``), with identical
-results for a given seed whenever the wall-clock budget is not binding.
+the deterministic phase: on circuits with small input alphabets an exact
+(good, faulty) state-pair search (:mod:`repro.atpg.exact`) that finds a
+test or proves none exists, then PODEM over time-frame expansion with
+backtrack/time budgets for every fault still open.  PODEM runs in-process
+(``engine="serial"``) or across a pool of worker processes
+(``engine="process"``), with identical results for a given seed whenever
+the wall-clock budget is not binding.
 
 The ``guidance`` knob (``"off"``/``"scoap"``/``"learned"``/``"auto"``,
 see :mod:`repro.atpg.guidance`) layers SCOAP testability ranking and an

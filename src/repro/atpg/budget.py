@@ -15,7 +15,7 @@ the pool as a whole never outspends the budget a serial run would get.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 
@@ -34,21 +34,30 @@ class AtpgBudget:
     random_batch: int = 8
     sync_samples: int = 8
     seed: int = 1995
+    #: Per-fault cap of the exact product-machine search
+    #: (:mod:`repro.atpg.exact`), in lane-steps: visited (good, faulty)
+    #: state pairs times the input alphabet.  ``0`` leaves every fault to
+    #: PODEM.
+    exact_lane_steps: int = 1 << 20
 
     def scaled(self, factor: float) -> "AtpgBudget":
-        """A proportionally larger/smaller budget."""
-        return AtpgBudget(
+        """A proportionally larger/smaller budget.
+
+        Clocks, per-fault effort caps and the random sequence count scale;
+        every other field carries over unchanged.  A zero lane-step cap
+        (exact search off) stays zero.
+        """
+        return replace(
+            self,
             total_seconds=self.total_seconds * factor,
             seconds_per_fault=self.seconds_per_fault * factor,
             backtracks_per_fault=max(1, int(self.backtracks_per_fault * factor)),
-            max_frames=self.max_frames,
-            frames_cap=self.frames_cap,
             random_sequences=max(1, int(self.random_sequences * factor)),
-            random_length=self.random_length,
-            random_stale_limit=self.random_stale_limit,
-            random_batch=self.random_batch,
-            sync_samples=self.sync_samples,
-            seed=self.seed,
+            exact_lane_steps=(
+                max(1, int(self.exact_lane_steps * factor))
+                if self.exact_lane_steps
+                else 0
+            ),
         )
 
 
@@ -65,6 +74,10 @@ class FaultEffort:
     budget-aborted fault still flushes its *partial* effort instead of
     being dropped -- partial rows are exactly the hard-fault examples the
     meta-predictor needs.
+
+    A fault the exact search (:mod:`repro.atpg.exact`) decided has status
+    ``"det"`` or ``"proved"`` and its effort in ``lane_steps`` alone; it
+    never ran PODEM, so it is no training example.
     """
 
     fault_key: Tuple[int, int, int]
@@ -75,6 +88,7 @@ class FaultEffort:
     frames_simulated: int = 0
     lanes_evaluated: int = 0
     objective_choices: int = 0
+    lane_steps: int = 0
 
 
 @dataclass

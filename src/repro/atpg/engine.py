@@ -1,4 +1,4 @@
-"""The full ATPG engine: random phase + deterministic PODEM phase.
+"""The full ATPG engine: random phase + deterministic phase.
 
 Mirrors the two-phase organization of HITEC-era tools:
 
@@ -7,10 +7,16 @@ Mirrors the two-phase organization of HITEC-era tools:
    single bit-parallel pass per batch; sequences that detect new faults
    join the test set, and the phase ends after a run of unproductive
    sequences or when its budget share is spent.
-2. **Deterministic phase** -- every remaining fault is targeted by the
-   sequential PODEM engine under a per-fault backtrack limit and a global
-   wall-clock budget.  Sequences found are fault-simulated against the
-   remaining faults to drop collateral detections.  The phase runs either
+2. **Deterministic phase** -- on a circuit with a small input alphabet
+   (at most :data:`~repro.atpg.exact.EXACT_MAX_INPUTS` inputs) the exact
+   product-machine search of :mod:`repro.atpg.exact` first decides every
+   remaining fault within its lane-step cap: a shortest test, or a proof
+   that no sequence detects the fault under 3-valued simulation from the
+   all-X state.  Every fault it leaves open (all of them on wider
+   circuits, or with ``AtpgBudget.exact_lane_steps == 0``) is targeted by
+   the sequential PODEM engine under a per-fault backtrack limit and a
+   global wall-clock budget.  Sequences found are fault-simulated against
+   the remaining faults to drop collateral detections.  PODEM runs either
    in-process (``engine="serial"``) or partitioned across a pool of PODEM
    worker processes (``engine="process"``, see :mod:`repro.atpg.parallel`);
    both produce the same detected/untestable/aborted partition and the
@@ -19,10 +25,12 @@ Mirrors the two-phase organization of HITEC-era tools:
 
 The result reports fault coverage (%FC), fault efficiency (%FE = detected
 plus proven-untestable faults) and spent effort (seconds, backtracks) --
-the quantities of the paper's Table II.  Untestability proofs here are
-structural only (faults with no path to any primary output); HITEC's
-sequential redundancy identification is out of scope, so FE is a slightly
-conservative lower bound.
+the quantities of the paper's Table II.  A fault is proven untestable
+structurally (no path to any primary output) or by an exhausted exact
+search (:attr:`AtpgResult.search_proved`).  Where the search decides every
+fault, FE is exact under the grading semantics; where PODEM aborts, FE is
+a lower bound, since HITEC's sequential redundancy identification is out
+of scope.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.budget import AtpgBudget, EffortMeter, FaultEffort
+from repro.atpg.exact import exact_applicable, iter_exact
 from repro.atpg.guidance import GuidancePolicy, fault_sort_key, make_policy
 from repro.atpg.parallel import (
     FaultOutcome,
@@ -115,6 +124,9 @@ class AtpgResult:
     lanes_evaluated: int = 0
     guidance: str = "off"
     objective_choices: int = 0
+    # The subset of ``untestable`` proved by an exhausted exact search;
+    # the rest are structural.
+    search_proved: Set[StuckAtFault] = field(default_factory=set)
     # Per-fault effort rows (the guidance training dataset), in queue
     # order.  Transient telemetry: not part of the persisted artifact.
     fault_rows: List[FaultEffort] = field(default_factory=list)
@@ -138,6 +150,7 @@ class AtpgResult:
             f"{self.circuit_name}: FC {self.fault_coverage:.1f}% "
             f"FE {self.fault_efficiency:.1f}% "
             f"({len(self.detected)}/{self.num_faults} detected, "
+            f"{len(self.untestable)} untestable, "
             f"{len(self.aborted)} aborted) in {self.cpu_seconds:.2f}s, "
             f"{self.backtracks} backtracks"
         )
@@ -366,7 +379,14 @@ def run_atpg(
 ) -> AtpgResult:
     """Generate a test set for the circuit's (collapsed) fault list.
 
-    ``engine`` selects how the deterministic phase runs: ``"serial"``
+    After the random phase, the exact pair search (:mod:`repro.atpg.exact`)
+    decides each remaining fault of a circuit with at most
+    :data:`~repro.atpg.exact.EXACT_MAX_INPUTS` inputs, up to
+    ``budget.exact_lane_steps`` lane-steps per fault; only faults over
+    that cap are left to PODEM.  The search is deterministic and engine-,
+    kernel- and backend-independent.
+
+    ``engine`` selects how PODEM runs: ``"serial"``
     (default) targets faults one at a time in-process; ``"process"``
     partitions them across ``workers`` PODEM worker processes;
     ``"auto"`` defers the choice to :func:`choose_engine` once the
@@ -477,7 +497,7 @@ def run_atpg(
             checkpoint.record_random_phase(sequences, detected, random_detected)
     random_seconds = time.perf_counter() - random_start
 
-    # ---- Phase 2: deterministic PODEM ------------------------------------
+    # ---- Phase 2: deterministic search -----------------------------------
     # The time-frame window must cover the circuit's sequential depth:
     # justification through R flip-flops can need on the order of R frames.
     # This is the structural mechanism behind the paper's Table II blowup:
@@ -493,6 +513,7 @@ def run_atpg(
     deterministic_detected = 0
     abort_reason: Dict[StuckAtFault, str] = {}
     fault_rows: List[FaultEffort] = []
+    search_proved: Set[StuckAtFault] = set()
     queue = list(remaining)
     queue_costs: Optional[Dict[StuckAtFault, float]] = None
     if policy is not None and queue:
@@ -509,21 +530,11 @@ def run_atpg(
         queue_costs = policy.score_faults(circuit, queue)
         queue.sort(key=lambda f: (-queue_costs[f], fault_sort_key(f)))
 
-    # ``auto`` decides here, with the post-random partition in hand: a pool
-    # is only worth spinning up for enough faults on enough cores.
-    if engine == "auto":
-        engine, engine_reason = choose_engine(len(queue), workers)
-        workers = (
-            (workers if workers is not None else default_workers())
-            if engine == "process"
-            else 1
-        )
-
     def absorb(fault: StuckAtFault, outcome: FaultOutcome) -> None:
-        """Fold one PODEM outcome into the global partition (queue order).
+        """Fold one search outcome into the global partition (queue order).
 
         An accepted sequence is bit-parallel fault-simulated against every
-        fault still remaining, so collateral detections are dropped from
+        fault still undecided, so collateral detections are dropped from
         the queue -- and, in process mode, duplicate effort spent on them
         by other workers is discarded when their turn comes.
         """
@@ -535,7 +546,7 @@ def run_atpg(
             replay = parallel_fault_simulate(
                 circuit,
                 [outcome.sequence],
-                [f for f in queue if f not in detected],
+                [f for f in queue if f not in detected and f not in untestable],
                 backend=backend,
             )
             newly = set(replay.detections)
@@ -552,6 +563,45 @@ def run_atpg(
         else:
             abort_reason[fault] = "search"  # exhausted within frame bound
 
+    # The exact pair search decides every fault it can within its
+    # lane-step cap: a test, or a proof that none exists.  It reads no
+    # clock, so a resumed run simply reruns it.  Its outcomes fold in
+    # queue order like PODEM's; faults over the cap go on to PODEM
+    # afterwards, in queue order.
+    targets = queue
+    if queue and exact_applicable(circuit, budget.exact_lane_steps):
+        targets = []
+        for fault, found in iter_exact(
+            circuit, queue, budget.exact_lane_steps, skip=detected.__contains__
+        ):
+            if fault in detected:
+                continue  # an earlier test of its batch detects it
+            if found.status == "cap":
+                targets.append(fault)
+                continue
+            fault_rows.append(
+                FaultEffort(
+                    EffortMeter.fault_key(fault),
+                    found.status,
+                    lane_steps=found.lane_steps,
+                )
+            )
+            if found.status == "proved":
+                untestable.add(fault)
+                search_proved.add(fault)
+            else:
+                absorb(fault, FaultOutcome(True, found.sequence, 0, False))
+
+    # ``auto`` decides here, with the post-random partition in hand: a pool
+    # is only worth spinning up for enough faults on enough cores.
+    if engine == "auto":
+        engine, engine_reason = choose_engine(len(targets), workers)
+        workers = (
+            (workers if workers is not None else default_workers())
+            if engine == "process"
+            else 1
+        )
+
     # Restored outcomes (detections and search exhaustions proven by the
     # interrupted run -- both deterministic) short-circuit their faults;
     # clock-dependent outcomes (budget aborts, never-reached faults) were
@@ -561,11 +611,11 @@ def run_atpg(
             return None
         return restored.restorable(fault)
 
-    if engine == "process" and queue:
+    if engine == "process" and targets:
         # Only non-restored faults go to the pool; restored ones are folded
         # in at their original queue positions so the collateral replay
         # sees the exact interleaving an uninterrupted run would have.
-        pending = [f for f in queue if restored_outcome(f) is None]
+        pending = [f for f in targets if restored_outcome(f) is None]
         pool = iter_podem_partitioned(
             circuit,
             pending,
@@ -582,7 +632,7 @@ def run_atpg(
                 else None
             ),
         )
-        for fault in queue:
+        for fault in targets:
             record = restored_outcome(fault)
             if record is None:
                 _pool_fault, outcome = next(pool)
@@ -613,7 +663,7 @@ def run_atpg(
         podem = PodemEngine(
             circuit, kernel=kernel, backend=backend, guidance=policy
         )
-        for fault in queue:
+        for fault in targets:
             if fault in detected:
                 continue
             record = restored_outcome(fault)
@@ -684,6 +734,7 @@ def run_atpg(
         lanes_evaluated=meter.lanes_evaluated,
         guidance=guidance_mode,
         objective_choices=meter.objective_choices,
+        search_proved=search_proved,
         fault_rows=fault_rows,
     )
 

@@ -437,10 +437,14 @@ def training_rows(
     """Feature rows + effort label from per-fault
     :class:`~repro.atpg.budget.FaultEffort` records (one list per fault,
     label last).  Faults never attempted (``status == "budget"`` with zero
-    counters) carry no effort signal and are skipped."""
+    counters) carry no effort signal, and faults the exact search decided
+    (effort in ``lane_steps``, not PODEM search) would skew the label, so
+    both are skipped."""
     rows: List[List[float]] = []
     for record in fault_rows:
         if record.status == "budget" and record.backtracks == 0:
+            continue
+        if record.lane_steps:
             continue
         fault = StuckAtFault(
             LineRef(record.fault_key[0], record.fault_key[1]), record.fault_key[2]

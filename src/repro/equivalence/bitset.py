@@ -144,6 +144,31 @@ REACH_LANE_BLOCK = 1 << 12
 REACH_NUMPY_MIN_LANES = 512
 
 
+def chunk_lanes(
+    width: int, chunk: Sequence[Tuple[int, ...]], num_inputs: int
+) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
+    """``(mask, tile, inputs)``: the lane layout of one packed sweep step.
+
+    Lane ``v * width + s`` carries chunk vector ``v`` applied to block row
+    ``s``.  Each input rail holds one ``width``-lane run per vector;
+    ``tile`` has one set bit at the start of every run, so a block rail
+    times ``tile`` repeats the block once per vector, and ``tile << s``
+    selects every lane of row ``s``.
+    """
+    lanes = width * len(chunk)
+    mask = (1 << lanes) - 1
+    run = (1 << width) - 1
+    tile = mask // run
+    selects = [0] * num_inputs
+    for position, vector in enumerate(chunk):
+        bit = 1 << (position * width)
+        for pi, value in enumerate(vector):
+            if value:
+                selects[pi] |= bit
+    inputs = tuple((select * run, mask ^ (select * run)) for select in selects)
+    return mask, tile, inputs
+
+
 def alphabet_sweep(
     circuit: Circuit,
     stepper,
@@ -200,19 +225,8 @@ def alphabet_sweep(
 
     def bigint_rows(block_rails, width: int, chunk):
         lanes = width * len(chunk)
-        mask = (1 << lanes) - 1
-        run = (1 << width) - 1
-        tile = mask // run  # one set bit at the start of every vector's run
+        mask, tile, inputs = chunk_lanes(width, chunk, num_inputs)
         state = tuple((ones * tile, zeros * tile) for ones, zeros in block_rails)
-        selects = [0] * num_inputs
-        for position, vector in enumerate(chunk):
-            bit = 1 << (position * width)
-            for pi, value in enumerate(vector):
-                if value:
-                    selects[pi] |= bit
-        inputs = tuple(
-            (select * run, mask ^ (select * run)) for select in selects
-        )
         if forced:
             sa1, sa0 = injection_masks(lanes)
             out_rails, next_rails = stepper.step_inject(state, inputs, mask, sa1, sa0)
@@ -403,6 +417,7 @@ __all__ = [
     "all_state_lanes",
     "alphabet_sweep",
     "bitset_from_indices",
+    "chunk_lanes",
     "decode_plane_into",
     "extract_arrays_bitset",
     "image_bitset",

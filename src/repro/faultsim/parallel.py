@@ -256,10 +256,15 @@ def _make_wordplane_group(stepper: VectorFastStepper, narrow_fallback):
 
     plan = wordplane_plan(stepper)
     line_slot = stepper.line_slot
+    # Runners by word count, each a whole number of words wide; a group's
+    # spare lanes carry no fault and are never live, so they never count.
+    # Dropping narrows the groups sequence by sequence, so only the two
+    # most recently used runners are kept (a sequence's full groups and
+    # its remainder): each holds about a megabyte of planes.
     runners: Dict[int, object] = {}
-    # Input planes depend only on (vector, width); groups of one sequence
-    # share the vectors list, so pack it once per (sequence, width).
-    packed_inputs: Dict[int, Tuple[int, list]] = {}
+    # Input planes depend only on (vector, runner); groups of one sequence
+    # share the vectors list, so pack it once per (sequence, runner).
+    packed_inputs: Dict[int, Tuple[Sequence, list]] = {}
 
     def simulate_group(
         vectors: Sequence[Tuple[Trit, ...]],
@@ -273,13 +278,19 @@ def _make_wordplane_group(stepper: VectorFastStepper, narrow_fallback):
         if width < WORDPLANE_MIN_WIDTH:
             narrow_fallback(vectors, group, seq_index, output_names, result, drop)
             return
-        runner = runners.get(width)
+        words = -(-width // 64)
+        runner = runners.pop(words, None)
         if runner is None:
-            runner = runners[width] = plan.runner(width)
-        cached = packed_inputs.get(width)
+            runner = plan.runner(64 * words)
+            if len(runners) > 1:
+                evicted = next(iter(runners))
+                del runners[evicted]
+                packed_inputs.pop(evicted, None)
+        runners[words] = runner  # most recently used last
+        cached = packed_inputs.get(words)
         if cached is None or cached[0] is not vectors:
             packed = [runner.pack_input_bits(vector) for vector in vectors]
-            packed_inputs[width] = (vectors, packed)
+            packed_inputs[words] = (vectors, packed)
         else:
             packed = cached[1]
         runner.set_group_faults(

@@ -240,6 +240,9 @@ def atpg_result_payload(result) -> Dict[str, object]:
         "lanes_evaluated": result.lanes_evaluated,
         "guidance": result.guidance,
         "objective_choices": result.objective_choices,
+        # Proof kind of each untestable fault: these by exhausted search,
+        # the rest structurally.
+        "search_proved": encode_faults(sorted(result.search_proved)),
     }
 
 
@@ -274,6 +277,7 @@ def atpg_result_from_payload(payload: Dict[str, object]):
             lanes_evaluated=int(payload.get("lanes_evaluated", 0)),
             guidance=str(payload.get("guidance", "off")),
             objective_choices=int(payload.get("objective_choices", 0)),
+            search_proved=set(decode_faults(payload.get("search_proved", []))),
         )
     except (KeyError, TypeError, ValueError, IndexError):
         return None

@@ -1,5 +1,6 @@
 """Tests for ATPG budgets and effort accounting."""
 
+import dataclasses
 import time
 
 from repro.atpg import AtpgBudget, EffortMeter
@@ -62,7 +63,30 @@ class TestMeter:
         assert 0 < meter.remaining() < first <= 100.0
 
     def test_scaled_preserves_new_fields(self):
-        budget = AtpgBudget(frames_cap=16, random_batch=5)
+        """Every field either scales or carries over: none silently falls
+        back to its default."""
+        scaling = {
+            "total_seconds",
+            "seconds_per_fault",
+            "backtracks_per_fault",
+            "random_sequences",
+            "exact_lane_steps",
+        }
+        # A non-default value for every field.
+        budget = AtpgBudget(
+            **{
+                f.name: type(f.default)(f.default * 3 + 7)
+                for f in dataclasses.fields(AtpgBudget)
+            }
+        )
         scaled = budget.scaled(2.0)
-        assert scaled.frames_cap == 16
-        assert scaled.random_batch == 5
+        for f in dataclasses.fields(AtpgBudget):
+            value, original = getattr(scaled, f.name), getattr(budget, f.name)
+            if f.name in scaling:
+                assert value == type(original)(original * 2), f.name
+            else:
+                assert value == original, f.name
+
+    def test_scaled_keeps_exact_search_off(self):
+        assert AtpgBudget(exact_lane_steps=0).scaled(4.0).exact_lane_steps == 0
+        assert AtpgBudget(exact_lane_steps=10).scaled(0.01).exact_lane_steps == 1

@@ -45,12 +45,15 @@ R = SCOAP_REGISTER_COST  # 20.0: one register crossing
 
 
 def small_budget(**overrides):
+    """A small PODEM budget: the exact pair search is off unless
+    overridden, since guidance steers PODEM."""
     values = dict(
         total_seconds=20.0,
         seconds_per_fault=2.0,
         backtracks_per_fault=20,
         frames_cap=8,
         random_sequences=4,
+        exact_lane_steps=0,
     )
     values.update(overrides)
     return AtpgBudget(**values)
@@ -208,6 +211,25 @@ class TestPredictor:
         predictor = train_predictor_from_store(store)
         if predictor is not None:
             assert load_predictor(store) is not None
+
+    def test_search_decided_faults_add_no_training_rows(self, tmp_path):
+        """Rows of faults the exact search decided count lane-steps, not
+        PODEM effort: a searched run logs nothing, a PODEM run still logs."""
+        from repro.pipeline import FlowPipeline
+
+        store = ArtifactStore(root=str(tmp_path))
+        circuit = fig5_n1()
+        faults = collapse_faults(circuit).representatives
+        pipeline = FlowPipeline(store=store)
+        searched = pipeline.stage_atpg(
+            circuit, faults, small_budget(exact_lane_steps=1 << 20)
+        )
+        assert searched.fault_rows
+        assert all(row.lane_steps for row in searched.fault_rows)
+        assert load_training_rows(store) == []
+        podem = pipeline.stage_atpg(circuit, faults, small_budget())
+        assert podem.fault_rows
+        assert len(load_training_rows(store)) == len(podem.fault_rows)
 
 
 class TestPolicy:

@@ -59,6 +59,7 @@ class TestKernelParity:
             max_frames=4,
             frames_cap=4,
             random_sequences=2,
+            exact_lane_steps=0,
         )
         results = {
             kernel: run_atpg(
@@ -175,6 +176,7 @@ class TestEngineSelection:
             max_frames=4,
             frames_cap=4,
             random_sequences=0,
+            exact_lane_steps=0,
         )
         faults = collapse_faults(circuit).representatives[: MIN_POOL_FAULTS - 2]
         result = run_atpg(circuit, faults, budget, engine="auto")
@@ -189,6 +191,7 @@ class TestEngineSelection:
             max_frames=4,
             frames_cap=4,
             random_sequences=0,
+            exact_lane_steps=0,
         )
         result = run_atpg(circuit, budget=budget, engine="serial")
         assert result.engine == "serial"
@@ -223,6 +226,7 @@ class TestMeterAccounting:
             max_frames=4,
             frames_cap=4,
             random_sequences=0,
+            exact_lane_steps=0,
         )
         result = run_atpg(circuit, budget=budget, engine="serial")
         assert result.simulations > 0

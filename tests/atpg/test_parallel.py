@@ -17,6 +17,7 @@ from repro.faults import collapse_faults
 from tests.helpers import pipelined_logic, random_circuit, resettable_counter
 
 # Deterministic limits (backtracks, frames) bind; wall clocks are generous.
+# The exact pair search is off: these tests exercise the PODEM pool.
 PARITY = AtpgBudget(
     total_seconds=60.0,
     seconds_per_fault=5.0,
@@ -25,6 +26,7 @@ PARITY = AtpgBudget(
     frames_cap=8,
     random_sequences=8,
     random_length=16,
+    exact_lane_steps=0,
 )
 
 
@@ -80,6 +82,7 @@ class TestSerialProcessParity:
             frames_cap=6,
             random_sequences=4,
             random_length=16,
+            exact_lane_steps=0,
         )
         serial = run_atpg(circuit, faults=faults, budget=budget, engine="serial")
         pooled = run_atpg(
@@ -145,6 +148,7 @@ class TestAbortAccounting:
             backtracks_per_fault=1,
             frames_cap=4,
             random_sequences=0,
+            exact_lane_steps=0,
         )
         result = run_atpg(
             random_circuit(702, num_inputs=3, num_gates=14, num_dffs=4),
@@ -163,6 +167,7 @@ class TestBudgetExhaustionMidPool:
             seconds_per_fault=5.0,
             backtracks_per_fault=400,
             random_sequences=0,
+            exact_lane_steps=0,
         )
         result = run_atpg(circuit, budget=budget, engine="process", workers=2)
         assert (
@@ -185,6 +190,7 @@ class TestBudgetExhaustionMidPool:
             backtracks_per_fault=400,
             frames_cap=16,
             random_sequences=0,
+            exact_lane_steps=0,
         )
         start = time.perf_counter()
         result = run_atpg(circuit, budget=budget, engine="process", workers=2)

@@ -211,6 +211,32 @@ class TestEngineBackendParity:
         assert candidate.detections == reference.detections
         assert candidate.potential == reference.potential
 
+    def test_fault_simulation_with_narrowing_groups(self):
+        """Groups of several word counts, narrowing as faults drop, share
+        the word-plane runners and still match bigint exactly."""
+        from repro.core.experiments import TABLE2_CIRCUITS, build_pair
+        from repro.faults.collapse import collapse_faults
+        from repro.faultsim import fault_simulate
+
+        spec = next(s for s in TABLE2_CIRCUITS if s.name == "pma.jo.sd")
+        circuit = build_pair(spec, store=None).retimed
+        faults = collapse_faults(circuit).representatives
+        width = len(circuit.input_names)
+        rng = random.Random(5)
+        sequences = [
+            [tuple(rng.getrandbits(1) for _ in range(width)) for _ in range(24)]
+            for _ in range(8)
+        ]
+        reference = fault_simulate(
+            circuit, sequences, faults, group_size=400, backend="bigint"
+        )
+        candidate = fault_simulate(
+            circuit, sequences, faults, group_size=400, backend="numpy"
+        )
+        assert len(reference.detections) > 100
+        assert candidate.detections == reference.detections
+        assert candidate.potential == reference.potential
+
     @pytest.mark.parametrize("backend", ["bigint", "numpy"])
     def test_sharded_fault_simulation_is_exact(self, backend):
         from repro.faults.collapse import collapse_faults

@@ -12,6 +12,7 @@ from tests.helpers import resettable_counter, toggle_counter
 
 # Generous enough that wall clock never binds: resume determinism is only
 # guaranteed when outcomes are decided by search limits, not the clock.
+# The exact pair search is off, so PODEM outcomes are what gets journaled.
 BUDGET = AtpgBudget(
     total_seconds=120.0,
     seconds_per_fault=5.0,
@@ -19,6 +20,7 @@ BUDGET = AtpgBudget(
     max_frames=8,
     random_sequences=16,
     random_length=16,
+    exact_lane_steps=0,
 )
 
 
