@@ -35,9 +35,8 @@ class AtpgBudget:
     sync_samples: int = 8
     seed: int = 1995
     #: Per-fault cap of the exact product-machine search
-    #: (:mod:`repro.atpg.exact`), in lane-steps: visited (good, faulty)
-    #: state pairs times the input alphabet.  ``0`` leaves every fault to
-    #: PODEM.
+    #: (:mod:`repro.atpg.exact`), in lane-steps: the input-cube lanes the
+    #: search simulates for one fault.  ``0`` leaves every fault to PODEM.
     exact_lane_steps: int = 1 << 20
 
     def scaled(self, factor: float) -> "AtpgBudget":

@@ -7,14 +7,13 @@ Mirrors the two-phase organization of HITEC-era tools:
    single bit-parallel pass per batch; sequences that detect new faults
    join the test set, and the phase ends after a run of unproductive
    sequences or when its budget share is spent.
-2. **Deterministic phase** -- on a circuit with a small input alphabet
-   (at most :data:`~repro.atpg.exact.EXACT_MAX_INPUTS` inputs) the exact
-   product-machine search of :mod:`repro.atpg.exact` first decides every
-   remaining fault within its lane-step cap: a shortest test, or a proof
-   that no sequence detects the fault under 3-valued simulation from the
-   all-X state.  Every fault it leaves open (all of them on wider
-   circuits, or with ``AtpgBudget.exact_lane_steps == 0``) is targeted by
-   the sequential PODEM engine under a per-fault backtrack limit and a
+2. **Deterministic phase** -- the exact product-machine search of
+   :mod:`repro.atpg.exact` first decides every remaining fault within its
+   lane-step cap: a shortest test, or a proof that no sequence detects the
+   fault under 3-valued simulation from the all-X state.  Every fault it
+   leaves open (over the cap, or all of them with
+   ``AtpgBudget.exact_lane_steps == 0``) is targeted by the sequential
+   PODEM engine under a per-fault backtrack limit and a
    global wall-clock budget.  Sequences found are fault-simulated against
    the remaining faults to drop collateral detections.  PODEM runs either
    in-process (``engine="serial"``) or partitioned across a pool of PODEM
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.budget import AtpgBudget, EffortMeter, FaultEffort
-from repro.atpg.exact import exact_applicable, iter_exact
+from repro.atpg.exact import iter_exact
 from repro.atpg.guidance import GuidancePolicy, fault_sort_key, make_policy
 from repro.atpg.parallel import (
     FaultOutcome,
@@ -380,11 +379,10 @@ def run_atpg(
     """Generate a test set for the circuit's (collapsed) fault list.
 
     After the random phase, the exact pair search (:mod:`repro.atpg.exact`)
-    decides each remaining fault of a circuit with at most
-    :data:`~repro.atpg.exact.EXACT_MAX_INPUTS` inputs, up to
-    ``budget.exact_lane_steps`` lane-steps per fault; only faults over
-    that cap are left to PODEM.  The search is deterministic and engine-,
-    kernel- and backend-independent.
+    decides each remaining fault, up to ``budget.exact_lane_steps``
+    lane-steps per fault; only faults over that cap are left to PODEM.
+    The search is deterministic and engine-, kernel- and
+    backend-independent.
 
     ``engine`` selects how PODEM runs: ``"serial"``
     (default) targets faults one at a time in-process; ``"process"``
@@ -564,19 +562,26 @@ def run_atpg(
             abort_reason[fault] = "search"  # exhausted within frame bound
 
     # The exact pair search decides every fault it can within its
-    # lane-step cap: a test, or a proof that none exists.  It reads no
-    # clock, so a resumed run simply reruns it.  Its outcomes fold in
+    # lane-step cap: a test, or a proof that none exists.  It keeps no
+    # journal, so a resumed run simply reruns it.  Its outcomes fold in
     # queue order like PODEM's; faults over the cap go on to PODEM
-    # afterwards, in queue order.
+    # afterwards, in queue order.  When the clock runs out mid-search,
+    # the faults it leaves undecided reach the PODEM loop out of time,
+    # which budget-aborts them.
     targets = queue
-    if queue and exact_applicable(circuit, budget.exact_lane_steps):
+    if queue and budget.exact_lane_steps > 0:
         targets = []
         for fault, found in iter_exact(
-            circuit, queue, budget.exact_lane_steps, skip=detected.__contains__
+            circuit,
+            queue,
+            budget.exact_lane_steps,
+            skip=detected.__contains__,
+            backend=backend,
+            out_of_time=meter.out_of_time,
         ):
             if fault in detected:
                 continue  # an earlier test of its batch detects it
-            if found.status == "cap":
+            if found.status in ("cap", "time"):
                 targets.append(fault)
                 continue
             fault_rows.append(
@@ -660,9 +665,9 @@ def run_atpg(
                 checkpoint.record_fault(fault, outcome)
             absorb(fault, outcome)
     else:
-        podem = PodemEngine(
-            circuit, kernel=kernel, backend=backend, guidance=policy
-        )
+        # Built for the first PODEM target only: construction compiles the
+        # scalar and dual steppers, which a fully searched run never calls.
+        podem = None
         for fault in targets:
             if fault in detected:
                 continue
@@ -684,6 +689,10 @@ def run_atpg(
                 fault_rows.append(meter.fault_rows[-1])
                 abort_reason[fault] = "budget"
                 continue
+            if podem is None:
+                podem = PodemEngine(
+                    circuit, kernel=kernel, backend=backend, guidance=policy
+                )
             result = podem.generate(
                 fault,
                 meter,

@@ -1,4 +1,4 @@
-"""Exact sequential ATPG for small input alphabets: a product-machine search.
+"""Exact sequential ATPG: a product-machine search over input cubes.
 
 Every test set here is graded by 3-valued fault simulation from the all-X
 state (:func:`repro.faultsim.fault_simulate`): a fault is detected when,
@@ -15,60 +15,77 @@ pairs, so a breadth-first search over the pairs reachable from
   fault only a known initial state would expose is still untestable here,
   exactly as the fault simulator grades it.
 
-**Lanes.**  One step packs rows -- one (fault, frontier pair) each --
-times the whole input alphabet into the lanes of the compiled bit-parallel
-stepper, laid out by :func:`repro.equivalence.bitset.chunk_lanes` as an
-STG sweep lays out (state, vector) pairs: lane ``v * B + s`` is alphabet
-vector ``v`` applied to row ``s``.  The good half steps through
-``step_clean``; the faulty half through ``step_inject``, with each row's
-stuck-at fault set in the runtime masks of that row's lanes only.  Rows
-of many faults share one step (at most
-:data:`~repro.equivalence.bitset.REACH_LANE_BLOCK` lanes) and no code is
-generated per fault.
+**Cube lanes.**  A *row* -- one (fault, pair) -- is expanded over input
+cubes, not over the alphabet: it starts as one lane holding the all-X
+cube.  After a step a lane is a *leaf* when every observed line (an
+output or a next-state rail, good or faulty half) is binary, or X with
+its whole structural input support assigned; every minterm of a leaf then
+gives the same successor pair and the same detect bit, because ternary
+simulation is monotone and a line reads nothing outside its support (a
+stuck-at only removes dependencies, so the fault-free supports bound the
+faulty half too).  A lane that detects is a leaf as well: its lowest
+minterm detects, and the row ends the search.  Any other lane splits on
+one unassigned input from the support of an unresolved X line, giving two
+lanes for a later step.  Lanes of many rows and faults share one compiled
+step of at most :data:`~repro.equivalence.bitset.REACH_LANE_BLOCK` lanes:
+the good half steps through ``step_clean``, the faulty half through
+``step_inject`` with each fault's stuck-at set in the runtime masks of its
+own lanes, so no code is generated per fault.
+
+**Order.**  A leaf's *index* is that of its lowest minterm (unassigned
+inputs at 0) in :func:`~repro.equivalence.explicit.all_vectors` order.
+Rows are finalized in pair order; a row's distinct successors are interned
+in order of their lowest index, the detecting leaf of lowest index is the
+row's hit, and the first row with a hit ends the search.  That is exactly
+the search that enumerates every vector of every row in order, so
+outcomes depend on neither the split order, the batching nor the leg.
 
 **Keys.**  A pair is four rails per register (good ones, good zeros,
 faulty ones, faulty zeros); its key is the ``4r``-bit Python int whose
-bit ``p`` is rail plane ``p`` of :meth:`ProductSearch._step`, so keys
-never wrap.  A step decodes its lanes' keys with a bit transpose
-(:func:`lane_keys`) over its distinct non-constant planes only
-(:class:`StepKeys`).
+bit ``p`` is rail plane ``p``, so keys never wrap.  Lanes and planes
+convert with the bit transposes :func:`lane_keys` and :func:`key_planes`.
 
-**Cap and determinism.**  A fault may visit at most
-``lane_cap // |alphabet|`` pairs (each costs one lane-step per vector to
-expand); past that it is handed back undecided.  Pairs are interned per
-fault in discovery order -- rows in pair order, each row in vector order
--- the first detecting (pair, vector) in that order wins, and nothing
-reads a clock.  A fault's outcome is thus a function of the circuit, the
-fault and the cap alone, whichever faults share its steps.
+**Cap.**  A fault may simulate at most ``lane_cap`` lanes (lane-steps),
+checked row by row in pair order: the row whose lanes would pass the cap
+hands the fault back undecided.  The search reads no clock of its own: a
+caller's ``out_of_time`` check, consulted between steps, only stops it
+early.  Unless that fires, a fault's outcome is a function of the
+circuit, the fault and the cap alone.
+
+**Legs.**  The bookkeeping around the bigint kernel -- plane/lane
+transposes, leaf dedup, child generation -- runs in pure Python
+(:class:`_BigintLeg`, the reference) or on numpy arrays
+(:class:`_NumpyLeg`), picked by the ``backend`` policy.  Both give
+identical outcomes.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.equivalence.bitset import REACH_LANE_BLOCK, chunk_lanes
-from repro.equivalence.explicit import ENGINE_LIMITS, all_vectors
+from repro.equivalence.bitset import REACH_LANE_BLOCK
 from repro.faults.model import StuckAtFault
 from repro.simulation.cache import vector_fast_stepper
-
-#: Widest input alphabet the search enumerates: the explicit-state
-#: engines' input limit.
-EXACT_MAX_INPUTS = ENGINE_LIMITS["reach"].inputs
 
 #: Faults searched side by side, sharing steps.  Outcomes do not depend
 #: on it; only the wasted work on faults an earlier test in the batch
 #: detects does.
 EXACT_FAULT_BATCH = 64
 
-#: Interned pairs a batch may hold (~200 bytes each): a search joins a
-#: level only while the pairs held plus the most that level could add
-#: stay within it, except that the first undecided search always joins.
+#: Interned pairs a batch may hold (~200 bytes each): while the live
+#: searches hold more, only the first of them launches new rows.
 #: Outcomes do not depend on it.
 EXACT_BATCH_PAIRS = 1 << 17
+
+#: Generation of the search semantics, folded into every budget
+#: fingerprint: bump it when the same budget can give different results.
+EXACT_SEARCH_GENERATION = 2
 
 
 @dataclass
@@ -76,8 +93,9 @@ class ExactOutcome:
     """One fault's search result.
 
     ``status`` is ``"det"`` (``sequence`` detects the fault), ``"proved"``
-    (no sequence does) or ``"cap"`` (undecided within the cap).
-    ``lane_steps`` is the pairs expanded times the alphabet size.
+    (no sequence does), ``"cap"`` (undecided within the cap) or
+    ``"time"`` (undecided when the caller ran out of time).
+    ``lane_steps`` is the cube lanes simulated for the rows finalized.
     """
 
     status: str
@@ -85,15 +103,14 @@ class ExactOutcome:
     lane_steps: int
 
 
-def exact_applicable(circuit: Circuit, lane_cap: int) -> bool:
-    """Whether :func:`iter_exact` runs on ``circuit`` under ``lane_cap``."""
-    return lane_cap > 0 and len(circuit.input_names) <= EXACT_MAX_INPUTS
-
-
 # -- lane keys ---------------------------------------------------------------
 
 #: array typecode per item size, for reading interleaved key bytes.
 _WORD_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+#: Per bit ``b``: a ``bytes.translate`` table mapping a byte to the ASCII
+#: digit of its bit ``b``.
+_BIT_DIGITS = [bytes(48 + (byte >> bit & 1) for byte in range(256)) for bit in range(8)]
 
 
 def lane_keys(planes: Sequence[int], lanes: int) -> List:
@@ -136,14 +153,14 @@ def _as_int(key) -> int:
 
 
 class StepKeys:
-    """The pair keys of one step's lanes, decoded from its distinct planes.
+    """The keys of one step's lanes, decoded from its distinct planes.
 
     A retimed circuit's registers often carry copies of one another, and
     many rails are constant across a step, so only the distinct
     non-constant planes go through :func:`lane_keys`.  ``lanes[l]`` is
     lane ``l``'s key in that compressed form; :meth:`full` expands one to
-    the ``4r``-bit pair key (a Python int), which is the same in every
-    step.  Expansion is injective within a step.
+    the full key (a Python int), which is the same in every step.
+    Expansion is injective within a step.
     """
 
     def __init__(self, planes: Sequence[int], lanes: int):
@@ -174,208 +191,706 @@ class StepKeys:
 
 def key_planes(keys: Sequence[int], num_planes: int) -> List[int]:
     """The inverse of :func:`lane_keys`: plane ``p`` has bit ``s`` set
-    when ``keys[s]`` has bit ``p`` set."""
-    digits = f"0{num_planes}b"
-    columns = list(zip(*[format(key, digits) for key in keys]))
-    # Column c carries bit num_planes - 1 - c, row 0 first.
-    return [
-        int("".join(columns[num_planes - 1 - plane])[::-1], 2)
-        for plane in range(num_planes)
-    ]
+    when ``keys[s]`` has bit ``p`` set.
+
+    Each key becomes little-endian bytes; byte ``g`` of every key is one
+    strided slice, and ``translate`` turns each of its bits into one
+    ASCII digit per lane, parsed back as a base-2 int.
+    """
+    size = (num_planes + 7) // 8
+    data = b"".join([key.to_bytes(size, "little") for key in keys])
+    return _byte_planes(data, size, num_planes)
+
+
+def _byte_planes(data: bytes, size: int, num_planes: int) -> List[int]:
+    """Planes of ``size``-byte little-endian lane records in ``data``."""
+    planes = []
+    for group in range(size):
+        column = data[group::size][::-1]  # lane 0 last: the least significant digit
+        for bit in range(min(8, num_planes - 8 * group)):
+            planes.append(int(column.translate(_BIT_DIGITS[bit]), 2) if column else 0)
+    return planes
 
 
 # -- the search --------------------------------------------------------------
 
 
 class _FaultSearch:
-    """One fault's BFS: interned pairs, their parents and the open level.
+    """One fault's BFS: interned pairs, their parents and its open rows.
 
-    Pairs are numbered in discovery order, so each BFS level is the index
-    range ``[start, end)``.
+    Pairs are numbered in discovery order and finalized in that order:
+    ``cursor`` is the next pair to finalize, ``launched`` the number of
+    pairs whose rows went on the lane stack (``rows[p]`` is pair ``p``'s
+    row id), and rows at or past ``horizon`` are never expanded, since the
+    outcome is settled before them.  Until a row is finalized its pair
+    keeps its successors (``succ``: key -> lowest index), its lowest
+    detecting index (``det``) and whether it is finished (``done``).
+    ``spent`` counts the lanes of finalized rows, ``inflight`` those of
+    launched, unfinalized rows below the horizon.
     """
 
     __slots__ = (
-        "fault", "index", "keys", "parents", "start", "end", "status", "hit",
-        "expanded", "outcome",
+        "slot", "index", "keys", "parents", "rows", "succ", "det", "done",
+        "launched", "cursor", "horizon", "spent", "inflight", "status", "hit",
+        "outcome",
     )
 
-    def __init__(self, fault: StuckAtFault):
-        self.fault = fault
+    def __init__(self, slot: int):
+        self.slot = slot
         # Pair 0 is the root: every rail clear, all registers X in both halves.
         self.index = {0: 0}
         self.keys = [0]
         self.parents: List[Tuple[int, int]] = [(0, 0)]
-        self.start, self.end = 0, 1
+        self.rows: List[int] = []
+        self.succ: Dict[int, Dict[int, int]] = {}
+        self.det: Dict[int, int] = {}
+        self.done: Set[int] = set()
+        self.launched = 0
+        self.cursor = 0
+        self.horizon = sys.maxsize
+        self.spent = 0
+        self.inflight = 0
         self.status: Optional[str] = None
         self.hit: Optional[Tuple[int, int]] = None
-        self.expanded = 0
         self.outcome: Optional[ExactOutcome] = None
 
 
+def _supports(compiled, output_names: Sequence[str]) -> Tuple[List[int], List[int]]:
+    """Structural input supports of the outputs and the next-state lines,
+    as bit masks in vector-index order (input ``i`` is bit ``n - 1 - i``)."""
+    top = compiled.num_inputs - 1
+    support = [0] * compiled.num_slots
+    for op in compiled.ops:
+        if op.pi_index >= 0:
+            support[op.slot] = 1 << (top - op.pi_index)
+        else:
+            bits = 0
+            for read in op.reads:
+                if not read.from_register:
+                    bits |= support[read.index]
+            support[op.slot] = bits
+    outputs = [support[compiled.slot_of[name]] for name in output_names]
+    nexts = [
+        0 if read.from_register else support[read.index]
+        for read in compiled.register_loads
+    ]
+    return outputs, nexts
+
+
 class ProductSearch:
-    """The lane-packed (good, faulty) pair search on one circuit."""
+    """The cube-lane (good, faulty) pair search on one circuit."""
 
-    def __init__(self, circuit: Circuit, lane_cap: int):
+    def __init__(self, circuit: Circuit, lane_cap: int, backend: str = "auto"):
+        from repro.simulation.backends import resolve_backend
+
         self.stepper = vector_fast_stepper(circuit)
-        self.num_registers = self.stepper.compiled.num_registers
-        self.num_inputs = self.stepper.compiled.num_inputs
-        self.alphabet = all_vectors(self.num_inputs)
-        self.rows_per_step = max(1, REACH_LANE_BLOCK // len(self.alphabet))
-        self.max_pairs = lane_cap // len(self.alphabet)
+        compiled = self.stepper.compiled
+        self.num_registers = compiled.num_registers
+        self.num_inputs = compiled.num_inputs
         self.num_planes = 4 * self.num_registers
-        self._layouts = {}
+        self.lane_cap = lane_cap
+        # Observed lines (outputs, then next-state lines) grouped by
+        # support, smallest support first: a lane splits on an input of its
+        # first unresolved group.  Lines with no input support never split.
+        outputs, nexts = _supports(compiled, circuit.output_names)
+        groups: Dict[int, List[int]] = {}
+        for line, bits in enumerate(outputs + nexts):
+            if bits:
+                groups.setdefault(bits, []).append(line)
+        top = self.num_inputs - 1
+        self._groups = [
+            ([top - i for i in range(self.num_inputs) if bits >> (top - i) & 1], lines)
+            for bits, lines in sorted(
+                groups.items(), key=lambda item: (bin(item[0]).count("1"), -item[0])
+            )
+        ]
+        self.backend = resolve_backend(backend)
 
-    def run(self, faults: Sequence[StuckAtFault]) -> List[ExactOutcome]:
-        """Search every fault of ``faults`` side by side, level by level."""
-        searches = [_FaultSearch(fault) for fault in faults]
-        live = []
-        for search in searches:
-            if self.max_pairs < 1:
+    # -- one step ------------------------------------------------------------
+
+    def evaluate(
+        self,
+        state: Sequence[int],
+        assigned: Sequence[int],
+        values: Sequence[int],
+        injections: Sequence[Tuple[StuckAtFault, int]],
+        lanes: int,
+    ) -> Tuple[List[int], int, int, List[int]]:
+        """One compiled step of ``lanes`` cube lanes.
+
+        ``state`` holds the ``4r`` key planes of each lane's pair,
+        ``assigned``/``values`` the cube planes per input bit (bit ``b`` is
+        input ``n - 1 - b``), ``injections`` one ``(fault, lane mask)``
+        per fault present.  Returns ``(next_planes, leaf, detect, picks)``:
+        the ``4r`` key planes of the successors, the leaf and detect lanes,
+        and per input bit the non-leaf lanes that split on it.
+        """
+        mask = (1 << lanes) - 1
+        r = self.num_registers
+        good = tuple(zip(state[:r], state[r : 2 * r]))
+        faulty = tuple(zip(state[2 * r : 3 * r], state[3 * r :]))
+        top = self.num_inputs - 1
+        inputs = tuple(
+            (values[top - i], assigned[top - i] & ~values[top - i])
+            for i in range(self.num_inputs)
+        )
+        stepper = self.stepper
+        sa1, sa0 = stepper.blank_injection_masks()
+        for fault, lane_mask in injections:
+            line = stepper.line_slot[fault.line]
+            if fault.value:
+                sa1[line] |= lane_mask
+            else:
+                sa0[line] |= lane_mask
+        good_out, good_next = stepper.step_clean(good, inputs, mask)
+        faulty_out, faulty_next = stepper.step_inject(faulty, inputs, mask, sa1, sa0)
+        detect = 0
+        for (good_one, good_zero), (faulty_one, faulty_zero) in zip(good_out, faulty_out):
+            detect |= (good_one & faulty_zero) | (good_zero & faulty_one)
+        observed = [*zip(good_out, faulty_out), *zip(good_next, faulty_next)]
+        open_lanes = mask & ~detect
+        split = 0
+        picks = [0] * self.num_inputs
+        for bits, lines in self._groups:
+            known = mask
+            for (good_one, good_zero), (faulty_one, faulty_zero) in map(observed.__getitem__, lines):
+                known &= (good_one | good_zero) & (faulty_one | faulty_zero)
+            unknown = open_lanes & ~known
+            if not unknown:
+                continue
+            covered = unknown
+            for bit in bits:
+                covered &= assigned[bit]
+            # X lanes whose support is not all assigned split on the
+            # first unassigned input of the support.
+            pending = unknown ^ covered
+            open_lanes ^= pending
+            split |= pending
+            for bit in bits:
+                if not pending:
+                    break
+                pick = pending & ~assigned[bit]
+                picks[bit] |= pick
+                pending ^= pick
+        leaf = mask ^ split
+        next_planes = (
+            [one for one, _ in good_next]
+            + [zero for _, zero in good_next]
+            + [one for one, _ in faulty_next]
+            + [zero for _, zero in faulty_next]
+        )
+        return next_planes, leaf, detect, picks
+
+    # -- the loop ------------------------------------------------------------
+
+    def run(
+        self,
+        faults: Sequence[StuckAtFault],
+        out_of_time: Callable[[], bool] = lambda: False,
+    ) -> List[ExactOutcome]:
+        """Search every fault of ``faults`` side by side; once
+        ``out_of_time()`` holds before a step, the undecided ones stop
+        with status ``"time"``."""
+        searches = [_FaultSearch(slot) for slot in range(len(faults))]
+        if self.lane_cap < 1:
+            for search in searches:
                 search.status = "cap"
                 self._decide(search)
-            else:
-                live.append(search)
+            return [search.outcome for search in searches]
+        self.faults = list(faults)
+        leg = (_NumpyLeg if self.backend == "numpy" else _BigintLeg)(self)
+        live = list(searches)
         while live:
-            for search in self._expand_level(live):
-                if search.status is None:
-                    if len(search.keys) == search.end:
-                        search.status = "proved"
-                        search.expanded = len(search.keys)
-                    else:
-                        search.start, search.end = search.end, len(search.keys)
-                if search.status is not None:
+            if out_of_time():
+                for search in live:
+                    search.status = "time"
                     self._decide(search)
+                break
+            held = sum(len(search.keys) for search in live)
+            for position, search in enumerate(live):
+                if position and held > EXACT_BATCH_PAIRS:
+                    break  # the rest wait, their pairs kept
+                self._launch(search, leg)
+            finished, successors, detections, lanes_by_slot = leg.step()
+            if not lanes_by_slot:
+                raise RuntimeError("exact search stalled with undecided faults")
+            for slot, count in lanes_by_slot.items():
+                searches[slot].inflight += count
+            for slot, pair, key, lowest in successors:
+                search = searches[slot]
+                succ = search.succ.get(pair)
+                if succ is None:
+                    search.succ[pair] = {key: lowest}
+                else:
+                    known = succ.get(key)
+                    if known is None or lowest < known:
+                        succ[key] = lowest
+            for slot, pair, lowest in detections:
+                search = searches[slot]
+                if pair < search.horizon:
+                    known = search.det.get(pair)
+                    if known is None or lowest < known:
+                        search.det[pair] = lowest
+                    # Rows after a detecting one never matter.
+                    self._cut(search, pair + 1, leg)
+            for slot, pair in finished:
+                search = searches[slot]
+                if pair < search.horizon:
+                    search.done.add(pair)
+            for slot in lanes_by_slot:
+                self._advance(searches[slot], leg)
             live = [search for search in live if search.status is None]
         return [search.outcome for search in searches]
 
+    def _launch(self, search: _FaultSearch, leg) -> None:
+        """Put the rows of ``search``'s pairs not yet launched on the stack."""
+        end = min(len(search.keys), search.horizon)
+        if search.launched < end:
+            first = leg.launch(search.slot, search.launched, search.keys[search.launched : end])
+            search.rows.extend(range(first, first + end - search.launched))
+            search.launched = end
+
+    def _cut(self, search: _FaultSearch, pair: int, leg) -> None:
+        """Never expand ``search``'s rows from ``pair`` on (all unfinalized)."""
+        if pair >= search.horizon:
+            return
+        end = min(search.launched, search.horizon)
+        dropped = search.rows[pair:end]
+        search.horizon = pair
+        search.inflight -= sum(leg.lanes(row) for row in dropped)
+        leg.kill(dropped)
+        for gone in range(pair, end):
+            search.succ.pop(gone, None)
+            search.det.pop(gone, None)
+            search.done.discard(gone)
+
+    def _advance(self, search: _FaultSearch, leg) -> None:
+        """Finalize ``search``'s finished rows in pair order, then settle
+        where the cap falls inside its launched rows."""
+        self._finalize(search, leg)
+        cap = self.lane_cap
+        if search.status is None and search.spent + search.inflight > cap:
+            # The first row whose lanes so far pass the cap settles the
+            # outcome at or before it; rows after it never matter.
+            total = search.spent
+            for pair in range(search.cursor, search.launched):
+                total += leg.lanes(search.rows[pair])
+                if total > cap:
+                    self._cut(search, pair, leg)
+                    break
+            self._finalize(search, leg)
+        if search.status is not None:
+            self._cut(search, search.cursor, leg)
+            self._decide(search)
+
+    def _finalize(self, search: _FaultSearch, leg) -> None:
+        cap = self.lane_cap
+        while search.status is None:
+            pair = search.cursor
+            if pair == len(search.keys):
+                search.status = "proved"
+                break
+            if pair >= search.horizon:
+                search.status = "cap"
+                break
+            if pair >= search.launched:
+                break
+            lanes = leg.lanes(search.rows[pair])
+            if search.spent + lanes > cap:
+                search.status = "cap"
+                break
+            if pair not in search.done:
+                break
+            search.done.discard(pair)
+            search.spent += lanes
+            search.inflight -= lanes
+            hit = search.det.pop(pair, None)
+            if hit is not None:
+                search.status = "det"
+                search.hit = (pair, hit)
+                break
+            for key, lowest in sorted(search.succ.pop(pair, {}).items(), key=itemgetter(1)):
+                if key not in search.index:
+                    search.index[key] = len(search.keys)
+                    search.keys.append(key)
+                    search.parents.append((pair, lowest))
+            search.cursor += 1
+
     def _decide(self, search: _FaultSearch) -> None:
         """Record a decided search's outcome and free its pairs."""
-        lane_steps = search.expanded * len(self.alphabet)
         if search.status == "det":
             pair, vector = search.hit
             path = [vector]
             while pair:
                 pair, vector = search.parents[pair]
                 path.append(vector)
-            sequence = [self.alphabet[v] for v in reversed(path)]
-            search.outcome = ExactOutcome("det", sequence, lane_steps)
+            top = self.num_inputs - 1
+            sequence = [
+                tuple(index >> (top - i) & 1 for i in range(self.num_inputs))
+                for index in reversed(path)
+            ]
+            search.outcome = ExactOutcome("det", sequence, search.spent)
         else:
-            search.outcome = ExactOutcome(search.status, None, lane_steps)
-        search.index = search.keys = search.parents = None
+            search.outcome = ExactOutcome(search.status, None, search.spent)
+        search.index = search.keys = search.parents = search.rows = None
+        search.succ = search.det = search.done = None
 
-    def _expand_level(self, live: Sequence[_FaultSearch]) -> List[_FaultSearch]:
-        """Expand one BFS level of each search that fits under
-        :data:`EXACT_BATCH_PAIRS`; returns the searches advanced."""
-        held = sum(len(search.keys) for search in live)
-        advanced: List[_FaultSearch] = []
-        rows: List[Tuple[_FaultSearch, int]] = []
-        for search in live:
-            growth = min(
-                (search.end - search.start) * len(self.alphabet),
-                self.max_pairs - len(search.keys),
-            )
-            if advanced and held + growth > EXACT_BATCH_PAIRS:
-                continue  # waits for a later level, its pairs kept
-            held += growth
-            advanced.append(search)
-            for pair in range(search.start, search.end):
-                if search.status is not None:
-                    break
-                rows.append((search, pair))
-                if len(rows) == self.rows_per_step:
-                    self._step(rows)
-                    rows = []
-        if rows:
-            self._step(rows)
-        return advanced
 
-    def _step(self, rows: Sequence[Tuple[_FaultSearch, int]]) -> None:
-        """Expand ``rows`` under the whole alphabet in one compiled step."""
-        width = len(rows)
-        layout = self._layouts.get(width)
-        if layout is None:
-            layout = self._layouts[width] = chunk_lanes(
-                width, self.alphabet, self.num_inputs
-            )
-        mask, tile, inputs = layout
-        r = self.num_registers
-        planes = key_planes([search.keys[pair] for search, pair in rows], self.num_planes)
-        good = tuple((planes[j] * tile, planes[r + j] * tile) for j in range(r))
-        faulty = tuple(
-            (planes[2 * r + j] * tile, planes[3 * r + j] * tile) for j in range(r)
+# -- bookkeeping legs --------------------------------------------------------
+
+
+class _BigintLeg:
+    """Pure-Python bookkeeping.  A lane is one int -- row id, pair key,
+    assigned bits, value bits, from the top -- on a list stack; its low
+    bits go through :func:`_byte_planes` into the step's planes, which
+    come back through :func:`lane_keys`."""
+
+    def __init__(self, search: ProductSearch):
+        self.search = search
+        n = search.num_inputs
+        self.key_shift = 2 * n
+        self.row_shift = 2 * n + search.num_planes
+        self.low_mask = (1 << self.row_shift) - 1
+        self.value_mask = (1 << n) - 1
+        self.size = max(1, (self.row_shift + 7) // 8)
+        self.stack: List[int] = []
+        # Root lanes of launched rows not yet taken: [lanes, next index].
+        self.fresh: deque = deque()
+        self.row_slot = array("h")
+        self.row_pair = array("q")
+        self.row_lanes = array("q")
+        self.row_pending = array("q")
+        self.alive = bytearray()
+        self.dead = False
+
+    def launch(self, slot: int, first_pair: int, keys: Sequence[int]) -> int:
+        first = len(self.row_slot)
+        count = len(keys)
+        self.row_slot.extend([slot] * count)
+        self.row_pair.extend(range(first_pair, first_pair + count))
+        self.row_lanes.extend([0] * count)
+        self.row_pending.extend([1] * count)
+        self.alive.extend(b"\x01" * count)
+        planes = self.search.num_planes
+        self.fresh.append(
+            [[(first + k << planes | key) << self.key_shift for k, key in enumerate(keys)], 0]
         )
-        sa1, sa0 = self.stepper.blank_injection_masks()
-        segments = []
-        first = 0
-        while first < width:
-            search = rows[first][0]
-            end = first + 1
-            while end < width and rows[end][0] is search:
-                end += 1
-            segments.append((search, first, end))
-            lanes = (((1 << (end - first)) - 1) << first) * tile
-            slot = self.stepper.line_slot[search.fault.line]
-            if search.fault.value:
-                sa1[slot] |= lanes
+        return first
+
+    def kill(self, rows: Sequence[int]) -> None:
+        for row in rows:
+            self.alive[row] = 0
+        self.dead = self.dead or bool(rows)
+
+    def lanes(self, row: int) -> int:
+        return self.row_lanes[row]
+
+    def _take(self, width: int) -> List[int]:
+        batch = self.stack[-width:]
+        del self.stack[-width:]
+        while len(batch) < width and self.fresh:
+            roots, start = entry = self.fresh[0]
+            end = start + width - len(batch)
+            batch += roots[start:end]
+            if end >= len(roots):
+                self.fresh.popleft()
             else:
-                sa0[slot] |= lanes
-            first = end
-        good_out, good_next = self.stepper.step_clean(good, inputs, mask)
-        faulty_out, faulty_next = self.stepper.step_inject(
-            faulty, inputs, mask, sa1, sa0
-        )
-        detect = 0
-        for (good_one, good_zero), (faulty_one, faulty_zero) in zip(good_out, faulty_out):
-            detect |= (good_one & faulty_zero) | (good_zero & faulty_one)
-        next_keys = StepKeys(
-            [one for one, _ in good_next]
-            + [zero for _, zero in good_next]
-            + [one for one, _ in faulty_next]
-            + [zero for _, zero in faulty_next],
-            width * len(self.alphabet),
-        )
-        for search, first, end in segments:
-            self._absorb(search, rows, first, end, detect, tile, next_keys)
+                entry[1] = end
+        if self.dead:
+            alive = self.alive
+            shift = self.row_shift
+            batch = [lane for lane in batch if alive[lane >> shift]]
+        return batch
 
-    def _absorb(self, search, rows, first, end, detect, tile, next_keys: StepKeys) -> None:
-        """Fold rows ``[first, end)`` of one fault into its search, in
-        order: a detecting row ends it, otherwise the row's successors are
-        interned, and a pair past the cap ends it undecided."""
-        width = len(rows)
-        size = len(self.alphabet)
-        hit_row = end
-        if detect:
-            for row in range(first, end):
-                lanes = (detect >> row) & tile
-                if lanes:
-                    hit_row = row
-                    hit_vector = ((lanes & -lanes).bit_length() - 1) // width
-                    break
-        successors: List = []
-        for row in range(first, hit_row):
-            successors += next_keys.lanes[row::width]
-        room = self.max_pairs - len(search.keys)
-        position = -1
-        count = 0
-        for compressed in dict.fromkeys(successors):
-            key = next_keys.full(compressed)
-            if key in search.index:
-                continue
-            position = successors.index(compressed, position + 1)
-            pair = rows[first + position // size][1]
-            if count == room:
-                search.status = "cap"
-                search.expanded = pair + 1
-                return
-            count += 1
-            search.index[key] = len(search.keys)
-            search.keys.append(key)
-            search.parents.append((pair, position % size))
-        if hit_row < end:
-            pair = rows[hit_row][1]
-            search.status = "det"
-            search.hit = (pair, hit_vector)
-            search.expanded = pair + 1
+    def step(self):
+        search = self.search
+        n = search.num_inputs
+        batch = self._take(REACH_LANE_BLOCK)
+        while not batch and (self.stack or self.fresh):
+            batch = self._take(REACH_LANE_BLOCK)
+        if not batch:
+            return [], [], [], {}
+        lanes = len(batch)
+        shift = self.row_shift
+        rows = [lane >> shift for lane in batch]
+        low = self.low_mask
+        size = self.size
+        planes = _byte_planes(
+            b"".join([(lane & low).to_bytes(size, "little") for lane in batch]), size, shift
+        )
+        row_slot, row_pair = self.row_slot, self.row_pair
+        # One injection mask per fault, over its rows' lanes.
+        slots = [row_slot[row] for row in rows]
+        masks: Dict[int, int] = {}
+        for position, slot in enumerate(slots):
+            masks[slot] = masks.get(slot, 0) | 1 << position
+        faults = search.faults
+        injections = [(faults[slot], mask) for slot, mask in masks.items()]
+        next_planes, leaf, detect, picks = search.evaluate(
+            planes[2 * n :], planes[n : 2 * n], planes[:n], injections, lanes
+        )
+        # One code per lane: its split bit, or a leaf flag at bit n (with
+        # the detect flag at bit n + 1).
+        leaf_flag = 1 << n
+        codes = lane_keys(picks + [leaf, detect], lanes)
+        if n + 2 > 64:
+            codes = list(map(_as_int, codes))  # wide codes come back as word tuples
+        parents = [(lane | code << n, code) for lane, code in zip(batch, codes) if code < leaf_flag]
+        children = [child for child, _ in parents]
+        self.stack += children
+        self.stack += [child | code for child, code in parents]
+        value_mask = self.value_mask
+        stepkeys = StepKeys(next_planes, lanes)
+        compressed = stepkeys.lanes
+        # Per (row, key) the lowest index: written in descending order, so
+        # the lowest is written last.
+        leaves = {}
+        for row, key, lowest in sorted(
+            [
+                (rows[position], compressed[position], batch[position] & value_mask)
+                for position, code in enumerate(codes)
+                if code == leaf_flag
+            ],
+            reverse=True,
+        ):
+            leaves[row, key] = lowest
+        successors = [
+            (row_slot[row], row_pair[row], stepkeys.full(key), lowest)
+            for (row, key), lowest in leaves.items()
+        ]
+        detected = {}
+        for lowest, row in sorted(
+            [(lane & value_mask, lane >> shift) for lane, code in zip(batch, codes) if code > leaf_flag],
+            reverse=True,
+        ):
+            detected[row] = lowest
+        detections = [(row_slot[row], row_pair[row], lowest) for row, lowest in detected.items()]
+        for row, count in Counter([child >> shift for child in children]).items():
+            self.row_pending[row] += 2 * count
+        finished = []
+        for row, count in Counter(rows).items():
+            self.row_lanes[row] += count
+            self.row_pending[row] -= count
+            if not self.row_pending[row]:
+                finished.append((row_slot[row], row_pair[row]))
+        return finished, successors, detections, Counter(slots)
+
+
+class _NumpyLeg:
+    """numpy bookkeeping: the lane stack (row, key bytes, cube words) and
+    the per-row counters are arrays; the plane/lane transposes
+    (``packbits``/``unpackbits``), leaf dedup and child generation are
+    array operations; the kernel is the same bigint step.  Keys and cubes
+    of more than 64 bits span several words."""
+
+    def __init__(self, search: ProductSearch):
+        import numpy as np
+
+        self.np = np
+        self.search = search
+        self.key_bytes = max(1, (search.num_planes + 7) // 8)
+        self.key_words = -(-self.key_bytes // 8)
+        self.cube_words = max(1, -(-search.num_inputs // 64))
+        cube = (0, self.cube_words)
+        self.stack = {
+            "rows": np.zeros(0, dtype=np.int64),
+            "keys": np.zeros((0, self.key_bytes), dtype=np.uint8),
+            # Cubes are little-endian words, read bit by bit through byte views.
+            "assigned": np.zeros(cube, dtype="<u8"),
+            "values": np.zeros(cube, dtype="<u8"),
+        }
+        self.size = 0
+        # Launched rows not yet taken: [rows, keys, next index].
+        self.fresh: deque = deque()
+        self.rows = 0
+        self.table = {
+            "slot": np.zeros(0, dtype=np.int16),
+            "pair": np.zeros(0, dtype=np.int64),
+            "lanes": np.zeros(0, dtype=np.int64),
+            "pending": np.zeros(0, dtype=np.int64),
+            "alive": np.zeros(0, dtype=bool),
+        }
+
+    def launch(self, slot: int, first_pair: int, keys: Sequence[int]) -> int:
+        np = self.np
+        first = self.rows
+        count = len(keys)
+        end = first + count
+        table = self.table
+        if end > len(table["slot"]):
+            capacity = max(end, len(table["slot"]) * 3 // 2, 1024)
+            for name, old in table.items():
+                table[name] = np.zeros(capacity, dtype=old.dtype)
+                table[name][:first] = old[:first]
+        table["slot"][first:end] = slot
+        table["pair"][first:end] = np.arange(first_pair, first_pair + count)
+        table["pending"][first:end] = 1
+        table["alive"][first:end] = True
+        self.rows = end
+        data = b"".join([key.to_bytes(self.key_bytes, "little") for key in keys])
+        self.fresh.append(
+            [
+                np.arange(first, end, dtype=np.int64),
+                np.frombuffer(data, dtype=np.uint8).reshape(count, self.key_bytes),
+                0,
+            ]
+        )
+        return first
+
+    def kill(self, rows: Sequence[int]) -> None:
+        if rows:
+            self.table["alive"][rows] = False
+
+    def lanes(self, row: int) -> int:
+        return int(self.table["lanes"][row])
+
+    def _push(self, **columns) -> None:
+        np = self.np
+        stack = self.stack
+        need = self.size + len(columns["rows"])
+        if need > len(stack["rows"]):
+            capacity = max(need, 2 * len(stack["rows"]), 1 << 14)
+            for name, old in stack.items():
+                stack[name] = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+                stack[name][: self.size] = old[: self.size]
+        for name, column in columns.items():
+            stack[name][self.size : need] = column
+        self.size = need
+
+    def _take(self, width: int):
+        np = self.np
+        low = max(0, self.size - width)
+        parts = {name: [column[low : self.size]] for name, column in self.stack.items()}
+        taken = self.size - low
+        self.size = low
+        while taken < width and self.fresh:
+            rows, keys, start = entry = self.fresh[0]
+            end = min(len(rows), start + width - taken)
+            parts["rows"].append(rows[start:end])
+            parts["keys"].append(keys[start:end])
+            zeros = np.zeros((end - start, self.cube_words), dtype="<u8")
+            parts["assigned"].append(zeros)
+            parts["values"].append(zeros)
+            taken += end - start
+            if end == len(rows):
+                self.fresh.popleft()
+            else:
+                entry[2] = end
+        lanes = {name: np.concatenate(part) for name, part in parts.items()}
+        keep = self.table["alive"][lanes["rows"]]
+        if not keep.all():
+            lanes = {name: column[keep] for name, column in lanes.items()}
+        return lanes
+
+    def step(self):
+        np = self.np
+        search = self.search
+        n = search.num_inputs
+        r4 = search.num_planes
+        lanes = self._take(REACH_LANE_BLOCK)
+        while not len(lanes["rows"]) and (self.size or self.fresh):
+            lanes = self._take(REACH_LANE_BLOCK)
+        rows, assigned, values = lanes["rows"], lanes["assigned"], lanes["values"]
+        count = len(rows)
+        if not count:
+            return [], [], [], {}
+        nbytes = (count + 7) // 8
+        # Lane records (key bytes, assigned bytes, value bytes) to planes:
+        # unpack to one bit per byte, transpose, pack along the lanes.
+        cube_bytes = (n + 7) // 8
+        records = np.concatenate(
+            [
+                lanes["keys"],
+                assigned.view(np.uint8)[:, :cube_bytes],
+                values.view(np.uint8)[:, :cube_bytes],
+            ],
+            axis=1,
+        )
+        bits = np.ascontiguousarray(np.unpackbits(records, axis=1, bitorder="little").T)
+        data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        first_cube = 8 * self.key_bytes
+        used = list(range(r4)) + [
+            first_cube + 8 * cube_bytes * half + bit for half in (0, 1) for bit in range(n)
+        ]
+        planes = [int.from_bytes(data[k * nbytes : (k + 1) * nbytes], "little") for k in used]
+        table = self.table
+        slots = table["slot"][rows]
+        per_slot = np.bincount(slots)
+        present = np.flatnonzero(per_slot)
+        onehot = np.packbits(slots[None, :] == present[:, None], axis=1, bitorder="little")
+        injections = [
+            (search.faults[slot], int.from_bytes(onehot[k].tobytes(), "little"))
+            for k, slot in enumerate(present.tolist())
+        ]
+        next_planes, leaf, detect, picks = search.evaluate(
+            planes[:r4], planes[r4 : r4 + n], planes[r4 + n :], injections, count
+        )
+        out = b"".join(
+            plane.to_bytes(nbytes, "little")
+            for plane in next_planes + [leaf, detect] + picks
+        )
+        flat = np.frombuffer(out, dtype=np.uint8).reshape(-1, nbytes)
+        unpacked = np.unpackbits(flat, axis=1, count=count, bitorder="little").view(bool)
+        is_leaf = unpacked[r4]
+        is_det = unpacked[r4 + 1]
+        # Children: each split lane twice, with its pick bit assigned.
+        split = ~is_leaf
+        split_rows = rows[split]
+        chosen = np.zeros((len(split_rows), self.cube_words), dtype="<u8")
+        if len(split_rows):
+            bit = unpacked[r4 + 2 :, split].argmax(axis=0)
+            chosen[np.arange(len(bit)), bit >> 6] = np.left_shift(
+                np.uint64(1), (bit & 63).astype(np.uint64)
+            )
+        split_keys = lanes["keys"][split]
+        child_assigned = assigned[split] | chosen
+        child_values = values[split]
+        self._push(
+            rows=np.concatenate([split_rows, split_rows]),
+            keys=np.concatenate([split_keys, split_keys]),
+            assigned=np.concatenate([child_assigned, child_assigned]),
+            values=np.concatenate([child_values | chosen, child_values]),
+        )
+        detections = self._owners(rows[is_det], _word_ints(values[is_det]))
+        keep = is_leaf & ~is_det
+        successors = self._successors(rows[keep], values[keep], unpacked[:r4, keep])
+        np.add.at(table["lanes"], rows, 1)
+        np.add.at(table["pending"], rows, -1)
+        np.add.at(table["pending"], split_rows, 2)
+        done = rows[table["pending"][rows] == 0]
+        finished = self._owners(np.unique(done)) if len(done) else []
+        return finished, successors, detections, dict(zip(present.tolist(), per_slot[present].tolist()))
+
+    def _owners(self, rows, *columns) -> List[Tuple]:
+        """``(slot, pair, *column values)`` per row of ``rows``."""
+        table = self.table
+        return list(zip(table["slot"][rows].tolist(), table["pair"][rows].tolist(), *columns))
+
+    def _successors(self, rows, values, next_bits):
+        """``(slot, pair, key, lowest index)`` per distinct (row, key) of
+        the leaves."""
+        np = self.np
+        if not len(rows):
+            return []
+        packed = np.packbits(np.ascontiguousarray(next_bits.T), axis=1, bitorder="little")
+        words = np.zeros((len(rows), 8 * self.key_words), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        keys = words.view("<u8")
+        # Rows, then keys, then values, the low value word least significant.
+        order = np.lexsort(tuple(values.T) + tuple(keys.T) + (rows,))
+        rows = rows[order]
+        keys = keys[order]
+        values = values[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
+        return self._owners(rows[first], _word_ints(keys[first]), _word_ints(values[first]))
+
+
+def _word_ints(words) -> List[int]:
+    """Python ints of the rows of an array of little-endian 64-bit words."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
 def iter_exact(
@@ -383,15 +898,20 @@ def iter_exact(
     faults: Sequence[StuckAtFault],
     lane_cap: int,
     skip: Callable[[StuckAtFault], bool] = lambda fault: False,
+    backend: str = "auto",
+    out_of_time: Callable[[], bool] = lambda: False,
 ) -> Iterator[Tuple[StuckAtFault, ExactOutcome]]:
     """``(fault, outcome)`` for the faults of ``faults``, in order.
 
     Faults are searched in batches of :data:`EXACT_FAULT_BATCH`; a batch
     is formed only once the caller has consumed the previous one, so
     ``skip`` (consulted per fault at batch formation) can drop faults the
-    caller's earlier tests already detect.
+    caller's earlier tests already detect.  ``backend`` picks the
+    bookkeeping leg (see :mod:`repro.simulation.backends`); outcomes are
+    the same on both.  Once ``out_of_time()`` holds, every fault not yet
+    decided comes back with status ``"time"``.
     """
-    search = ProductSearch(circuit, lane_cap)
+    search = ProductSearch(circuit, lane_cap, backend)
     position = 0
     while position < len(faults):
         batch: List[StuckAtFault] = []
@@ -400,17 +920,16 @@ def iter_exact(
             position += 1
             if not skip(fault):
                 batch.append(fault)
-        yield from zip(batch, search.run(batch))
+        yield from zip(batch, search.run(batch, out_of_time))
 
 
 __all__ = [
     "EXACT_BATCH_PAIRS",
     "EXACT_FAULT_BATCH",
-    "EXACT_MAX_INPUTS",
+    "EXACT_SEARCH_GENERATION",
     "ExactOutcome",
     "ProductSearch",
     "StepKeys",
-    "exact_applicable",
     "iter_exact",
     "key_planes",
     "lane_keys",

@@ -431,6 +431,14 @@ def effort_label(backtracks: int, frames_simulated: int) -> float:
     return math.log2(1.0 + backtracks + frames_simulated)
 
 
+def _trainable(record) -> bool:
+    """Whether one :class:`~repro.atpg.budget.FaultEffort` record is a
+    training example (see :func:`training_rows`)."""
+    return not record.lane_steps and not (
+        record.status == "budget" and record.backtracks == 0
+    )
+
+
 def training_rows(
     circuit: Circuit, scoap: ScoapMeasures, fault_rows: Sequence
 ) -> List[List[float]]:
@@ -442,9 +450,7 @@ def training_rows(
     both are skipped."""
     rows: List[List[float]] = []
     for record in fault_rows:
-        if record.status == "budget" and record.backtracks == 0:
-            continue
-        if record.lane_steps:
+        if not _trainable(record):
             continue
         fault = StuckAtFault(
             LineRef(record.fault_key[0], record.fault_key[1]), record.fault_key[2]
@@ -830,12 +836,12 @@ def log_training_rows(
     """
     from repro.store.artifacts import guidance_rows_payload
 
+    existing = load_training_rows(store, pin=pin)
+    if not any(_trainable(record) for record in fault_rows):
+        return len(existing)  # e.g. a run the exact search decided alone
     if scoap is None:
         scoap = scoap_measures(circuit, store=store, pin=pin)
     fresh = training_rows(circuit, scoap, fault_rows)
-    existing = load_training_rows(store, pin=pin)
-    if not fresh:
-        return len(existing)
     merged = (existing + fresh)[-MAX_DATASET_ROWS:]
     try:
         store.put(

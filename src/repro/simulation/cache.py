@@ -183,7 +183,8 @@ def _load_sources(circuit: Circuit):
 
 
 def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
-    """Write one combined stepper artifact (building any missing half).
+    """Write one combined stepper artifact (building any missing half;
+    a stepper execs its source only on first use, so this compiles none).
 
     The scalar and bit-parallel sources travel in one record because every
     flow that needs one soon needs the other (PODEM simulates scalar, its
@@ -293,12 +294,13 @@ def warm_compile_cache(circuit: Circuit) -> None:
     with no cache entry, and warming it once at initialization keeps the
     lowering and ``exec`` cost out of the first work chunk's critical path
     -- every later :class:`~repro.simulation.codegen.FastStepper` and
-    PODEM engine in that process then hits the warm entry.
+    PODEM engine in that process then hits the warm entry.  PODEM's two
+    entry points are exec'd here too; elsewhere they compile on first use.
     """
     compiled_circuit(circuit)
-    fast_stepper(circuit)
+    fast_stepper(circuit).step
     vector_fast_stepper(circuit)
-    dual_fast_stepper(circuit)
+    dual_fast_stepper(circuit).step_dual
 
 
 def clear_compile_cache() -> None:

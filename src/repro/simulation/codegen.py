@@ -17,7 +17,8 @@ interpreter dispatch.  Semantics are identical to the reference simulator
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit, LineRef
 from repro.circuit.types import GateType, NodeKind
@@ -108,10 +109,15 @@ class FastStepper:
         # fault as constants, so their source is fault-specific).
         if source is None:
             source = self._generate()
-        namespace: Dict[str, object] = {"_RAILS": _RAILS, "_TRIT": _TRIT}
-        exec(compile(source, f"<faststep {circuit.name}>", "exec"), namespace)
-        self.step = namespace["step"]  # type: ignore[assignment]
         self._source = source
+
+    @cached_property
+    def step(self) -> Callable:
+        """The compiled ``step``, exec'd on first use: a stepper built only
+        to persist its source never compiles it."""
+        namespace: Dict[str, object] = {"_RAILS": _RAILS, "_TRIT": _TRIT}
+        exec(compile(self._source, f"<faststep {self.circuit.name}>", "exec"), namespace)
+        return namespace["step"]  # type: ignore[return-value]
 
     # -- code generation ----------------------------------------------------
 

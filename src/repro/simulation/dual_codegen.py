@@ -47,7 +47,8 @@ test suite (``tests/simulation/test_dual_codegen.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit, LineRef
 from repro.circuit.types import NodeKind
@@ -112,10 +113,15 @@ class DualFastStepper:
         # ``source`` lets a persistent cache skip regeneration.
         if source is None:
             source = self._generate()
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<dualstep {circuit.name}>", "exec"), namespace)
-        self.step_dual = namespace["step_dual"]  # type: ignore[assignment]
         self._source = source
+
+    @cached_property
+    def step_dual(self) -> Callable:
+        """The compiled ``step_dual``, exec'd on first use: a stepper built
+        only to persist its source never compiles it."""
+        namespace: Dict[str, object] = {}
+        exec(compile(self._source, f"<dualstep {self.circuit.name}>", "exec"), namespace)
+        return namespace["step_dual"]  # type: ignore[return-value]
 
     # -- code generation ----------------------------------------------------
 

@@ -46,6 +46,7 @@ from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atpg.budget import AtpgBudget
+from repro.atpg.exact import EXACT_SEARCH_GENERATION
 from repro.circuit.digest import structural_identity
 from repro.circuit.bench_io import write_bench
 from repro.circuit.netlist import Circuit, Edge, LineRef, Node
@@ -95,8 +96,10 @@ def budget_fingerprint(budget: AtpgBudget) -> Dict[str, object]:
     Wall-clock caps are deliberately *included*: a result computed under a
     tighter clock may have budget-aborted faults a looser run would have
     targeted, so runs under different budgets must not share artifacts.
+    So is the exact search's generation: under one budget, a newer search
+    may decide faults an older one left to PODEM.
     """
-    return asdict(budget)
+    return {**asdict(budget), "exact_search": EXACT_SEARCH_GENERATION}
 
 
 # -- netlist ---------------------------------------------------------------

@@ -1,25 +1,33 @@
 """The exact product-machine search against independent oracles.
 
-Every test it finds must replay under the scalar serial fault simulator;
-no fault that PODEM or a random test set detects may ever be proved
-untestable; outcomes must not depend on how faults share steps; and with
-the search off, ``run_atpg`` must be the PODEM engine byte for byte.
+Every leaf of a cube row must stand for exactly its minterms under the
+scalar simulators; outcomes must equal a brute-force search that
+enumerates every vector; every test it finds must replay under the scalar
+serial fault simulator; no fault that PODEM or a random test set detects
+may ever be proved untestable; outcomes must not depend on how faults
+share steps or on the bookkeeping leg; and with the search off,
+``run_atpg`` must be the PODEM engine byte for byte.
 """
 
 import hashlib
 import json
 import random
-from dataclasses import replace
+import time
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.atpg import AtpgBudget, run_atpg, structurally_untestable
 from repro.atpg import exact
-from repro.atpg.exact import StepKeys, iter_exact, key_planes, lane_keys
+from repro.atpg.exact import ProductSearch, StepKeys, iter_exact, key_planes, lane_keys
+from repro.equivalence.explicit import all_vectors
 from repro.faults import collapse_faults
 from repro.faultsim import fault_simulate
 from repro.faultsim.serial import serial_fault_simulate
+from repro.logic.three_valued import ONE, X, ZERO
 from repro.papercircuits import fig5_pair
+from repro.simulation.backends import numpy_available
+from repro.simulation.codegen import FastStepper
 from repro.store import AtpgCheckpoint
 
 from tests.helpers import random_circuit, resettable_random_circuit
@@ -33,6 +41,16 @@ PODEM = AtpgBudget(
     random_sequences=8,
     random_length=16,
 )
+
+#: The e2e benchmark's flow budget: effort-bound, the clock out of reach.
+FLOW = AtpgBudget(
+    backtracks_per_fault=4,
+    frames_cap=6,
+    total_seconds=1e6,
+    seconds_per_fault=1e6,
+)
+
+LEGS = ["bigint"] + (["numpy"] if numpy_available() else [])
 
 
 def _circuits():
@@ -52,15 +70,109 @@ def _circuits():
 CIRCUITS = _circuits()
 IDS = [circuit.name for circuit in CIRCUITS]
 
+#: Past the explicit engines' 12-input wall; the last one past 64
+#: inputs, read on both sides of bit 64 of a cube.
+WIDE = [
+    random_circuit(830, num_inputs=13, num_gates=16, num_dffs=3),
+    random_circuit(832, num_inputs=16, num_gates=18, num_dffs=3),
+    random_circuit(833, num_inputs=15, num_gates=20, num_dffs=4),
+    random_circuit(840, num_inputs=8, num_gates=18, num_dffs=3, idle_inputs=62),
+]
+WIDE_IDS = [circuit.name for circuit in WIDE]
 
-def _searched(circuit, lane_cap=1 << 20):
+
+def _targets(circuit):
     faults = collapse_faults(circuit).representatives
     untestable = structurally_untestable(circuit)
-    return list(iter_exact(circuit, [f for f in faults if f not in untestable], lane_cap))
+    return [f for f in faults if f not in untestable]
 
 
-def _digest(test_set) -> str:
-    return hashlib.sha256(test_set.to_text().encode("utf-8")).hexdigest()[:16]
+def _searched(circuit, lane_cap=1 << 20, backend="auto"):
+    return list(iter_exact(circuit, _targets(circuit), lane_cap, backend=backend))
+
+
+def _digest(*test_sets) -> str:
+    text = "".join(test_set.to_text() for test_set in test_sets)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _enumerated(circuit, fault):
+    """The search every vector of every row: BFS over (good, faulty)
+    state pairs on the scalar steppers, rows in pair order, vectors in
+    :func:`all_vectors` order, first detecting (pair, vector) wins.
+    Returns ``("det", sequence)`` or ``("proved", None)``."""
+    good = FastStepper(circuit).step
+    faulty = FastStepper(circuit, fault=fault).step
+    alphabet = all_vectors(len(circuit.input_names))
+    root = ((X,) * circuit.num_registers(),) * 2
+    index = {root: 0}
+    pairs = [root]
+    parents = [None]
+    position = 0
+    while position < len(pairs):
+        good_state, faulty_state = pairs[position]
+        for vector in alphabet:
+            good_out, good_next, _ = good(good_state, vector)
+            faulty_out, faulty_next, _ = faulty(faulty_state, vector)
+            if any(a != X and b != X and a != b for a, b in zip(good_out, faulty_out)):
+                sequence = [vector]
+                back = parents[position]
+                while back is not None:
+                    position, vector = back
+                    sequence.append(vector)
+                    back = parents[position]
+                return "det", sequence[::-1]
+            successor = (good_next, faulty_next)
+            if successor not in index:
+                index[successor] = len(pairs)
+                pairs.append(successor)
+                parents.append((position, vector))
+        position += 1
+    return "proved", None
+
+
+def _pair_key(good, faulty) -> int:
+    """The search's key of a (good, faulty) ternary state pair."""
+    r = len(good)
+    key = 0
+    for half, state in enumerate((good, faulty)):
+        for j, value in enumerate(state):
+            if value == ONE:
+                key |= 1 << (2 * half * r + j)
+            elif value == ZERO:
+                key |= 1 << ((2 * half + 1) * r + j)
+    return key
+
+
+def _leaves(search, fault, key):
+    """Every leaf of one row, expanded with :meth:`ProductSearch.evaluate`:
+    ``(assigned, value, successor key, detect)``."""
+    r, n = search.num_registers, search.num_inputs
+    leaves = []
+    cubes = [(0, 0)]
+    while cubes:
+        lanes = len(cubes)
+        injections = [(fault, (1 << lanes) - 1)] if fault is not None else []
+        next_planes, leaf, detect, picks = search.evaluate(
+            key_planes([key] * lanes, 4 * r),
+            key_planes([assigned for assigned, _ in cubes], n),
+            key_planes([value for _, value in cubes], n),
+            injections,
+            lanes,
+        )
+        keys = [exact._as_int(k) for k in lane_keys(next_planes, lanes)]
+        split = []
+        for lane, (assigned, value) in enumerate(cubes):
+            chosen = [bit for bit in range(n) if picks[bit] >> lane & 1]
+            if leaf >> lane & 1:
+                assert not chosen
+                leaves.append((assigned, value, keys[lane], detect >> lane & 1))
+            else:
+                (bit,) = chosen
+                assert not assigned >> bit & 1
+                split += [(assigned | 1 << bit, value), (assigned | 1 << bit, value | 1 << bit)]
+        cubes = split
+    return leaves
 
 
 class TestLaneKeys:
@@ -88,6 +200,51 @@ class TestLaneKeys:
         assert len(step.masks) == 5
         expected = lane_keys(planes, lanes)
         assert [step.full(key) for key in step.lanes] == expected
+
+
+class TestLeaves:
+    """A leaf stands for every one of its minterms: the leaves of a row
+    partition the alphabet, and each minterm's own scalar step gives its
+    leaf's successor and detect bit."""
+
+    @pytest.mark.parametrize("seed", [860, 861, 862, 863])
+    def test_leaves_are_exact(self, seed):
+        rng = random.Random(seed)
+        circuit = random_circuit(
+            seed, num_inputs=rng.randint(4, 8), num_gates=22, num_dffs=rng.randint(3, 5)
+        )
+        r, n = circuit.num_registers(), len(circuit.input_names)
+        search = ProductSearch(circuit, 1)
+        faults = _targets(circuit)
+        alphabet = all_vectors(n)
+        good = FastStepper(circuit).step
+        for trial in range(8):
+            fault = None if trial % 2 else rng.choice(faults)
+            # X-heavy states on some rows, binary ones on others.
+            x_share = (0.8, 0.0, 0.4, 1.0)[trial % 4]
+            states = [
+                tuple(X if rng.random() < x_share else rng.randint(0, 1) for _ in range(r))
+                for _ in range(2)
+            ]
+            if fault is None:
+                states[1] = states[0]
+            faulty = (FastStepper(circuit, fault=fault) if fault else FastStepper(circuit)).step
+            leaves = _leaves(search, fault, _pair_key(*states))
+            cover = [0] * len(alphabet)
+            for assigned, value, key, detect in leaves:
+                for index, vector in enumerate(alphabet):
+                    if index & assigned != value:
+                        continue
+                    cover[index] += 1
+                    good_out, good_next, _ = good(states[0], vector)
+                    faulty_out, faulty_next, _ = faulty(states[1], vector)
+                    detects = any(
+                        a != X and b != X and a != b for a, b in zip(good_out, faulty_out)
+                    )
+                    assert detects == bool(detect), (trial, index)
+                    if not detect:
+                        assert _pair_key(good_next, faulty_next) == key, (trial, index)
+            assert cover == [1] * len(alphabet)
 
 
 class TestOracles:
@@ -118,6 +275,11 @@ class TestOracles:
         assert not proved & randomly
 
     @pytest.mark.parametrize("circuit", CIRCUITS, ids=IDS)
+    def test_same_outcomes_as_enumerating_every_vector(self, circuit):
+        for fault, outcome in _searched(circuit):
+            assert (outcome.status, outcome.sequence) == _enumerated(circuit, fault), fault
+
+    @pytest.mark.parametrize("circuit", CIRCUITS, ids=IDS)
     def test_run_atpg_reaches_full_efficiency(self, circuit):
         result = run_atpg(circuit, budget=PODEM)
         assert result.fault_efficiency == 100.0
@@ -132,6 +294,61 @@ class TestOracles:
         assert proved == {
             (f.line.edge_index, f.line.segment, f.value) for f in result.search_proved
         }
+
+
+class TestPastTheWall:
+    """13 to 70 inputs: past the explicit engines' input limit, and past
+    the 64 bits of one machine word per cube."""
+
+    @pytest.mark.parametrize("circuit", WIDE, ids=WIDE_IDS)
+    def test_tests_replay_and_nothing_detectable_is_proved(self, circuit):
+        outcomes = _searched(circuit)
+        assert all(o.status != "cap" for _f, o in outcomes)
+        found = [(f, o) for f, o in outcomes if o.status == "det"]
+        proved = {f for f, o in outcomes if o.status == "proved"}
+        assert found and proved
+        for fault, outcome in found:
+            replay = serial_fault_simulate(circuit, [outcome.sequence], [fault])
+            assert fault in replay.detections, fault
+        budget = replace(PODEM, backtracks_per_fault=40, exact_lane_steps=0)
+        podem = run_atpg(circuit, budget=budget)
+        rng = random.Random(circuit.name)
+        width = len(circuit.input_names)
+        sequences = [
+            [tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(24)]
+            for _ in range(64)
+        ]
+        randomly = set(fault_simulate(circuit, sequences, [f for f, _o in outcomes]).detections)
+        assert podem.detected and randomly
+        assert not proved & podem.detected
+        assert not proved & randomly
+
+    def test_run_atpg_reaches_full_efficiency(self):
+        result = run_atpg(WIDE[0], budget=PODEM)
+        assert result.fault_efficiency == 100.0
+        assert not result.aborted and result.search_proved
+
+
+class TestLegs:
+    @pytest.mark.skipif(not numpy_available(), reason="needs the numpy extra")
+    @pytest.mark.parametrize(
+        "circuit, lane_cap",
+        [
+            (CIRCUITS[1], 1 << 20),
+            (WIDE[1], 1 << 20),
+            # 70 inputs: cubes and split codes of more than 64 bits.
+            (WIDE[3], 1 << 20),
+            # 17 registers: 68-bit pair keys, and a cap some faults pass.
+            (resettable_random_circuit(852, num_inputs=2, num_gates=36, num_dffs=17), 600),
+        ],
+        ids=["rand811", "rand832", "rand840-wide-cubes", "rrand852-wide-keys"],
+    )
+    def test_bigint_and_numpy_agree(self, circuit, lane_cap):
+        bigint = _searched(circuit, lane_cap, backend="bigint")
+        numpy = _searched(circuit, lane_cap, backend="numpy")
+        assert bigint == numpy
+        if circuit.num_registers() > 16:
+            assert {o.status for _f, o in bigint} == {"det", "proved", "cap"}
 
 
 class TestBatching:
@@ -149,12 +366,22 @@ class TestBatching:
         assert run.test_set.to_text() == reference_run.test_set.to_text()
         assert run.untestable == reference_run.untestable
 
+    @pytest.mark.parametrize("backend", LEGS)
+    def test_capped_outcomes_do_not_depend_on_batching(self, monkeypatch, backend):
+        """The cap is checked row by row in pair order, so where a fault
+        stops is the same whichever faults share its steps."""
+        circuit = WIDE[0]
+        reference = _searched(circuit, lane_cap=3000, backend=backend)
+        assert {o.status for _f, o in reference} == {"det", "proved", "cap"}
+        monkeypatch.setattr(exact, "EXACT_FAULT_BATCH", 1)
+        assert _searched(circuit, lane_cap=3000, backend=backend) == reference
+
 
 class TestCap:
     def test_tiny_cap_sends_every_fault_to_podem(self):
         circuit = CIRCUITS[0]
         podem = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=0))
-        # Below one alphabet's worth of lane-steps not even the root pair fits.
+        # One lane-step never finishes the root row: its all-X cube splits.
         tiny = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=1))
         assert tiny.test_set.to_text() == podem.test_set.to_text()
         assert tiny.detected == podem.detected
@@ -194,6 +421,39 @@ class TestCap:
         assert pooled.aborted == serial.aborted
 
 
+class TestClock:
+    """The search reads the caller's clock between steps only."""
+
+    def test_out_of_time_leaves_the_rest_undecided(self):
+        circuit = WIDE[0]
+        reference = _searched(circuit)
+        checks = []
+
+        def out_of_time():
+            checks.append(None)
+            return len(checks) > 60  # about half of the search's steps
+
+        stopped = list(iter_exact(circuit, _targets(circuit), 1 << 20, out_of_time=out_of_time))
+        assert [f for f, _o in stopped] == [f for f, _o in reference]
+        assert {o.status for _f, o in stopped} == {"det", "proved", "time"}
+        for (_f, outcome), (_f, expected) in zip(stopped, reference):
+            assert outcome.status == "time" or outcome == expected
+
+    def test_tiny_budget_bounds_a_long_search(self):
+        """This circuit's search runs for minutes; at a half-second
+        budget ATPG returns with the undecided faults budget-aborted,
+        as PODEM's would be."""
+        circuit = random_circuit(881, num_inputs=24, num_gates=48, num_dffs=6)
+        budget = replace(PODEM, total_seconds=0.5)
+        start = time.perf_counter()
+        result = run_atpg(circuit, budget=budget)
+        assert time.perf_counter() - start < budget.total_seconds + 2.0
+        assert result.aborted and not result.backtracks
+        rows = {row.fault_key: row.status for row in result.fault_rows}
+        for fault in result.aborted:
+            assert rows[(fault.line.edge_index, fault.line.segment, fault.value)] == "budget"
+
+
 class TestPodemOnly:
     def test_search_off_reproduces_podem_test_set(self):
         """With ``exact_lane_steps=0`` the flow's dk16.ji.sd easy circuit
@@ -216,6 +476,44 @@ class TestPodemOnly:
         result = run_atpg(easy, budget=budget)
         assert _digest(result.test_set) == "ddc84ff2b5222ad3"
         assert not result.search_proved
+
+
+class TestPins:
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            # The enumerating search's test sets, which cube lanes keep.
+            ("dk16.ji.sd", "87de853247dc4f8e"),
+            ("pma.jo.sd", "90bd9d89d7d3b1b3"),
+        ],
+    )
+    def test_flow_test_sets_unchanged(self, name, digest):
+        from repro.core.experiments import TABLE2_CIRCUITS
+        from repro.pipeline import FlowPipeline
+
+        spec = next(s for s in TABLE2_CIRCUITS if s.name == name)
+        flow = FlowPipeline(store=None).run_spec(spec, FLOW).flow
+        assert _digest(flow.atpg_result.test_set, flow.derived_test_set) == digest
+        assert flow.atpg_result.fault_efficiency == 100.0
+
+    def test_eighteen_inputs_reach_full_efficiency(self):
+        """s820.ji.sr (18 inputs) at the served-job budget: every fault
+        of its easy circuit is decided."""
+        from repro.core.experiments import TABLE2_CIRCUITS
+        from repro.pipeline import FlowPipeline
+
+        spec = next(s for s in TABLE2_CIRCUITS if s.name == "s820.ji.sr")
+        flow = FlowPipeline(store=None).run_spec(spec, replace(FLOW, random_sequences=16)).flow
+        result = flow.atpg_result
+        assert result.fault_efficiency == 100.0
+        assert result.search_proved and not result.aborted and not result.backtracks
+
+    def test_default_fingerprint_changed(self):
+        """Results of the enumerating search, whose fingerprint was the
+        bare budget, are never served under the cube search."""
+        from repro.store.artifacts import budget_fingerprint
+
+        assert budget_fingerprint(AtpgBudget()) != asdict(AtpgBudget())
 
 
 class TestResume:
@@ -241,3 +539,30 @@ class TestResume:
         assert resumed.detected == reference.detected
         assert resumed.untestable == reference.untestable
         assert resumed.aborted == reference.aborted
+
+
+class TestCompileOnUse:
+    def test_searched_run_never_compiles_podem_steppers(self):
+        """A run the search decides alone writes the stepper record with
+        all four sources but execs neither the scalar nor the dual one;
+        PODEM, when it runs, still gets its usual results."""
+        from repro.simulation.cache import (
+            clear_compile_cache,
+            compile_cache_stats,
+            dual_fast_stepper,
+            fast_stepper,
+        )
+
+        circuit = random_circuit(870, num_inputs=4, num_gates=18, num_dffs=4)
+        clear_compile_cache()
+        result = run_atpg(circuit, budget=PODEM)
+        assert result.fault_efficiency == 100.0 and not result.backtracks
+        assert compile_cache_stats()["persistent_writes"] == 1
+        assert "step" not in vars(fast_stepper(circuit))
+        assert "step_dual" not in vars(dual_fast_stepper(circuit))
+        podem = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=0))
+        clear_compile_cache()
+        fresh = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=0))
+        assert podem.test_set.to_text() == fresh.test_set.to_text()
+        assert podem.backtracks == fresh.backtracks
+        assert "step_dual" in vars(dual_fast_stepper(circuit))

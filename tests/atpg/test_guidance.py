@@ -212,11 +212,20 @@ class TestPredictor:
         if predictor is not None:
             assert load_predictor(store) is not None
 
-    def test_search_decided_faults_add_no_training_rows(self, tmp_path):
+    def test_search_decided_faults_add_no_training_rows(self, tmp_path, monkeypatch):
         """Rows of faults the exact search decided count lane-steps, not
-        PODEM effort: a searched run logs nothing, a PODEM run still logs."""
+        PODEM effort: a searched run logs nothing and never computes SCOAP
+        measures, a PODEM run still logs."""
+        from repro.atpg import guidance
         from repro.pipeline import FlowPipeline
 
+        measured = []
+
+        def counting_scoap(circuit, *args, **kwargs):
+            measured.append(circuit.name)
+            return scoap_measures(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(guidance, "scoap_measures", counting_scoap)
         store = ArtifactStore(root=str(tmp_path))
         circuit = fig5_n1()
         faults = collapse_faults(circuit).representatives
@@ -227,9 +236,11 @@ class TestPredictor:
         assert searched.fault_rows
         assert all(row.lane_steps for row in searched.fault_rows)
         assert load_training_rows(store) == []
+        assert measured == []
         podem = pipeline.stage_atpg(circuit, faults, small_budget())
         assert podem.fault_rows
         assert len(load_training_rows(store)) == len(podem.fault_rows)
+        assert measured == [circuit.name]
 
 
 class TestPolicy:

@@ -105,16 +105,21 @@ def random_circuit(
     num_gates: int = 10,
     num_dffs: int = 3,
     num_outputs: int = 2,
+    idle_inputs: int = 0,
 ) -> Circuit:
     """A random valid sequential circuit (deterministic in ``seed``).
 
     Gates read earlier signals; a subset of gate outputs is registered and
     the register outputs are fed back as additional gate operands, so the
     result is sequential with feedback but never has combinational cycles.
+    ``idle_inputs`` more inputs, read by no gate, are named to sort (as
+    inputs are ordered) into the middle of the read ones.
     """
     rng = random.Random(seed)
     builder = CircuitBuilder(f"rand{seed}")
     inputs = [builder.input(f"i{k}") for k in range(num_inputs)]
+    for k in range(idle_inputs):
+        builder.input(f"i{num_inputs // 2 - 1}_{k}")
     # Pre-declare flip-flop output names so gates can reference them.
     dff_names = [f"q{k}" for k in range(num_dffs)]
     available = inputs + dff_names
