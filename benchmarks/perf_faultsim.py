@@ -1,13 +1,13 @@
 """Fault-simulation performance harness.
 
-Times the three fault-simulation engines -- scalar serial, interpreted
-bit-parallel (``VectorSimulator``) and the code-generated bit-parallel
-kernel (``VectorFastStepper``) -- on the paper's Table II circuit pairs,
-sweeps the fault-group width on the largest circuit of the run, and
-writes the results to ``BENCH_faultsim.json``.  The compiled kernel is
-timed on **both word backends** (bigint reference and, when installed,
-the numpy word-plane; see :mod:`repro.simulation.backends`), with a
-bit-for-bit detection cross-check between them on every row.
+Times the fault-simulation engines -- scalar serial and the PROOFS-style
+(sequence x fault) lane engine on the code-generated bit-parallel kernel
+(``VectorFastStepper``) -- on the paper's Table II circuit pairs, sweeps
+the fault-group width on the largest circuit of the run, and writes the
+results to ``BENCH_faultsim.json``.  The lane engine is timed on **both
+word backends** (bigint reference and, when installed, the numpy
+word-plane; see :mod:`repro.simulation.backends`), with a bit-for-bit
+cross-check between them on every row.
 
 Run from the repository root::
 
@@ -83,18 +83,12 @@ def bench_circuit(
     faults = collapse_faults(circuit).representatives
     sequences = _random_sequences(circuit, seed, count, length)
 
-    # The bigint backend is the reference: always available, and the
-    # compiled-vs-interpreted trend stays comparable across hosts with and
-    # without the numpy extra.
+    # The bigint backend is the reference: always available, so its
+    # column ("compiled_s") stays comparable across hosts with and without
+    # the numpy extra.
     compiled_s, compiled = _time(
         lambda: parallel_fault_simulate(
-            circuit, sequences, faults, kernel="compiled", backend="bigint"
-        ),
-        repeats,
-    )
-    interpreted_s, interpreted = _time(
-        lambda: parallel_fault_simulate(
-            circuit, sequences, faults, kernel="interpreted"
+            circuit, sequences, faults, backend="bigint"
         ),
         repeats,
     )
@@ -106,14 +100,11 @@ def bench_circuit(
         "num_vectors": count * length,
         "detected": compiled.num_detected,
         "compiled_s": round(compiled_s, 4),
-        "interpreted_s": round(interpreted_s, 4),
-        "speedup_compiled_vs_interpreted": round(interpreted_s / compiled_s, 2),
-        "kernels_agree": compiled.detections == interpreted.detections,
     }
     if numpy_available():
         numpy_s, numpy_result = _time(
             lambda: parallel_fault_simulate(
-                circuit, sequences, faults, kernel="compiled", backend="numpy"
+                circuit, sequences, faults, backend="numpy"
             ),
             repeats,
         )
@@ -139,7 +130,10 @@ def bench_circuit(
         row["serial_fault_sample"] = len(sample)
         row["serial_s"] = round(serial_s, 4)
         row["speedup_compiled_vs_serial"] = round(serial_s / compiled_sample_s, 2)
-        row["serial_agrees"] = serial.detections == compiled_sample.detections
+        row["serial_agrees"] = (
+            serial.detections == compiled_sample.detections
+            and serial.potential == compiled_sample.potential
+        )
     return row
 
 
@@ -216,13 +210,7 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
                 if "numpy_s" in row
                 else ""
             )
-            print(
-                f"    compiled {row['compiled_s']}s, "
-                f"interpreted {row['interpreted_s']}s "
-                f"({row['speedup_compiled_vs_interpreted']}x)"
-                f"{numpy_note}",
-                flush=True,
-            )
+            print(f"    bigint {row['compiled_s']}s{numpy_note}", flush=True)
             if sweep_target is None or row["num_faults"] > sweep_target[1]:
                 sweep_target = (name, row["num_faults"], circuit)
 
@@ -232,7 +220,6 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
             sweep_target[2], args.seed, args.sequences, args.length, args.repeats
         ),
     }
-    speedups = [row["speedup_compiled_vs_interpreted"] for row in rows]
     report = {
         "meta": {
             "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -250,15 +237,8 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
         "circuits": rows,
         "group_size_sweep": sweep,
         "summary": {
-            "min_speedup_compiled_vs_interpreted": min(speedups),
-            "median_speedup_compiled_vs_interpreted": round(
-                statistics.median(speedups), 2
-            ),
-            "max_speedup_compiled_vs_interpreted": max(speedups),
             "all_engines_agree": all(
-                row["kernels_agree"]
-                and row.get("serial_agrees", True)
-                and row.get("backends_agree", True)
+                row.get("serial_agrees", True) and row.get("backends_agree", True)
                 for row in rows
             ),
         },
@@ -326,12 +306,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     summary = report["summary"]
-    print(
-        f"speedup compiled vs interpreted: "
-        f"min {summary['min_speedup_compiled_vs_interpreted']}x / "
-        f"median {summary['median_speedup_compiled_vs_interpreted']}x / "
-        f"max {summary['max_speedup_compiled_vs_interpreted']}x"
-    )
     if "geomean_speedup_numpy_vs_bigint" in summary:
         print(
             f"speedup numpy vs bigint (geomean): "

@@ -51,9 +51,10 @@ journal each run under its ``journals/`` directory.  Flags:
   bit-packed dual-machine kernel is the default; both produce bit-identical
   test sets, so this is a speed knob, not a behaviour knob);
 * ``--backend auto|bigint|numpy`` — select the word implementation of the
-  bit-parallel kernels (``auto``, the default, uses numpy for wide fault
-  groups when installed and bigints otherwise; all backends are
-  bit-identical, so this too is purely a speed knob);
+  bit-parallel kernels (``auto``, the default, runs fault simulation's
+  (sequence x fault) lanes on numpy when installed and on bigints
+  otherwise; all backends are bit-identical, so this too is purely a
+  speed knob);
 * ``--guidance off|scoap|learned|auto`` — SCOAP testability ranking and
   the trained meta-predictor for ATPG fault ordering, pool partitioning
   and backtrace objectives (``off``, the default, is bit-identical to

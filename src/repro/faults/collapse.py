@@ -29,33 +29,12 @@ one collapsed fault into two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit, LineRef
 from repro.circuit.types import GateType
 from repro.faults.model import StuckAtFault, full_fault_universe
 from repro.logic.three_valued import ONE, ZERO
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[StuckAtFault, StuckAtFault] = {}
-
-    def find(self, item: StuckAtFault) -> StuckAtFault:
-        parent = self._parent.setdefault(item, item)
-        if parent != item:
-            parent = self.find(parent)
-            self._parent[item] = parent
-        return parent
-
-    def union(self, a: StuckAtFault, b: StuckAtFault) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Keep the smaller (canonical order) fault as representative so
-            # collapsing is deterministic.
-            if rb < ra:
-                ra, rb = rb, ra
-            self._parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -79,31 +58,43 @@ class CollapsedFaults:
         )
 
 
+#: Per gate type, the (input value, output value) stuck-at pairs that are
+#: equivalent across the gate.
+_GATE_RULES = {
+    GateType.AND: ((ZERO, ZERO),),
+    GateType.NAND: ((ZERO, ONE),),
+    GateType.OR: ((ONE, ONE),),
+    GateType.NOR: ((ONE, ZERO),),
+    GateType.NOT: ((ZERO, ONE), (ONE, ZERO)),
+    GateType.BUF: ((ZERO, ZERO), (ONE, ONE)),
+}
+
+
+def _gate_local_edges(circuit: Circuit, gate_name: str):
+    """The input edges, output edge and rules of one collapsing gate.
+
+    The line feeding the gate is the last segment of an input edge; the
+    line it drives is the first segment of its output edge.  Returns None
+    for XOR/XNOR and for a dangling gate: nothing collapses across them.
+    """
+    rules = _GATE_RULES.get(circuit.node(gate_name).gate_type)
+    out_edges = circuit.out_edges(gate_name)
+    if rules is None or not out_edges:
+        return None
+    return circuit.in_edges(gate_name), out_edges[0], rules
+
+
 def _gate_local_pairs(circuit: Circuit, gate_name: str):
     """Yield (input fault, output fault) equivalent pairs across one gate."""
-    node = circuit.node(gate_name)
-    out_edges = circuit.out_edges(gate_name)
-    if not out_edges:
-        return  # dangling gate: nothing to collapse across
-    out_edge = out_edges[0]
+    local = _gate_local_edges(circuit, gate_name)
+    if local is None:
+        return
+    in_edges, out_edge, rules = local
     out_line = LineRef(out_edge.index, 1)
-    for in_edge in circuit.in_edges(gate_name):
+    for in_edge in in_edges:
         in_line = LineRef(in_edge.index, in_edge.num_lines)
-        gate_type = node.gate_type
-        if gate_type is GateType.AND:
-            yield StuckAtFault(in_line, ZERO), StuckAtFault(out_line, ZERO)
-        elif gate_type is GateType.NAND:
-            yield StuckAtFault(in_line, ZERO), StuckAtFault(out_line, ONE)
-        elif gate_type is GateType.OR:
-            yield StuckAtFault(in_line, ONE), StuckAtFault(out_line, ONE)
-        elif gate_type is GateType.NOR:
-            yield StuckAtFault(in_line, ONE), StuckAtFault(out_line, ZERO)
-        elif gate_type is GateType.NOT:
-            yield StuckAtFault(in_line, ZERO), StuckAtFault(out_line, ONE)
-            yield StuckAtFault(in_line, ONE), StuckAtFault(out_line, ZERO)
-        elif gate_type is GateType.BUF:
-            yield StuckAtFault(in_line, ZERO), StuckAtFault(out_line, ZERO)
-            yield StuckAtFault(in_line, ONE), StuckAtFault(out_line, ONE)
+        for in_value, out_value in rules:
+            yield StuckAtFault(in_line, in_value), StuckAtFault(out_line, out_value)
 
 
 def collapse_faults(
@@ -112,20 +103,67 @@ def collapse_faults(
     """Collapse a fault list (default: the full universe) into classes.
 
     Equivalence pairs are only merged when *both* faults are inside the
-    considered fault list.
+    considered fault list.  Each class is represented by its smallest
+    fault in canonical order.
+
+    Faults are numbered ``2 * line + value`` over ``circuit.lines()``
+    (canonical order, so numbers sort like faults) and united on a list,
+    so no fault object is hashed until the result is built.
     """
+    first_line = []  # per edge, the number of its segment-1 line
+    count = 0
+    for edge in circuit.edges:
+        first_line.append(count)
+        count += edge.num_lines
+
+    def number(fault: StuckAtFault) -> int:
+        line = fault.line
+        if not (
+            0 <= line.edge_index < len(first_line)
+            and 1 <= line.segment <= circuit.edges[line.edge_index].num_lines
+        ):
+            raise ValueError(f"fault {fault} is not on a line of {circuit.name}")
+        return 2 * (first_line[line.edge_index] + line.segment - 1) + fault.value
+
     if faults is None:
         faults = full_fault_universe(circuit)
-    fault_set: Set[StuckAtFault] = set(faults)
-    uf = _UnionFind()
-    for fault in faults:
-        uf.find(fault)
+    numbers = [number(fault) for fault in faults]
+    member = dict(zip(numbers, faults))
+    listed = bytearray(2 * count)
+    for k in numbers:
+        listed[k] = 1
+
+    parent = list(range(2 * count))
+
+    def find(item: int) -> int:
+        root = item
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
+        return root
+
     for gate in circuit.gate_nodes():
-        for fault_a, fault_b in _gate_local_pairs(circuit, gate.name):
-            if fault_a in fault_set and fault_b in fault_set:
-                uf.union(fault_a, fault_b)
-    class_of = {fault: uf.find(fault) for fault in faults}
-    representatives = tuple(sorted(set(class_of.values())))
+        local = _gate_local_edges(circuit, gate.name)
+        if local is None:
+            continue
+        in_edges, out_edge, rules = local
+        base_out = 2 * first_line[out_edge.index]
+        for in_edge in in_edges:
+            base_in = 2 * (first_line[in_edge.index] + in_edge.num_lines - 1)
+            for in_value, out_value in rules:
+                a, b = base_in + in_value, base_out + out_value
+                if not (listed[a] and listed[b]):
+                    continue
+                root_a, root_b = find(a), find(b)
+                if root_a != root_b:
+                    # The smaller number (canonical order) stays the root.
+                    if root_b < root_a:
+                        root_a, root_b = root_b, root_a
+                    parent[root_b] = root_a
+    roots = [find(k) for k in numbers]
+    class_of = {fault: member[root] for fault, root in zip(faults, roots)}
+    representatives = tuple(member[root] for root in sorted(set(roots)))
     return CollapsedFaults(representatives, class_of)
 
 

@@ -14,7 +14,7 @@ from repro.faultsim.parallel import (
 from repro.faultsim.result import Detection, FaultSimResult
 from repro.faultsim.serial import TestSequence, serial_fault_simulate
 
-ENGINES = ("parallel", "parallel-interpreted", "serial")
+ENGINES = ("parallel", "serial")
 
 
 def fault_simulate(
@@ -32,16 +32,14 @@ def fault_simulate(
     Each sequence is applied from the all-unknown state, mirroring the
     paper's no-global-reset setting.  ``engine`` selects:
 
-    * ``"parallel"`` -- PROOFS-style on the code-generated bit-parallel
-      kernel (default);
-    * ``"parallel-interpreted"`` -- PROOFS-style on the interpreted
-      ``VectorSimulator`` (reference for the compiled kernel);
+    * ``"parallel"`` -- PROOFS-style, (sequence x fault) lanes on the
+      code-generated bit-parallel kernel (default);
     * ``"serial"`` -- one scalar faulty machine per fault (the reference
       engine).
 
-    ``backend`` picks the word implementation for the parallel compiled
-    kernel (``"bigint"``, ``"numpy"``, or ``"auto"`` to prefer numpy when
-    the optional dependency is installed); the other engines ignore it.
+    ``backend`` picks the word implementation for the parallel engine
+    (``"bigint"``, ``"numpy"``, or ``"auto"`` to prefer numpy when the
+    optional dependency is installed); the serial engine ignores it.
 
     ``workers`` > 1 shards the fault list of the ``"parallel"`` engine
     across that many worker processes (see
@@ -68,15 +66,6 @@ def fault_simulate(
             drop=drop,
             group_size=group_size,
             backend=backend,
-        )
-    if engine == "parallel-interpreted":
-        return parallel_fault_simulate(
-            circuit,
-            sequences,
-            faults,
-            drop=drop,
-            group_size=group_size,
-            kernel="interpreted",
         )
     if engine == "serial":
         return serial_fault_simulate(circuit, sequences, faults, drop=drop)

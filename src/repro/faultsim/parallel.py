@@ -1,51 +1,70 @@
-"""PROOFS-style parallel fault simulation.
+"""PROOFS-style parallel fault simulation in (sequence x fault) lanes.
 
-Following Niermann/Cheng/Patel's PROOFS (reference [9] of the paper), faults
-are packed into machine words -- bit 0 carries the fault-free machine, every
-other bit position an independent faulty machine with its stuck-at injection
-applied at its own line -- and the whole group is simulated in one
-bit-parallel pass per test sequence.  Detected faults are dropped as soon as
-they are found: they are skipped when later groups of the same sequence are
-formed and removed from the pending list before the next sequence.
+Following Niermann/Cheng/Patel's PROOFS (reference [9] of the paper), every
+faulty machine is one bit position -- a *lane* -- of a machine word, with
+its stuck-at injected at its own line, simulated beside a fault-free lane
+in one bit-parallel step.  Lanes come in *blocks*, one per (test sequence,
+fault group): lane 0 is fault-free and lanes 1..G carry the group's faults
+in list order.  A *pass* lays the blocks of several sequences side by side,
+each block reading its own sequence's vectors, so one compiled step
+advances them all:
 
-Two kernels implement the group step:
+* per lane, the pass records the first detecting (cycle, output) and
+  whether the lane showed X under its block's binary fault-free value while
+  *live* -- until its first detection when faults are dropped, for its
+  whole sequence otherwise.  Outputs are scanned in circuit order, so with
+  dropping an X at a later output of the detecting cycle does not count;
+* the lanes of each fault are then folded in sequence order: its detection
+  is the lowest (sequence, cycle, output), its potential bit the OR over
+  its lanes in sequences up to and including that one (over all of them
+  when it stays undetected or nothing is dropped);
+* with dropping, detected faults leave the fault list before the next pass.
 
-* ``"compiled"`` (default) -- the code-generated
-  :class:`~repro.simulation.vector_codegen.VectorFastStepper`: straight-line
-  dual-rail integer code with the group's stuck-at masks passed as runtime
-  parameters, so one compiled function (cached module-wide, see
-  :mod:`repro.simulation.cache`) serves every fault group;
-* ``"interpreted"`` -- the original
-  :class:`~repro.simulation.vector.VectorSimulator` loop, kept as a
-  reference point for the cross-engine tests and the performance harness.
+A fault's result depends only on its own lanes, so grouping and pass layout
+change speed, never a result.  A pass takes the next sequences whose blocks
+fit a fixed memory budget; a sequence whose blocks alone exceed it runs its
+groups in consecutive passes.
 
-The word width is arbitrary (Python integers).  The default of 1024
-positions per group sits at the knee of the width sweep recorded in
-``BENCH_faultsim.json`` (see ``benchmarks/perf_faultsim.py``): wider groups
-amortize per-cycle costs over more faults with no recompilation, and on the
-Table II circuits the gain saturates around 1024 (the collapsed fault lists
-fit in one or two groups; beyond that, big-integer word operations stop
-being effectively constant-time).
+Two legs run a pass, bit for bit alike: the numpy word-plane runner
+(:mod:`repro.simulation.wordplane`, blocks padded to whole 64-lane words)
+whenever numpy is installed, whatever the width, and the bigint
+``step_inject`` of :class:`~repro.simulation.vector_codegen.VectorFastStepper`
+otherwise (the reference leg).  ``group_size`` is the number of lanes per
+block, fault-free lane included; the default of 1024 puts every Table II
+collapsed fault list in one block per sequence.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.netlist import Circuit, LineRef
+from repro.circuit.netlist import Circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
 from repro.faultsim.result import Detection, FaultSimResult
 from repro.faultsim.serial import TestSequence
-from repro.logic.three_valued import ONE, Trit, ZERO
+from repro.logic.three_valued import ONE, X, ZERO
 from repro.simulation.backends import resolve_backend
-from repro.simulation.cache import compiled_circuit, vector_fast_stepper
-from repro.simulation.vector import VectorSimulator
+from repro.simulation.cache import vector_fast_stepper
 from repro.simulation.vector_codegen import VectorFastStepper
 
 DEFAULT_GROUP_SIZE = 1024
 
-KERNELS = ("compiled", "interpreted")
+#: Bytes of word-plane state one numpy pass may allocate.  A 64-lane word
+#: costs 8 bytes in every value row, twice per gathered operand (OR and AND
+#: masks) and once per injection-table row; at 2 MiB, s510.jo.sr.re packs
+#: 2,304 lanes a pass.  Wider passes measured no faster on the flow and
+#: raised its peak memory.
+PASS_BUDGET_BYTES = 2 << 20
+
+#: Lanes one bigint pass may pack.
+BIGINT_PASS_LANES = 4096
+
+_TRITS = frozenset((ZERO, ONE, X))
+
+#: One pass's per-lane record: (cycle, output, lanes) for each lane's first
+#: detection, and the lanes that showed X under a binary fault-free value.
+_PassLanes = Tuple[List[Tuple[int, int, int]], int]
 
 
 def parallel_fault_simulate(
@@ -54,66 +73,64 @@ def parallel_fault_simulate(
     faults: Optional[Sequence[StuckAtFault]] = None,
     drop: bool = True,
     group_size: int = DEFAULT_GROUP_SIZE,
-    kernel: str = "compiled",
     backend: str = "auto",
 ) -> FaultSimResult:
-    """Fault-simulate ``sequences`` with fault-parallel words.
+    """Fault-simulate ``sequences`` in (sequence x fault) lanes.
 
-    Semantics are identical to :func:`repro.faultsim.serial.
-    serial_fault_simulate` (the test suite cross-checks them); only the
-    engine differs.  ``kernel`` selects the compiled bit-parallel stepper
-    (default) or the interpreted ``VectorSimulator`` reference loop;
-    ``backend`` picks the word implementation for the compiled kernel --
-    Python bigints (the reference) or the numpy word-plane lowering (see
-    :mod:`repro.simulation.wordplane`), with ``"auto"`` preferring numpy
-    when the optional dependency is installed.  Detection results are
-    bit-identical across backends (the parity suite enforces it).
+    Detections and the potential set are identical to
+    :func:`repro.faultsim.serial.serial_fault_simulate` (the test suite
+    cross-checks them); only the engine differs.  ``backend`` picks the
+    word implementation -- Python bigints (the reference) or the numpy
+    word-plane runner, with ``"auto"`` preferring numpy when the optional
+    dependency is installed -- and never changes a result.
     """
     if group_size < 2:
         raise ValueError("group_size must leave room for the fault-free bit")
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r} (expected one of {KERNELS})")
     resolved = resolve_backend(backend)
     if faults is None:
         faults = collapse_faults(circuit).representatives
     result = FaultSimResult(circuit.name, "parallel", tuple(faults))
-    if kernel == "compiled":
-        stepper = vector_fast_stepper(circuit)
-        _validate_fault_lines(circuit, faults, stepper)
-        if resolved == "numpy":
-            simulate_group = _make_wordplane_group(stepper, _make_compiled_group(stepper))
+    stepper = vector_fast_stepper(circuit)
+    _validate_fault_lines(circuit, faults, stepper)
+    slots = [stepper.line_slot[fault.line] for fault in faults]
+    stuck = [fault.value for fault in faults]
+    leg = _WordPlaneLeg(stepper) if resolved == "numpy" else _BigintLeg(stepper)
+    num_inputs = len(circuit.input_names)
+    rows = [
+        (index, _checked_vectors(sequence, num_inputs))
+        for index, sequence in enumerate(sequences)
+    ]
+    rows = [row for row in rows if row[1]]
+    per_group = group_size - 1
+    pending = list(range(len(faults)))
+    detected = bytearray(len(faults))  # by fault-list position
+    cursor = 0
+    while cursor < len(rows) and pending:
+        groups = [
+            pending[start : start + per_group]
+            for start in range(0, len(pending), per_group)
+        ]
+        stride = leg.stride(len(groups[0]) + 1)
+        blocks = max(1, leg.pass_lanes() // stride)
+        if len(groups) <= blocks:
+            take = blocks // len(groups)
+            passes = [(rows[cursor : cursor + take], groups)]
+            cursor += take
         else:
-            simulate_group = _make_compiled_group(stepper)
-    else:
-        compiled = compiled_circuit(circuit)
-        simulate_group = _make_interpreted_group(circuit, compiled)
-
-    remaining: List[StuckAtFault] = list(faults)
-    output_names = circuit.output_names
-
-    for seq_index, sequence in enumerate(sequences):
-        vectors = [tuple(v) for v in sequence]
-        if not vectors:
-            continue
-        pending = remaining if drop else list(faults)
-        detected_before = len(result.detections)
-        position = 0
-        while position < len(pending):
-            group: List[StuckAtFault] = []
-            while position < len(pending) and len(group) < group_size - 1:
-                fault = pending[position]
-                position += 1
-                # Skip faults another group of this same sequence already
-                # detected (with dropping, re-simulating them is pure waste).
-                if drop and fault in result.detections:
-                    continue
-                group.append(fault)
-            if group:
-                simulate_group(vectors, group, seq_index, output_names, result, drop)
-        if drop and len(result.detections) > detected_before:
-            # Rebuilding the pending list is O(faults) per sequence; skip it
-            # for the (common, late-run) sequences that detected nothing.
-            remaining = [f for f in remaining if f not in result.detections]
+            passes = [
+                ([rows[cursor]], groups[start : start + blocks])
+                for start in range(0, len(groups), blocks)
+            ]
+            cursor += 1
+        for pass_rows, pass_groups in passes:
+            layout = _Layout(pass_rows, pass_groups, stride, slots, stuck)
+            events, potential = leg.run(layout, drop)
+            _fold(
+                layout, events, potential, drop, faults, circuit.output_names,
+                result, detected,
+            )
+        if drop:
+            pending = [index for index in pending if not detected[index]]
     return result
 
 
@@ -129,256 +146,301 @@ def _validate_fault_lines(
             raise ValueError(f"line {fault.line} does not exist on edge {edge}")
 
 
-class _GroupScan:
-    """Per-group recording state shared across cycles and outputs.
-
-    ``live_mask`` holds the bits of still-undetected faults;
-    ``potential_seen`` the bits already added to ``result.potential`` by
-    this group, so a fault whose unknown output persists across cycles is
-    enumerated (and hashed into the set) only once."""
-
-    __slots__ = ("live_mask", "potential_seen")
-
-    def __init__(self, live_mask: int):
-        self.live_mask = live_mask
-        self.potential_seen = 0
+def _checked_vectors(sequence: TestSequence, num_inputs: int) -> List[Tuple[int, ...]]:
+    vectors = [tuple(vector) for vector in sequence]
+    for vector in vectors:
+        if len(vector) != num_inputs:
+            raise ValueError(f"vector needs {num_inputs} trits, got {len(vector)}")
+    if not _TRITS.issuperset(set().union(*vectors)):
+        raise ValueError(f"not a trit sequence: {vectors!r}")
+    return vectors
 
 
-def _record_group_observations(
-    ones: int,
-    zeros: int,
-    scan: _GroupScan,
-    group: Sequence[StuckAtFault],
-    seq_index: int,
-    cycle: int,
-    output_name: str,
-    result: FaultSimResult,
-    drop: bool,
-) -> None:
-    """Record detections/potentials for one output word, updating
-    ``scan.live_mask`` (bits of still-undetected faults)."""
-    live_mask = scan.live_mask
-    if ones & 1:
-        detecting = zeros & live_mask
-    elif zeros & 1:
-        detecting = ones & live_mask
-    else:
-        return
-    # Potential detections: good binary, faulty unknown (PROOFS'
-    # "potentially detected" class).
-    unknown = ~(ones | zeros) & live_mask & ~scan.potential_seen
-    scan.potential_seen |= unknown
-    while unknown:
-        bit = (unknown & -unknown).bit_length() - 1
-        unknown &= unknown - 1
-        result.potential.add(group[bit - 1])
-    while detecting:
-        bit = (detecting & -detecting).bit_length() - 1
-        detecting &= detecting - 1
-        fault = group[bit - 1]
-        result.detections.setdefault(
-            fault, Detection(seq_index, cycle, output_name)
-        )
-        if drop:
-            live_mask &= ~(1 << bit)
-    scan.live_mask = live_mask
+class _Layout:
+    """Where every lane of one pass lives.
 
-
-def _make_compiled_group(stepper: VectorFastStepper):
-    """Group simulation on the code-generated bit-parallel kernel."""
-
-    def simulate_group(
-        vectors: Sequence[Tuple[Trit, ...]],
-        group: Sequence[StuckAtFault],
-        seq_index: int,
-        output_names: Sequence[str],
-        result: FaultSimResult,
-        drop: bool,
-    ) -> None:
-        width = len(group) + 1
-        mask = (1 << width) - 1
-        sa1, sa0 = stepper.blank_injection_masks()
-        line_slot = stepper.line_slot
-        for bit, fault in enumerate(group, start=1):
-            slot = line_slot[fault.line]
-            if fault.value == ONE:
-                sa1[slot] |= 1 << bit
-            else:
-                sa0[slot] |= 1 << bit
-        state = stepper.unknown_state()
-        scan = _GroupScan(mask & ~1)  # faulty bits not yet detected
-        step = stepper.step_inject
-        broadcast = stepper.broadcast_vector
-        for cycle, vector in enumerate(vectors):
-            outputs, state = step(state, broadcast(vector, width), mask, sa1, sa0)
-            for out_pos, (ones, zeros) in enumerate(outputs):
-                _record_group_observations(
-                    ones,
-                    zeros,
-                    scan,
-                    group,
-                    seq_index,
-                    cycle,
-                    output_names[out_pos],
-                    result,
-                    drop,
-                )
-            if drop and not scan.live_mask:
-                break
-
-    return simulate_group
-
-
-# Below this group width the numpy backend hands the group to the bigint
-# kernel: the word-plane step is ufunc-dispatch-bound (its cost is nearly
-# width-independent up to a few thousand lanes), so narrow late-run groups
-# -- after dropping has thinned the fault list -- run faster on bigints.
-# Both kernels are bit-identical, so the handoff is invisible in results;
-# the threshold sits where the measured crossover lands on the Table II
-# circuits (see BENCH_faultsim.json).
-WORDPLANE_MIN_WIDTH = 192
-
-
-def _make_wordplane_group(stepper: VectorFastStepper, narrow_fallback):
-    """Group simulation on the numpy word-plane backend.
-
-    Bit-identical to :func:`_make_compiled_group`: the same injection slots
-    drive the same dual-rail program, and every live-mask decision goes
-    through the same :func:`_record_group_observations` on exact packed
-    words.  The numpy side only restructures the *scan*: a cheap vectorized
-    prescan per cycle finds the outputs with detecting lanes (usually none
-    after dropping) and the exact bigint scan runs only on those, while
-    potential detections -- which carry no cycle/output attribution in the
-    result model -- are OR-accumulated as a word per group and harvested
-    once at the end.
+    Rows are the pass's sequences, each ``row_lanes`` wide; a row holds one
+    block of ``stride`` lanes per fault group.  Lane ``k`` of a block
+    (``k >= 1``) carries member ``k - 1`` of its group; lane 0 and the
+    padding past the group's last member carry no fault and are never live.
     """
-    from repro.simulation.wordplane import int_from_words, words_from_int, wordplane_plan
 
-    plan = wordplane_plan(stepper)
-    line_slot = stepper.line_slot
-    # Runners by word count, each a whole number of words wide; a group's
-    # spare lanes carry no fault and are never live, so they never count.
-    # Dropping narrows the groups sequence by sequence, so only the two
-    # most recently used runners are kept (a sequence's full groups and
-    # its remainder): each holds about a megabyte of planes.
-    runners: Dict[int, object] = {}
-    # Input planes depend only on (vector, runner); groups of one sequence
-    # share the vectors list, so pack it once per (sequence, runner).
-    packed_inputs: Dict[int, Tuple[Sequence, list]] = {}
+    def __init__(
+        self,
+        rows: Sequence[Tuple[int, List[Tuple[int, ...]]]],
+        groups: Sequence[Sequence[int]],
+        stride: int,
+        slots: Sequence[int],
+        stuck: Sequence[int],
+    ):
+        self.rows = rows
+        self.stride = stride
+        self.row_lanes = len(groups) * stride
+        self.width = len(rows) * self.row_lanes
+        self.cycles = max(len(vectors) for _index, vectors in rows)
+        # One row's fault lanes; every row repeats them.
+        self.lanes: List[int] = []
+        self.slots: List[int] = []
+        self.values: List[int] = []
+        self.members: Dict[int, int] = {}
+        valid = 0
+        for position, group in enumerate(groups):
+            base = position * stride
+            valid |= ((1 << len(group)) - 1) << (base + 1)
+            for offset, index in enumerate(group, start=base + 1):
+                self.lanes.append(offset)
+                self.slots.append(slots[index])
+                self.values.append(stuck[index])
+                self.members[offset] = index
+        self.valid_row = valid
 
-    def simulate_group(
-        vectors: Sequence[Tuple[Trit, ...]],
-        group: Sequence[StuckAtFault],
-        seq_index: int,
-        output_names: Sequence[str],
-        result: FaultSimResult,
-        drop: bool,
-    ) -> None:
-        width = len(group) + 1
-        if width < WORDPLANE_MIN_WIDTH:
-            narrow_fallback(vectors, group, seq_index, output_names, result, drop)
-            return
-        words = -(-width // 64)
-        runner = runners.pop(words, None)
+    def ends(self) -> Dict[int, List[int]]:
+        """Rows by the cycle at which their sequence has ended."""
+        ends: Dict[int, List[int]] = {}
+        for row, (_index, vectors) in enumerate(self.rows):
+            if len(vectors) < self.cycles:
+                ends.setdefault(len(vectors), []).append(row)
+        return ends
+
+    def fold_rows(self, lanes: int) -> int:
+        """OR every row of a pass-wide lane mask onto row 0."""
+        span = self.row_lanes
+        row_mask = (1 << span) - 1
+        merged = 0
+        while lanes:
+            merged |= lanes & row_mask
+            lanes >>= span
+        return merged
+
+    def rows_before(self, lanes: int) -> int:
+        """Per lane, the OR of the same lane in every earlier row."""
+        span = self.row_lanes
+        row_mask = (1 << span) - 1
+        below = 0
+        seen = 0
+        for row in range(len(self.rows)):
+            below |= seen << (row * span)
+            seen |= (lanes >> (row * span)) & row_mask
+        return below
+
+
+def _fold(
+    layout: _Layout,
+    events: List[Tuple[int, int, int]],
+    potential: int,
+    drop: bool,
+    faults: Sequence[StuckAtFault],
+    output_names: Sequence[str],
+    result: FaultSimResult,
+    detected_positions: bytearray,
+) -> None:
+    """Fold one pass's lanes into per-fault detections and potentials.
+
+    ``events`` lists (cycle, output, lanes) for each lane's first detection
+    and ``potential`` the lanes that showed X under a binary fault-free
+    value while live.  A fault's detection comes from the earliest row
+    (sequence) that detects it; with dropping, its potential counts only
+    in rows up to that one.  Flags the fault-list positions detected.
+    """
+    detected = 0
+    for _cycle, _output, lanes in events:
+        detected |= lanes
+    earlier = layout.rows_before(detected)
+    first = detected & ~earlier
+    span = layout.row_lanes
+    members = layout.members
+    for cycle, output, lanes in events:
+        for lane in _set_bits(lanes & first):
+            row, offset = divmod(lane, span)
+            index = members[offset]
+            detected_positions[index] = 1
+            result.detections.setdefault(
+                faults[index],
+                Detection(layout.rows[row][0], cycle, output_names[output]),
+            )
+    if drop:
+        potential &= ~earlier
+    for offset in _set_bits(layout.fold_rows(potential)):
+        result.potential.add(faults[members[offset]])
+
+
+def _set_bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    text = bin(mask)[:1:-1]
+    bits = []
+    position = text.find("1")
+    while position >= 0:
+        bits.append(position)
+        position = text.find("1", position + 1)
+    return bits
+
+
+class _BigintLeg:
+    """Passes on the bigint ``step_inject`` (the reference leg)."""
+
+    def __init__(self, stepper: VectorFastStepper):
+        self.stepper = stepper
+
+    @staticmethod
+    def stride(block: int) -> int:
+        return block
+
+    @staticmethod
+    def pass_lanes() -> int:
+        return BIGINT_PASS_LANES
+
+    def run(self, layout: _Layout, drop: bool) -> _PassLanes:
+        stepper = self.stepper
+        span = layout.row_lanes
+        count = len(layout.rows)
+        mask = (1 << layout.width) - 1
+        row_fill = [((1 << span) - 1) << (row * span) for row in range(count)]
+        repeat = sum(1 << (row * span) for row in range(count))
+        sa1, sa0 = stepper.blank_injection_masks()
+        for lane, slot, value in zip(layout.lanes, layout.slots, layout.values):
+            (sa1 if value == ONE else sa0)[slot] |= 1 << lane
+        if count > 1:
+            sa1 = [lanes * repeat for lanes in sa1]
+            sa0 = [lanes * repeat for lanes in sa0]
+        # Block starts (the fault-free lanes), and the multiplier that
+        # spreads each start bit over its whole block.
+        starts = sum(1 << start for start in range(0, layout.width, layout.stride))
+        fill = (1 << layout.stride) - 1
+        live = layout.valid_row * repeat
+        ends = {
+            cycle: sum(row_fill[row] for row in rows)
+            for cycle, rows in layout.ends().items()
+        }
+        num_inputs = stepper.compiled.num_inputs
+        found = 0
+        potential = 0
+        events: List[Tuple[int, int, int]] = []
+        state = stepper.unknown_state()
+        step = stepper.step_inject
+        for cycle in range(layout.cycles):
+            ended = ends.get(cycle)
+            if ended:
+                live &= ~ended
+            if not live:
+                break
+            vector = [[0, 0] for _pin in range(num_inputs)]  # (ones, zeros)
+            for row, (_index, vectors) in enumerate(layout.rows):
+                if cycle < len(vectors):
+                    for rails, value in zip(vector, vectors[cycle]):
+                        if value != X:
+                            rails[value == ZERO] |= row_fill[row]
+            outputs, state = step(state, vector, mask, sa1, sa0)
+            for output, (ones, zeros) in enumerate(outputs):
+                good_one = (ones & starts) * fill
+                good_zero = (zeros & starts) * fill
+                binary = good_one | good_zero
+                if not binary:
+                    continue
+                potential |= binary & ~(ones | zeros) & live
+                hit = ((good_one & zeros) | (good_zero & ones)) & live & ~found
+                if hit:
+                    events.append((cycle, output, hit))
+                    found |= hit
+                    if drop:
+                        live &= ~hit
+        return events, potential
+
+
+class _WordPlaneLeg:
+    """Passes on the numpy word-plane runner, at any width.
+
+    Blocks are padded to whole 64-lane words, so each block's fault-free
+    value is a per-word broadcast of its bit 0.  At most two runners, keyed
+    by word count, stay alive per call: dropping narrows the passes.
+    """
+
+    def __init__(self, stepper: VectorFastStepper):
+        from repro.simulation.wordplane import wordplane_plan
+
+        self.plan = wordplane_plan(stepper)
+        plan = self.plan
+        # Bytes per 64-lane word: value rows, OR/AND gather masks, table.
+        self.footprint = 8 * (plan.nrows + 2 * plan.gather + 2 * plan.num_slots + 1)
+        self.runners: Dict[int, object] = {}
+
+    @staticmethod
+    def stride(block: int) -> int:
+        return 64 * -(-block // 64)
+
+    def pass_lanes(self) -> int:
+        return 64 * max(1, PASS_BUDGET_BYTES // self.footprint)
+
+    def _runner(self, words: int):
+        runner = self.runners.pop(words, None)
         if runner is None:
-            runner = plan.runner(64 * words)
-            if len(runners) > 1:
-                evicted = next(iter(runners))
-                del runners[evicted]
-                packed_inputs.pop(evicted, None)
-        runners[words] = runner  # most recently used last
-        cached = packed_inputs.get(words)
-        if cached is None or cached[0] is not vectors:
-            packed = [runner.pack_input_bits(vector) for vector in vectors]
-            packed_inputs[words] = (vectors, packed)
-        else:
-            packed = cached[1]
-        runner.set_group_faults(
-            [line_slot[fault.line] for fault in group],
-            [1 if fault.value == ONE else 0 for fault in group],
+            runner = self.plan.runner(64 * words)
+            if len(self.runners) > 1:
+                del self.runners[next(iter(self.runners))]
+        self.runners[words] = runner  # most recently used last
+        return runner
+
+    def run(self, layout: _Layout, drop: bool) -> _PassLanes:
+        import numpy as np
+
+        from repro.simulation.wordplane import int_from_words, words_from_int
+
+        count = len(layout.rows)
+        words = layout.width // 64
+        row_words = words // count
+        runner = self._runner(words)
+        row_starts = np.arange(count, dtype=np.intp)[:, None] * layout.row_lanes
+        lanes = (row_starts + np.asarray(layout.lanes, dtype=np.intp)).ravel()
+        runner.set_lane_faults(
+            lanes, np.tile(layout.slots, count), np.tile(layout.values, count)
         )
         runner.reset_state()
-        scan = _GroupScan(((1 << width) - 1) & ~1)
-        live_words = words_from_int(scan.live_mask, runner.words)
-        potential_acc = words_from_int(0, runner.words)
-        for cycle, vector in enumerate(vectors):
-            runner.load_input_bits(*packed[cycle])
-            runner.step()
-            hits = runner.detect_scan(live_words, potential_acc)
-            if hits is None:
-                continue
-            before = scan.live_mask
-            for out_pos in hits:
-                ones, zeros = runner.output_pair_ints(out_pos)
-                _record_group_observations(
-                    ones,
-                    zeros,
-                    scan,
-                    group,
-                    seq_index,
-                    cycle,
-                    output_names[out_pos],
-                    result,
-                    drop,
-                )
-            if scan.live_mask != before:
-                if drop and not scan.live_mask:
+        # Input word fills per (cycle, input, row); rows past their end read X.
+        trits = np.full((count, layout.cycles, self.plan.num_inputs), X, dtype=np.int8)
+        for row, (_index, vectors) in enumerate(layout.rows):
+            trits[row, : len(vectors)] = vectors
+        full = np.uint64(0xFFFFFFFFFFFFFFFF)
+        ones_in = np.where(trits == ONE, full, np.uint64(0)).transpose(1, 2, 0)
+        zeros_in = np.where(trits == ZERO, full, np.uint64(0)).transpose(1, 2, 0)
+        live = np.tile(words_from_int(layout.valid_row, row_words), count)
+        # Lanes still without a detection; with dropping, exactly the live ones.
+        watch = live if drop else live.copy()
+        potential = np.zeros(words, dtype=np.uint64)
+        blocks = words * 64 // layout.stride
+        ends = layout.ends()
+        events: List[Tuple[int, int, int]] = []
+        for cycle in range(layout.cycles):
+            ended = ends.get(cycle)
+            if ended:
+                live.reshape(count, row_words)[ended] = 0
+                watch.reshape(count, row_words)[ended] = 0
+                if not live.any():
                     break
-                live_words = words_from_int(scan.live_mask, runner.words)
-        # Harvest the accumulated potential-detection lanes (faults whose
-        # output went X while the good machine was binary and the fault was
-        # still live that cycle; the set is unordered, so once per group).
-        unknown = int_from_words(potential_acc)
-        while unknown:
-            bit = (unknown & -unknown).bit_length() - 1
-            unknown &= unknown - 1
-            result.potential.add(group[bit - 1])
-
-    return simulate_group
-
-
-def _make_interpreted_group(circuit: Circuit, compiled):
-    """Group simulation on the interpreted ``VectorSimulator`` (reference)."""
-
-    def simulate_group(
-        vectors: Sequence[Tuple[Trit, ...]],
-        group: Sequence[StuckAtFault],
-        seq_index: int,
-        output_names: Sequence[str],
-        result: FaultSimResult,
-        drop: bool,
-    ) -> None:
-        width = len(group) + 1
-        injections: Dict[LineRef, Tuple[int, int]] = {}
-        for bit, fault in enumerate(group, start=1):
-            sa1, sa0 = injections.get(fault.line, (0, 0))
-            if fault.value == ONE:
-                sa1 |= 1 << bit
-            else:
-                sa0 |= 1 << bit
-            injections[fault.line] = (sa1, sa0)
-        simulator = VectorSimulator(circuit, width, injections, compiled=compiled)
-        state = simulator.unknown_state()
-        scan = _GroupScan(((1 << width) - 1) & ~1)
-        for cycle, vector in enumerate(vectors):
-            step = simulator.step(state, simulator.broadcast_vector(vector))
-            state = step.next_state
-            for out_pos, value in enumerate(step.outputs):
-                _record_group_observations(
-                    value.ones,
-                    value.zeros,
-                    scan,
-                    group,
-                    seq_index,
-                    cycle,
-                    output_names[out_pos],
-                    result,
-                    drop,
-                )
-            if drop and not scan.live_mask:
+            runner.load_input_blocks(ones_in[cycle], zeros_in[cycle])
+            runner.step()
+            opposite, unknown = runner.block_compare(blocks)
+            hit = opposite & watch
+            if not hit.any():
+                potential |= np.bitwise_or.reduce(unknown, axis=0) & live
+                continue
+            # The ordered output scan: a lane detected at one output is
+            # no longer new (and, with dropping, no longer live) at later
+            # outputs of the same cycle.
+            reached = np.bitwise_or.accumulate(hit, axis=0)
+            hit[1:] &= ~reached[:-1]
+            if drop:
+                unknown[1:] &= ~reached[:-1]
+            potential |= np.bitwise_or.reduce(unknown, axis=0) & live
+            watch &= ~reached[-1]
+            for output in np.flatnonzero(hit.any(axis=1)).tolist():
+                events.append((cycle, output, int_from_words(hit[output])))
+            if drop and not live.any():
                 break
+        return events, int_from_words(potential)
 
-    return simulate_group
 
-
-__all__ = ["parallel_fault_simulate", "DEFAULT_GROUP_SIZE", "KERNELS"]
+__all__ = [
+    "parallel_fault_simulate",
+    "BIGINT_PASS_LANES",
+    "DEFAULT_GROUP_SIZE",
+    "PASS_BUDGET_BYTES",
+]

@@ -4,7 +4,8 @@ One scalar faulty-machine simulation per fault, compared cycle by cycle
 against the fault-free simulation.  A fault is *detected* when, at some
 cycle, some primary output carries a binary value in both machines and the
 values differ (the standard hard-detection criterion; a faulty ``X`` against
-a binary good value is not counted, matching PROOFS).
+a binary good value is not counted, matching PROOFS).  Such an ``X`` marks
+the fault *potentially* detected, while the fault is still simulated.
 
 Every test sequence starts both machines from the all-unknown state: the
 paper's setting of circuits without a global reset, where each test sequence
@@ -13,7 +14,7 @@ must synchronize the machine itself.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.faults.collapse import collapse_faults
@@ -57,34 +58,30 @@ def serial_fault_simulate(
                 break
             good_outputs = good_traces[seq_index].outputs
             state = faulty_sim.unknown_state()
+            stopped = False
             for cycle, vector in enumerate(sequence):
                 step = faulty_sim.step(state, tuple(vector))
                 state = step.next_state
-                for good_value, faulty_value in zip(
-                    good_outputs[cycle], step.outputs
+                # Outputs in order: with dropping the fault stops at its
+                # first detecting output, so an X at a later output of
+                # that cycle is not a potential detection.
+                for name, good_value, faulty_value in zip(
+                    output_names, good_outputs[cycle], step.outputs
                 ):
-                    if good_value != X and faulty_value == X:
+                    if good_value == X:
+                        continue
+                    if faulty_value == X:
                         result.potential.add(fault)
-                        break
-                detection = _first_difference(
-                    good_outputs[cycle], step.outputs, output_names
-                )
-                if detection is not None:
-                    result.detections.setdefault(
-                        fault, Detection(seq_index, cycle, detection)
-                    )
-                    if drop:
-                        break
+                    elif faulty_value != good_value:
+                        result.detections.setdefault(
+                            fault, Detection(seq_index, cycle, name)
+                        )
+                        if drop:
+                            stopped = True
+                            break
+                if stopped:
+                    break
     return result
-
-
-def _first_difference(
-    good: Sequence[Trit], faulty: Sequence[Trit], names: Sequence[str]
-) -> Optional[str]:
-    for name, good_value, faulty_value in zip(names, good, faulty):
-        if good_value != X and faulty_value != X and good_value != faulty_value:
-            return name
-    return None
 
 
 __all__ = ["serial_fault_simulate", "TestSequence"]

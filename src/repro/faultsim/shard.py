@@ -1,22 +1,19 @@
 """Process-parallel fault-shard orchestration of the bit-parallel simulator.
 
-The PROOFS-style engine is lane-parallel *within* one process: every fault
-group packs up to ``group_size - 1`` faulty machines into the lanes of one
-compiled step.  For wide fault lists there is a second, coarser axis --
-the fault groups themselves are independent, because
+The PROOFS-style engine is lane-parallel *within* one process: a pass
+packs (sequence x fault) lanes into one compiled step.  For wide fault
+lists there is a second, coarser axis -- the faults themselves are
+independent, because a fault's recorded detection and its potential bit
+depend only on its own lanes, each against the fault-free lane of its own
+block (fault-drop merely stops simulating a fault after its first
+detection; it never changes which cycle/output that first detection was).
 
-* a fault's recorded detection depends only on its own lanes (fault-drop
-  merely stops simulating a fault after its first detection; it never
-  changes which cycle/output that first detection was), and
-* the potential-detection class is likewise a per-fault property of the
-  fault's own lane against the shared fault-free lane.
-
-So partitioning the fault list into disjoint shards, running the ordinary
-:func:`~repro.faultsim.parallel.parallel_fault_simulate` on each shard in
-its own process, and unioning the per-shard detection maps reproduces the
-single-process result **exactly** -- the merge is a disjoint dict union,
-not a reconciliation.  The test suite asserts bit-identical results
-against the single-process engine.
+So partitioning the fault list into disjoint shards of any size, running
+the ordinary :func:`~repro.faultsim.parallel.parallel_fault_simulate` on
+each shard in its own process, and unioning the per-shard detection maps
+reproduces the single-process result **exactly** -- the merge is a
+disjoint dict union, not a reconciliation.  The test suite asserts
+bit-identical results against the single-process engine.
 
 The pool plumbing mirrors :mod:`repro.atpg.parallel`: ``fork`` start
 method where available (the parent's warm compile cache is inherited
@@ -66,7 +63,6 @@ def _worker_init(
     sequences: Sequence[TestSequence],
     drop: bool,
     group_size: int,
-    kernel: str,
     backend: str,
 ) -> None:
     warm_compile_cache(circuit)
@@ -74,7 +70,6 @@ def _worker_init(
     _WORKER_STATE["sequences"] = sequences
     _WORKER_STATE["drop"] = drop
     _WORKER_STATE["group_size"] = group_size
-    _WORKER_STATE["kernel"] = kernel
     _WORKER_STATE["backend"] = backend
 
 
@@ -87,7 +82,6 @@ def _worker_shard(
         shard,
         drop=_WORKER_STATE["drop"],
         group_size=_WORKER_STATE["group_size"],
-        kernel=_WORKER_STATE["kernel"],
         backend=_WORKER_STATE["backend"],
     )
     return list(result.detections.items()), result.potential
@@ -100,15 +94,14 @@ def sharded_fault_simulate(
     workers: Optional[int] = None,
     drop: bool = True,
     group_size: int = DEFAULT_GROUP_SIZE,
-    kernel: str = "compiled",
     backend: str = "auto",
 ) -> FaultSimResult:
     """Fault-simulate with the fault list sharded across worker processes.
 
     Results are bit-identical to a single
     :func:`~repro.faultsim.parallel.parallel_fault_simulate` call over the
-    whole list (same ``drop``/``group_size``/``kernel``/``backend``
-    semantics per shard, exact disjoint merge).  Worth it only when the
+    whole list (same ``drop``/``group_size``/``backend`` semantics per
+    shard, exact disjoint merge).  Worth it only when the
     fault list spans many groups *and* the host has spare cores; a
     one-worker request skips the pool entirely.
     """
@@ -119,7 +112,7 @@ def sharded_fault_simulate(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # A pool cannot pay for itself on one worker or on fewer faults than
-    # would fill a couple of lane groups per process.
+    # fill one lane group.
     if workers == 1 or len(faults) <= group_size - 1:
         return parallel_fault_simulate(
             circuit,
@@ -127,17 +120,9 @@ def sharded_fault_simulate(
             faults,
             drop=drop,
             group_size=group_size,
-            kernel=kernel,
             backend=backend,
         )
-    # Shards are whole numbers of lane groups so sharding never changes
-    # the group packing (and therefore the per-step lane widths) relative
-    # to the single-process run.
-    lanes = group_size - 1
-    groups_total = -(-len(faults) // lanes)
-    target_shards = min(groups_total, workers * SHARDS_PER_WORKER)
-    groups_per_shard = -(-groups_total // target_shards)
-    shard_size = groups_per_shard * lanes
+    shard_size = -(-len(faults) // (workers * SHARDS_PER_WORKER))
     shards = [
         faults[index : index + shard_size]
         for index in range(0, len(faults), shard_size)
@@ -149,7 +134,7 @@ def sharded_fault_simulate(
         max_workers=min(workers, len(shards)),
         mp_context=context,
         initializer=_worker_init,
-        initargs=(circuit, sequences, drop, group_size, kernel, backend),
+        initargs=(circuit, sequences, drop, group_size, backend),
     ) as pool:
         for detections, potential in pool.map(_worker_shard, shards):
             result.detections.update(detections)

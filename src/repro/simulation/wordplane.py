@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuit.types import GateType, NodeKind
-from repro.logic.three_valued import ONE, Trit, ZERO
 from repro.simulation.backends import WORDPLANE_VERSION
 from repro.simulation.vector_codegen import VectorFastStepper
 
@@ -390,10 +389,10 @@ class WordPlaneRunner:
     """Executable state for one plan at one lane width.
 
     A runner owns the value array, the width mask and the gather-ordered
-    injection mask matrices; :meth:`set_group`/:meth:`set_group_faults`
-    load one fault group and :meth:`step` advances every lane one clock
-    cycle with no per-step allocation.  Runners are reusable across groups
-    (call ``set_group*`` + :meth:`reset_state` between them).
+    injection mask matrices; :meth:`set_group` loads bigint stuck-at masks,
+    :meth:`set_lane_faults` one fault per lane, and :meth:`step` advances
+    every lane one clock cycle with no per-step allocation.  Runners are
+    reusable (reload the faults and call :meth:`reset_state` between uses).
     """
 
     def __init__(self, plan: WordPlanePlan, width: int):
@@ -438,10 +437,6 @@ class WordPlaneRunner:
         r0 = plan.reg0
         self._reg_dst = slice(r0, r0 + 2 * plan.num_registers)
         self._reg_src = slice(plan.fstart, plan.fstart + 2 * plan.num_registers)
-        n = plan.num_inputs
-        self._vin_ones = self.V[plan.vin0 : plan.vin0 + 2 * n : 2]
-        self._vin_zeros = self.V[plan.vin0 + 1 : plan.vin0 + 2 * n + 1 : 2]
-        self._zero_row = np.zeros((1, W), dtype=_U64)
 
     # -- group loading ------------------------------------------------------
 
@@ -487,27 +482,26 @@ class WordPlaneRunner:
                 table[ns + slot] = words_from_int(value, W)
         self._gather_masks()
 
-    def set_group_faults(
-        self, slots: Sequence[int], values: Sequence[int]
+    def set_lane_faults(
+        self, lanes: Sequence[int], slots: Sequence[int], values: Sequence[int]
     ) -> None:
-        """Load one fault group directly from per-lane fault descriptors.
+        """Load one stuck-at fault per listed lane.
 
-        Lane ``i + 1`` carries the fault with injection slot ``slots[i]``
-        stuck at ``values[i]`` (lane 0 stays fault-free), matching the
-        PROOFS group layout of :mod:`repro.faultsim.parallel` without ever
-        materializing bigint masks.
+        Lane ``lanes[i]`` carries the fault with injection slot ``slots[i]``
+        stuck at ``values[i]``; every other lane is fault-free.  Builds the
+        same table :meth:`set_group` builds from the equivalent bigint
+        masks, without materializing them.
         """
         ns = self.plan.num_slots
         W = self.words
         table = self._table
         table[:] = 0
-        count = len(slots)
-        if count:
-            lanes = np.arange(1, count + 1)
+        if len(lanes):
+            lane_arr = np.asarray(lanes, dtype=np.intp)
             slot_arr = np.asarray(slots, dtype=np.intp)
             value_arr = np.asarray(values, dtype=np.intp)
-            flat = (slot_arr + ns * (1 - value_arr)) * W + (lanes >> 6)
-            bits = (_ONE64 << (lanes & 63).astype(_U64))
+            flat = (slot_arr + ns * (1 - value_arr)) * W + (lane_arr >> 6)
+            bits = _ONE64 << (lane_arr & 63).astype(_U64)
             np.bitwise_or.at(table.reshape(-1), flat, bits)
         self._gather_masks()
 
@@ -530,27 +524,19 @@ class WordPlaneRunner:
             self.V[r0 + 2 * k] = words_from_int(ones, self.words)
             self.V[r0 + 2 * k + 1] = words_from_int(zeros, self.words)
 
-    def pack_input_bits(
-        self, vector: Sequence[Trit]
-    ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """One scalar vector as ``(ones, zeros)`` bool arrays for
-        :meth:`load_input_bits` (precomputable per sequence)."""
-        n = self.plan.num_inputs
-        if len(vector) != n:
-            raise ValueError(f"vector needs {n} trits, got {len(vector)}")
-        ones = np.fromiter((t == ONE for t in vector), dtype=bool, count=n)
-        zeros = np.fromiter((t == ZERO for t in vector), dtype=bool, count=n)
-        return ones, zeros
+    def load_input_blocks(self, ones: "np.ndarray", zeros: "np.ndarray") -> None:
+        """Drive equal lane blocks with one input vector each.
 
-    def load_input_bits(self, ones: "np.ndarray", zeros: "np.ndarray") -> None:
-        """Broadcast precomputed scalar input bits across every lane."""
-        np.multiply(ones[:, None], self.mask_words[None, :], out=self._vin_ones)
-        np.multiply(zeros[:, None], self.mask_words[None, :], out=self._vin_zeros)
-
-    def set_broadcast_vector(self, vector: Sequence[Trit]) -> None:
-        """Drive every lane with the same scalar input vector."""
-        ones, zeros = self.pack_input_bits(vector)
-        self.load_input_bits(ones, zeros)
+        ``ones``/``zeros`` are ``(num_inputs, blocks)`` uint64 word fills
+        (0 or all-ones): block ``b`` spans ``words // blocks`` whole words
+        and reads input ``i`` as ``ones[i, b]``/``zeros[i, b]``.
+        """
+        n, blocks = ones.shape
+        planes = self.V[self.plan.vin0 : self.plan.vin0 + 2 * n].reshape(
+            n, 2, blocks, self.words // blocks
+        )
+        planes[:, 0] = ones[:, :, None]
+        planes[:, 1] = zeros[:, :, None]
 
     def load_vector_ints(self, vector: Sequence[Tuple[int, int]]) -> None:
         """Load packed bigint per-input rails (pattern-parallel form)."""
@@ -598,11 +584,6 @@ class WordPlaneRunner:
             for k in range(self.plan.num_outputs)
         ]
 
-    def output_pair_ints(self, index: int) -> Tuple[int, int]:
-        """One output's ``(ones, zeros)`` packed bigint rails."""
-        block = self.output_view()
-        return int_from_words(block[2 * index]), int_from_words(block[2 * index + 1])
-
     def next_state_view(self) -> "np.ndarray":
         """The ``(2 * num_registers, words)`` next-state plane block after
         :meth:`step` (ones, zeros interleaved, register order)."""
@@ -616,49 +597,23 @@ class WordPlaneRunner:
             for k in range(plan.num_registers)
         ]
 
-    def detect_scan(
-        self, live_words: "np.ndarray", potential_acc: "np.ndarray"
-    ) -> Optional["np.ndarray"]:
-        """Vectorized per-cycle detection prescan.
+    def block_compare(self, blocks: int) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Each output lane against lane 0 of its block, after :meth:`step`.
 
-        On a cycle with no *detecting* live lane anywhere (binary fault-free
-        value, binary-and-opposite faulty value) -- after dropping, the
-        common case -- the live mask cannot change; lanes *unknown* under a
-        binary good value (PROOFS' potentially-detected class) carry no
-        cycle/output attribution in the result model, so they are simply
-        OR-ed into ``potential_acc`` (the caller harvests the word once per
-        group) and the method returns ``None``: the exact scan is skipped
-        entirely.
-
-        On a cycle with detections, the exact bigint scan must replay the
-        per-output order (a lane dropped at an earlier output is no longer
-        live -- hence not potentially detected -- at later ones), so
-        ``potential_acc`` is left untouched and the method returns the
-        indices of every output the ordered scan cannot skip: those with a
-        detecting or unknown live lane under the start-of-cycle live mask.
-        (The live mask only shrinks during a scan, so an output empty under
-        the start-of-cycle mask stays a no-op.)
+        The lanes split into ``blocks`` equal runs of whole words.  Returns
+        two ``(num_outputs, words)`` planes: the lanes binary and opposite
+        to their block's lane 0 (a detection when lane 0 is fault-free),
+        and the lanes X where their block's lane 0 is binary (a potential
+        detection).  Both are empty in a block whose lane 0 is X.
         """
-        block = self.output_view()
-        ones = block[0::2]
-        zeros = block[1::2]
-        good_one = (ones[:, 0] & _ONE64).astype(bool)[:, None]
-        good_zero = (zeros[:, 0] & _ONE64).astype(bool)[:, None]
-        binary = good_one | good_zero
-        # Per output: the plane of lanes binary-opposite to a binary good
-        # value (all-zero when the good value is X).
-        opposite = np.where(good_one, zeros, np.where(good_zero, ones, self._zero_row))
-        detecting = opposite & live_words[None, :]
-        unknown = np.where(
-            binary, ~(ones | zeros) & live_words[None, :], self._zero_row
-        )
-        hits = detecting.any(axis=1)
-        if not hits.any():
-            np.bitwise_or(
-                potential_acc, np.bitwise_or.reduce(unknown, axis=0), out=potential_acc
-            )
-            return None
-        return np.nonzero(hits | unknown.any(axis=1))[0]
+        n = self.plan.num_outputs
+        rails = self.output_view().reshape(2 * n, blocks, self.words // blocks)
+        lane0 = np.multiply(rails[:, :, :1] & _ONE64, _FULL)
+        good_one, good_zero = lane0[0::2], lane0[1::2]
+        ones, zeros = rails[0::2], rails[1::2]
+        opposite = (good_one & zeros) | (good_zero & ones)
+        unknown = (good_one | good_zero) & ~(ones | zeros)
+        return opposite.reshape(n, self.words), unknown.reshape(n, self.words)
 
 
 # -- plan caching ------------------------------------------------------------

@@ -290,7 +290,8 @@ class ArtifactStore:
                     continue
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle, separators=(",", ":"))
+                    # json.dumps, unlike json.dump, runs the C encoder.
+                    handle.write(json.dumps(record, separators=(",", ":")))
                 os.replace(tmp_path, path)
             except BaseException:
                 try:
@@ -431,7 +432,7 @@ class ArtifactStore:
                 )
                 try:
                     with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        json.dump(totals, handle, sort_keys=True)
+                        handle.write(json.dumps(totals, sort_keys=True))
                     os.replace(tmp_path, self._counters_path)
                 except BaseException:
                     try:

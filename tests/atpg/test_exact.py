@@ -478,6 +478,15 @@ class TestPodemOnly:
         assert not result.search_proved
 
 
+#: Each flow's hard-circuit grade of ``P ∪ T``: (detected, faults).
+HARD_DETECTED = {
+    "dk16.ji.sd": (727, 828),
+    "pma.jo.sd": (819, 1004),
+    "s510.jo.sr": (781, 814),
+    "s832.jo.sr": (704, 731),
+}
+
+
 class TestPins:
     @pytest.mark.parametrize(
         "name, digest",
@@ -485,6 +494,9 @@ class TestPins:
             # The enumerating search's test sets, which cube lanes keep.
             ("dk16.ji.sd", "87de853247dc4f8e"),
             ("pma.jo.sd", "90bd9d89d7d3b1b3"),
+            # The cube search's, on the wide-input flow circuits.
+            ("s510.jo.sr", "3a69cb0e85447499"),
+            ("s832.jo.sr", "d8d6e15c49443f1b"),
         ],
     )
     def test_flow_test_sets_unchanged(self, name, digest):
@@ -495,6 +507,8 @@ class TestPins:
         flow = FlowPipeline(store=None).run_spec(spec, FLOW).flow
         assert _digest(flow.atpg_result.test_set, flow.derived_test_set) == digest
         assert flow.atpg_result.fault_efficiency == 100.0
+        graded = flow.hard_fault_sim
+        assert (graded.num_detected, graded.num_faults) == HARD_DETECTED[name]
 
     def test_eighteen_inputs_reach_full_efficiency(self):
         """s820.ji.sr (18 inputs) at the served-job budget: every fault

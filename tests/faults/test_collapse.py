@@ -106,3 +106,67 @@ class TestCollapsingSoundness:
         collapsed = collapse_faults(circuit, some)
         assert collapsed.num_total == 3
         assert set(collapsed.class_of) == set(some)
+
+
+def _components_reference(circuit, faults):
+    """Brute force: connected components of the gate-local pairs among
+    ``faults``, each represented by its smallest member."""
+    from repro.faults.collapse import _gate_local_pairs
+
+    listed = set(faults)
+    neighbours = {fault: set() for fault in listed}
+    for gate in circuit.gate_nodes():
+        for fault_a, fault_b in _gate_local_pairs(circuit, gate.name):
+            if fault_a in listed and fault_b in listed:
+                neighbours[fault_a].add(fault_b)
+                neighbours[fault_b].add(fault_a)
+    class_of = {}
+    for start in sorted(listed):
+        if start in class_of:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            for other in neighbours[frontier.pop()]:
+                if other not in component:
+                    component.add(other)
+                    frontier.append(other)
+        representative = min(component)
+        for fault in component:
+            class_of[fault] = representative
+    return tuple(sorted(set(class_of.values()))), class_of
+
+
+class TestAgainstComponents:
+    """The integer union-find equals the connected components of the
+    gate-local equivalence pairs, whole-universe and restricted."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_circuits(self, seed):
+        circuit = random_circuit(seed + 900, num_inputs=3, num_gates=16, num_dffs=3)
+        universe = full_fault_universe(circuit)
+        rng = random.Random(seed)
+        subset = rng.sample(universe, len(universe) // 2)
+        for faults in (None, subset, subset + subset[:5]):
+            collapsed = collapse_faults(circuit, faults)
+            expected = _components_reference(
+                circuit, universe if faults is None else faults
+            )
+            assert collapsed.representatives == expected[0]
+            assert collapsed.class_of == expected[1]
+
+    def test_table2_circuits(self):
+        from repro.core.experiments import TABLE2_CIRCUITS, build_pair
+
+        for spec in TABLE2_CIRCUITS:
+            pair = build_pair(spec, store=None)
+            for circuit in (pair.original, pair.retimed):
+                collapsed = collapse_faults(circuit)
+                expected = _components_reference(circuit, full_fault_universe(circuit))
+                assert collapsed.representatives == expected[0], circuit.name
+                assert collapsed.class_of == expected[1], circuit.name
+
+    def test_fault_off_the_circuit_rejected(self):
+        circuit = _single_gate_circuit(GateType.AND)
+        ghost = StuckAtFault(LineRef(0, 9), ONE)
+        with pytest.raises(ValueError, match="not on a line"):
+            collapse_faults(circuit, [ghost])

@@ -13,7 +13,7 @@ from repro.faultsim import (
 )
 from repro.logic.three_valued import ONE, ZERO
 
-from tests.helpers import random_circuit, resettable_counter, toggle_counter
+from tests.helpers import HAVE_NUMPY, random_circuit, resettable_counter, toggle_counter
 
 
 def _random_sequences(circuit, seed, count=3, length=8):
@@ -61,15 +61,38 @@ class TestEnginesAgree:
         assert set(dropped.detections) == set(kept.detections)
 
 
+def _engine_runs(circuit, sequences, faults, drop, group_size=None):
+    """``(name, result)`` for the serial oracle and the parallel engine on
+    each word backend (numpy when installed)."""
+    sized = {} if group_size is None else {"group_size": group_size}
+    runs = [
+        ("serial", serial_fault_simulate(circuit, sequences, faults, drop=drop)),
+        (
+            "bigint",
+            parallel_fault_simulate(
+                circuit, sequences, faults, drop=drop, backend="bigint", **sized
+            ),
+        ),
+    ]
+    if HAVE_NUMPY:
+        runs.append(
+            (
+                "numpy",
+                parallel_fault_simulate(
+                    circuit, sequences, faults, drop=drop, backend="numpy", **sized
+                ),
+            )
+        )
+    return runs
+
+
 class TestCrossEngineMatrix:
-    """Property-style cross-check of all three engines.
+    """Property-style cross-check of the engines.
 
-    Serial (scalar reference), interpreted-parallel (``VectorSimulator``)
-    and compiled-parallel (``VectorFastStepper``) must produce identical
-    results on randomized circuits and sequences.
+    The serial scalar oracle and the (sequence x fault) lane engine on
+    both word backends must produce identical detection records and
+    potential sets on randomized circuits and sequences.
     """
-
-    ENGINES = ("serial", "parallel", "parallel-interpreted")
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("drop", [True, False])
@@ -79,41 +102,48 @@ class TestCrossEngineMatrix:
         )
         sequences = _random_sequences(circuit, seed, count=3, length=10)
         faults = full_fault_universe(circuit)
-        results = [
-            fault_simulate(circuit, sequences, faults, engine=engine, drop=drop)
-            for engine in self.ENGINES
-        ]
-        reference = results[0]
-        for engine, result in zip(self.ENGINES[1:], results[1:]):
+        runs = _engine_runs(circuit, sequences, faults, drop)
+        reference = runs[0][1]
+        for engine, result in runs[1:]:
             assert result.detections == reference.detections, (engine, seed)
+            assert result.potential == reference.potential, (engine, seed)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_identical_potential_sets(self, seed):
+        """Potential sets agree with and without dropping, sharded too."""
+        from repro.faultsim.shard import sharded_fault_simulate
+
         circuit = random_circuit(
             seed + 300, num_inputs=2, num_gates=10, num_dffs=3
         )
         sequences = _random_sequences(circuit, seed, count=2, length=8)
         faults = full_fault_universe(circuit)
-        results = [
-            fault_simulate(circuit, sequences, faults, engine=engine, drop=False)
-            for engine in self.ENGINES
-        ]
-        for engine, result in zip(self.ENGINES[1:], results[1:]):
-            assert result.potential == results[0].potential, (engine, seed)
+        for drop in (True, False):
+            runs = _engine_runs(circuit, sequences, faults, drop)
+            runs.append(
+                (
+                    "sharded",
+                    sharded_fault_simulate(
+                        circuit, sequences, faults, workers=2, drop=drop, group_size=8
+                    ),
+                )
+            )
+            reference = runs[0][1]
+            for engine, result in runs[1:]:
+                assert result.potential == reference.potential, (engine, seed, drop)
+                assert result.detections == reference.detections, (engine, seed, drop)
 
     @pytest.mark.parametrize("group_size", [2, 5, 64, 256])
     def test_kernels_agree_across_group_sizes(self, group_size):
+        """Every group size gives the serial oracle's results."""
         circuit = random_circuit(7, num_gates=12, num_dffs=3)
         sequences = _random_sequences(circuit, 7)
         faults = full_fault_universe(circuit)
-        compiled = parallel_fault_simulate(
-            circuit, sequences, faults, group_size=group_size, kernel="compiled"
-        )
-        interpreted = parallel_fault_simulate(
-            circuit, sequences, faults, group_size=group_size, kernel="interpreted"
-        )
-        assert compiled.detections == interpreted.detections
-        assert compiled.potential == interpreted.potential
+        runs = _engine_runs(circuit, sequences, faults, True, group_size=group_size)
+        reference = runs[0][1]
+        for engine, result in runs[1:]:
+            assert result.detections == reference.detections, engine
+            assert result.potential == reference.potential, engine
 
     def test_duplicate_faults_simulated_once(self):
         """A fault listed twice must not disturb detection accounting."""
@@ -124,10 +154,6 @@ class TestCrossEngineMatrix:
         once = parallel_fault_simulate(circuit, sequences, faults)
         twice = parallel_fault_simulate(circuit, sequences, doubled)
         assert once.detections == twice.detections
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            parallel_fault_simulate(toggle_counter(), [], kernel="vectorized")
 
     def test_unknown_line_rejected(self):
         from repro.circuit import LineRef as _LineRef
@@ -226,9 +252,10 @@ class TestPotentialDetection:
         circuit = resettable_counter()
         faults = collapse_faults(circuit).representatives
         sequences = [[(1, 0)] + [(0, 1)] * 5]
-        serial = serial_fault_simulate(circuit, sequences, faults, drop=False)
-        parallel = parallel_fault_simulate(circuit, sequences, faults, drop=False)
-        assert serial.potential == parallel.potential
+        for drop in (True, False):
+            serial = serial_fault_simulate(circuit, sequences, faults, drop=drop)
+            parallel = parallel_fault_simulate(circuit, sequences, faults, drop=drop)
+            assert serial.potential == parallel.potential, drop
 
     def test_summary_mentions_potential(self):
         from tests.helpers import resettable_counter
@@ -236,3 +263,36 @@ class TestPotentialDetection:
         circuit = resettable_counter()
         result = fault_simulate(circuit, [[(1, 0)] + [(0, 1)] * 5])
         assert "potential" in result.summary()
+
+
+class TestPotentialAtTheDetectingCycle:
+    """With dropping, a fault stops at its first detecting output: an X at
+    an earlier output of that cycle is a potential detection, an X at a
+    later one is not.  Without dropping, both count.
+
+    ``a`` stuck-at-0 (on its stem) detects at the buffer output, while
+    ``OR(a, q)`` with ``q`` still X goes X under the good machine's 1.
+    """
+
+    @staticmethod
+    def _case(detect_first: bool):
+        builder = CircuitBuilder("detect_first" if detect_first else "x_first")
+        builder.input("a")
+        builder.buf("b", "a")
+        builder.or_("g", "a", "q")
+        builder.dff("q", "a")
+        builder.output("o1", "b" if detect_first else "g")
+        builder.output("o2", "g" if detect_first else "b")
+        circuit = builder.build()
+        fault = StuckAtFault(LineRef(circuit.out_edges("a")[0].index, 1), ZERO)
+        return circuit, fault
+
+    @pytest.mark.parametrize("detect_first", [True, False])
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_rule(self, detect_first, drop):
+        circuit, fault = self._case(detect_first)
+        expected_output = "o1" if detect_first else "o2"
+        potential = not (drop and detect_first)
+        for engine, result in _engine_runs(circuit, [[(1,)]], [fault], drop):
+            assert result.detections[fault].output_name == expected_output, engine
+            assert (fault in result.potential) == potential, engine

@@ -143,27 +143,87 @@ class TestVectorKernelParity:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_set_group_forms_agree(self, seed):
-        """Per-lane fault descriptors build the same masks as bigint rails."""
+        """The lane-addressed fault loader builds the same masks as the
+        equivalent bigint rails, for faults on scattered lanes of several
+        words (several per slot, blank lanes in between)."""
         from repro.faults.collapse import collapse_faults
 
-        width = 64
+        rng = random.Random(seed)
+        width = 192
         circuit = random_circuit(seed + 360, num_inputs=3, num_gates=20, num_dffs=3)
         stepper = vector_fast_stepper(circuit)
-        faults = collapse_faults(circuit).representatives[: width - 1]
+        faults = collapse_faults(circuit).representatives
+        lanes = sorted(rng.sample(range(width), 90))
         sa1, sa0 = stepper.blank_injection_masks()
         slots, values = [], []
-        for lane, fault in enumerate(faults, start=1):
+        for lane in lanes:
+            fault = rng.choice(faults)
             slot = stepper.line_slot[fault.line]
             slots.append(slot)
             values.append(fault.value)
             (sa1 if fault.value else sa0)[slot] |= 1 << lane
         via_ints = stepper.word_runner(width)
         via_ints.set_group(sa1, sa0)
-        via_faults = stepper.word_runner(width)
-        via_faults.set_group_faults(slots, values)
-        assert (via_ints._table == via_faults._table).all()
-        assert (via_ints._orm == via_faults._orm).all()
-        assert (via_ints._andm == via_faults._andm).all()
+        via_lanes = stepper.word_runner(width)
+        via_lanes.set_lane_faults(lanes, slots, values)
+        assert (via_ints._table == via_lanes._table).all()
+        assert (via_ints._orm == via_lanes._orm).all()
+        assert (via_ints._andm == via_lanes._andm).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_read_own_inputs_and_reference(self, seed):
+        """Per-block inputs drive the step exactly like the equivalent
+        bigint rails, and each lane is compared with its own block's lane 0."""
+        import numpy as np
+
+        from repro.simulation.wordplane import int_from_words
+
+        rng = random.Random(seed)
+        circuit = random_circuit(seed + 370, num_inputs=3, num_gates=20, num_dffs=3)
+        stepper = vector_fast_stepper(circuit)
+        blocks, block_lanes = 3, 128
+        width = blocks * block_lanes
+        mask = (1 << width) - 1
+        starts = sum(1 << (block * block_lanes) for block in range(blocks))
+        fill = (1 << block_lanes) - 1
+        sa1, sa0 = _random_injection(rng, stepper, width)
+        sa1 = [lanes & ~starts for lanes in sa1]  # lane 0 of each block
+        sa0 = [lanes & ~starts for lanes in sa0]  # stays fault-free
+        state = _random_rails(rng, stepper.compiled.num_registers, width)
+        trits = [
+            [rng.choice((0, 1, 2)) for _ in range(blocks)]
+            for _ in range(stepper.compiled.num_inputs)
+        ]
+        vector = [
+            tuple(
+                sum(fill << (b * block_lanes) for b, v in enumerate(row) if v == trit)
+                for trit in (1, 0)
+            )
+            for row in trits
+        ]
+        outputs, _next_state = stepper.step_inject(state, vector, mask, sa1, sa0)
+
+        runner = stepper.word_runner(width)
+        runner.set_group(sa1, sa0)
+        runner.load_state_ints(state)
+        ones, zeros = (
+            np.array(
+                [[0xFFFFFFFFFFFFFFFF * (v == trit) for v in row] for row in trits],
+                dtype=np.uint64,
+            )
+            for trit in (1, 0)
+        )
+        runner.load_input_blocks(ones, zeros)
+        runner.step()
+        assert tuple(runner.output_ints()) == outputs
+        opposite, unknown = runner.block_compare(blocks)
+        for k, (ones_k, zeros_k) in enumerate(outputs):
+            good_one = (ones_k & starts) * fill
+            good_zero = (zeros_k & starts) * fill
+            expected = (good_one & zeros_k) | (good_zero & ones_k)
+            assert int_from_words(opposite[k]) == expected
+            binary = good_one | good_zero
+            assert int_from_words(unknown[k]) == binary & ~(ones_k | zeros_k) & mask
 
 
 @requires_numpy
@@ -212,7 +272,7 @@ class TestEngineBackendParity:
         assert candidate.potential == reference.potential
 
     def test_fault_simulation_with_narrowing_groups(self):
-        """Groups of several word counts, narrowing as faults drop, share
+        """Passes of several word counts, narrowing as faults drop, share
         the word-plane runners and still match bigint exactly."""
         from repro.core.experiments import TABLE2_CIRCUITS, build_pair
         from repro.faults.collapse import collapse_faults

@@ -52,6 +52,28 @@ class TestRoundTrip:
         store.put("testset", key, {"v": 2})
         assert store.get("testset", key) == {"v": 2}
 
+    def test_record_bytes_are_compact_json(self, store):
+        """A record on disk is exactly ``json.dumps`` of itself (compact
+        separators, no trailing newline) and reads back unchanged."""
+        key = store.key("bytes")
+        payload = {"name": "d\u00e9mo", "nested": {"b": [1, 2.5, None, True]}, "a": "x"}
+        store.put("testset", key, payload)
+        with open(store.path_for("testset", key), "rb") as handle:
+            raw = handle.read()
+        record = json.loads(raw.decode("utf-8"))
+        assert raw == json.dumps(record, separators=(",", ":")).encode("utf-8")
+        assert record["payload"] == payload
+        assert store.get("testset", key) == payload
+
+    def test_counters_file_is_sorted_json(self, store):
+        store.get("testset", store.key("nothing"))
+        store.flush_counters()
+        with open(os.path.join(store.root, "counters.json"), "rb") as handle:
+            raw = handle.read()
+        totals = json.loads(raw.decode("utf-8"))
+        assert raw == json.dumps(totals, sort_keys=True).encode("utf-8")
+        assert totals["misses"] == 1
+
 
 class TestCorruptionRecovery:
     def _put_one(self, store):
