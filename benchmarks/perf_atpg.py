@@ -1,34 +1,30 @@
-"""ATPG orchestration and kernel performance harness.
+"""ATPG orchestration performance harness.
 
-Times the deterministic PODEM phase of :func:`repro.atpg.run_atpg` three
+Times the deterministic PODEM phase of :func:`repro.atpg.run_atpg` two
 ways on the paper's Table II circuit pairs:
 
-* serial engine, **scalar** kernel (the tuple-of-Trit baseline);
-* serial engine, **dual** kernel (the bit-packed dual-machine kernel);
-* multiprocess engine (``engine="process"``), dual kernel;
+* serial engine (``engine="serial"``);
+* multiprocess engine (``engine="process"``);
 
-cross-checks that every run produces **identical** fault coverage, fault
+cross-checks that both runs produce **identical** fault coverage, fault
 efficiency, detected/aborted partitions and bit-identical test-set vectors,
-and writes the results to ``BENCH_atpg.json``.  ``kernel_speedup`` is the
-scalar/dual deterministic-phase ratio; the kernel's effort counters
-(simulation calls, frames simulated, lanes evaluated) and the derived
-``dual_frames_per_sec`` throughput feed the CI perf guard
+and writes the results to ``BENCH_atpg.json``.  The PODEM kernel's effort
+counters (simulation calls, frames simulated, lanes evaluated) and the
+derived ``dual_frames_per_sec`` throughput feed the CI perf guard
 (``benchmarks/perf_guard.py``).  Each row also records which engine the
 adaptive selector (:func:`repro.atpg.engine.choose_engine`) would pick on
 this host, and why.
 
-On top of the unguided runs, each row measures the **guidance layer**
-(:mod:`repro.atpg.guidance`): a SCOAP-guided serial run, a SCOAP-guided
-process run (asserted bit-identical to the guided serial run -- the
-policy is deterministic, so the pool must not change the answer), and a
-learned-mode run whose predictor is self-trained from the unguided run's
-own per-fault effort rows.  The guided comparison metric is the
-**machine-independent deterministic-phase effort** -- backtracks plus
-frames simulated, summed over the per-fault effort rows -- and the
-summary records its geomean guided/unguided ratio per mode
-(``geomean_effort_ratio_scoap`` / ``_learned``), which the perf guard
-re-derives and bounds on every CI leg, numpy or not.  Guided runs must
-also never detect fewer faults than the unguided run on any row
+On top of the unguided runs, each row measures **SCOAP guidance**
+(:mod:`repro.atpg.guidance`): a guided serial run and a guided process
+run (asserted bit-identical to the guided serial run -- the policy is
+deterministic, so the pool must not change the answer).  The guided
+comparison metric is the **machine-independent deterministic-phase
+effort** -- backtracks plus frames simulated, summed over the per-fault
+effort rows -- and the summary records its geomean guided/unguided ratio
+(``geomean_effort_ratio_scoap``), which the perf guard re-derives and
+bounds on every CI leg, numpy or not.  Guided runs must also never detect
+fewer faults than the unguided run on any row
 (``guided_coverage_not_worse``).
 
 Run from the repository root::
@@ -58,7 +54,7 @@ import statistics
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.atpg import AtpgBudget, policy_from_effort_rows, run_atpg
+from repro.atpg import AtpgBudget, run_atpg
 from repro.atpg.engine import choose_engine
 from repro.core.experiments import TABLE2_CIRCUITS, build_pair
 from repro.faults.collapse import collapse_faults
@@ -108,46 +104,29 @@ def bench_circuit(
     workers: int,
     max_faults: int,
 ) -> Dict[str, object]:
-    """One benchmark row: scalar vs dual kernel, serial vs process pool."""
+    """One benchmark row: serial vs process pool, unguided and guided."""
     faults = collapse_faults(circuit).representatives
     if max_faults and len(faults) > max_faults:
         faults = faults[:max_faults]
-    scalar = run_atpg(
-        circuit, faults=faults, budget=budget, engine="serial", kernel="scalar"
-    )
-    serial = run_atpg(
-        circuit, faults=faults, budget=budget, engine="serial", kernel="dual"
-    )
+    serial = run_atpg(circuit, faults=faults, budget=budget, engine="serial")
     pooled = run_atpg(
         circuit, faults=faults, budget=budget, engine="process", workers=workers
     )
-    runs = (scalar, serial, pooled)
-    agree = all(
-        other.detected == serial.detected
-        and other.aborted == serial.aborted
-        and other.untestable == serial.untestable
-        and other.fault_coverage == serial.fault_coverage
-        and other.fault_efficiency == serial.fault_efficiency
-        for other in runs
+    agree = (
+        pooled.detected == serial.detected
+        and pooled.aborted == serial.aborted
+        and pooled.untestable == serial.untestable
+        and pooled.fault_coverage == serial.fault_coverage
+        and pooled.fault_efficiency == serial.fault_efficiency
     )
-    sequences_identical = all(
-        other.test_set.as_lists() == serial.test_set.as_lists()
-        for other in runs
-    )
-    det_scalar = max(scalar.deterministic_seconds, 1e-9)
+    sequences_identical = pooled.test_set.as_lists() == serial.test_set.as_lists()
     det_serial = max(serial.deterministic_seconds, 1e-9)
     det_pooled = max(pooled.deterministic_seconds, 1e-9)
     engine_selected, engine_reason = choose_engine(len(faults), workers)
 
-    # Guided series: SCOAP serial, SCOAP pooled (parity check), learned
-    # self-trained from the unguided run's own effort telemetry.
+    # Guided series: SCOAP serial, SCOAP pooled (parity check).
     scoap_serial = run_atpg(
-        circuit,
-        faults=faults,
-        budget=budget,
-        engine="serial",
-        kernel="dual",
-        guidance="scoap",
+        circuit, faults=faults, budget=budget, engine="serial", guidance="scoap"
     )
     scoap_pooled = run_atpg(
         circuit,
@@ -157,14 +136,6 @@ def bench_circuit(
         workers=workers,
         guidance="scoap",
     )
-    learned = run_atpg(
-        circuit,
-        faults=faults,
-        budget=budget,
-        engine="serial",
-        kernel="dual",
-        guidance=policy_from_effort_rows(circuit, serial.fault_rows),
-    )
     guided_parity = (
         scoap_serial.detected == scoap_pooled.detected
         and scoap_serial.aborted == scoap_pooled.aborted
@@ -172,11 +143,7 @@ def bench_circuit(
     )
     effort_off = max(det_effort(serial), 1)
     effort_scoap = det_effort(scoap_serial)
-    effort_learned = det_effort(learned)
-    guided_coverage_ok = (
-        len(scoap_serial.detected) >= len(serial.detected)
-        and len(learned.detected) >= len(serial.detected)
-    )
+    guided_coverage_ok = len(scoap_serial.detected) >= len(serial.detected)
     return {
         "circuit": name,
         "num_gates": circuit.num_gates(),
@@ -187,10 +154,8 @@ def bench_circuit(
         "aborted": len(serial.aborted),
         "backtracks": serial.backtracks,
         "random_s": round(serial.random_seconds, 4),
-        "det_scalar_s": round(det_scalar, 4),
         "det_serial_s": round(det_serial, 4),
         "det_process_s": round(det_pooled, 4),
-        "kernel_speedup": round(det_scalar / det_serial, 2),
         "det_speedup": round(det_serial / det_pooled, 2),
         "total_serial_s": round(serial.cpu_seconds, 4),
         "total_process_s": round(pooled.cpu_seconds, 4),
@@ -204,11 +169,8 @@ def bench_circuit(
         "sequences_identical": sequences_identical,
         "det_effort_off": effort_off,
         "det_effort_scoap": effort_scoap,
-        "det_effort_learned": effort_learned,
         "effort_ratio_scoap": round(effort_scoap / effort_off, 3),
-        "effort_ratio_learned": round(effort_learned / effort_off, 3),
         "fault_coverage_scoap": round(scoap_serial.fault_coverage, 2),
-        "fault_coverage_learned": round(learned.fault_coverage, 2),
         "objective_choices_scoap": scoap_serial.objective_choices,
         "guided_parity": guided_parity,
         "guided_coverage_ok": guided_coverage_ok,
@@ -232,8 +194,7 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
             row = bench_circuit(name, circuit, budget, args.workers, args.max_faults)
             rows.append(row)
             print(
-                f"    det scalar {row['det_scalar_s']}s, "
-                f"dual {row['det_serial_s']}s ({row['kernel_speedup']}x), "
+                f"    det serial {row['det_serial_s']}s, "
                 f"process[{args.workers}] {row['det_process_s']}s "
                 f"({row['det_speedup']}x), agree={row['engines_agree']}",
                 flush=True,
@@ -242,19 +203,12 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
                 f"    guided effort {row['det_effort_off']} -> "
                 f"scoap {row['det_effort_scoap']} "
                 f"({row['effort_ratio_scoap']}), "
-                f"learned {row['det_effort_learned']} "
-                f"({row['effort_ratio_learned']}), "
                 f"parity={row['guided_parity']}",
                 flush=True,
             )
     speedups = [row["det_speedup"] for row in rows]
-    kernel_speedups = [row["kernel_speedup"] for row in rows]
-    geomean_kernel = statistics.geometric_mean(kernel_speedups)
     geomean_scoap = statistics.geometric_mean(
         [row["effort_ratio_scoap"] for row in rows]
-    )
-    geomean_learned = statistics.geometric_mean(
-        [row["effort_ratio_learned"] for row in rows]
     )
     report = {
         "meta": {
@@ -278,15 +232,11 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
             "min_det_speedup": min(speedups),
             "median_det_speedup": round(statistics.median(speedups), 2),
             "max_det_speedup": max(speedups),
-            "min_kernel_speedup": min(kernel_speedups),
-            "geomean_kernel_speedup": round(geomean_kernel, 2),
-            "max_kernel_speedup": max(kernel_speedups),
             "all_engines_agree": all(row["engines_agree"] for row in rows),
             "all_sequences_identical": all(
                 row["sequences_identical"] for row in rows
             ),
             "geomean_effort_ratio_scoap": round(geomean_scoap, 3),
-            "geomean_effort_ratio_learned": round(geomean_learned, 3),
             "all_guided_parity": all(row["guided_parity"] for row in rows),
             "guided_coverage_not_worse": all(
                 row["guided_coverage_ok"] for row in rows
@@ -363,12 +313,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handle.write("\n")
     summary = report["summary"]
     print(
-        f"kernel speedup scalar -> dual (serial det phase): "
-        f"min {summary['min_kernel_speedup']}x / "
-        f"geomean {summary['geomean_kernel_speedup']}x / "
-        f"max {summary['max_kernel_speedup']}x"
-    )
-    print(
         f"deterministic-phase speedup serial -> process[{args.workers}]: "
         f"min {summary['min_det_speedup']}x / "
         f"median {summary['median_det_speedup']}x / "
@@ -376,9 +320,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(f"engines agree: {summary['all_engines_agree']}")
     print(
-        f"guided effort ratio (guided/unguided, lower is better): "
-        f"scoap {summary['geomean_effort_ratio_scoap']} / "
-        f"learned {summary['geomean_effort_ratio_learned']}"
+        f"guided effort ratio (scoap/unguided, lower is better): "
+        f"{summary['geomean_effort_ratio_scoap']}"
     )
     print(
         f"guided parity: {summary['all_guided_parity']}, "

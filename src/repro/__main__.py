@@ -47,19 +47,19 @@ journal each run under its ``journals/`` directory.  Flags:
   circuit, fault list and budget (e.g. after a kill) instead of restarting
   the deterministic phase from scratch;
 * ``--workers N`` — run the deterministic ATPG phase on N worker processes;
-* ``--kernel dual|scalar`` — select the PODEM resimulation kernel (the
-  bit-packed dual-machine kernel is the default; both produce bit-identical
-  test sets, so this is a speed knob, not a behaviour knob);
 * ``--backend auto|bigint|numpy`` — select the word implementation of the
   bit-parallel kernels (``auto``, the default, runs fault simulation's
   (sequence x fault) lanes on numpy when installed and on bigints
-  otherwise; all backends are bit-identical, so this too is purely a
-  speed knob);
-* ``--guidance off|scoap|learned|auto`` — SCOAP testability ranking and
-  the trained meta-predictor for ATPG fault ordering, pool partitioning
-  and backtrace objectives (``off``, the default, is bit-identical to
-  the unguided engine; guided modes may emit a *different but equally
-  valid* test set faster — see :mod:`repro.atpg.guidance`).
+  otherwise; all backends are bit-identical, so this is purely a speed
+  knob);
+* ``--guidance off|scoap`` — SCOAP testability ranking for ATPG fault
+  ordering, pool partitioning and backtrace objectives (``off``, the
+  default, is bit-identical to the unguided engine; ``scoap`` may emit a
+  *different but equally valid* test set faster — see
+  :mod:`repro.atpg.guidance`).
+
+An unknown ``--flag`` or an invalid option value is a usage error (exit
+status 2).
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ def _pop_flags(rest):
         "store": True,
         "resume": False,
         "workers": None,
-        "kernel": "dual",
         "backend": "auto",
         "guidance": "off",
         "engine": None,
@@ -129,11 +128,6 @@ def _pop_flags(rest):
             if index >= len(rest):
                 raise ValueError("--workers needs a count")
             options["workers"] = int(rest[index])
-        elif argument == "--kernel":
-            index += 1
-            if index >= len(rest):
-                raise ValueError("--kernel needs a name (dual or scalar)")
-            options["kernel"] = rest[index]
         elif argument == "--backend":
             index += 1
             if index >= len(rest):
@@ -141,15 +135,8 @@ def _pop_flags(rest):
             options["backend"] = rest[index]
         elif argument == "--guidance":
             index += 1
-            if index >= len(rest) or rest[index] not in (
-                "off",
-                "scoap",
-                "learned",
-                "auto",
-            ):
-                raise ValueError(
-                    "--guidance needs a mode (off, scoap, learned or auto)"
-                )
+            if index >= len(rest) or rest[index] not in ("off", "scoap"):
+                raise ValueError("--guidance needs a mode (off or scoap)")
             options["guidance"] = rest[index]
         elif argument == "--engine":
             index += 1
@@ -177,6 +164,8 @@ def _pop_flags(rest):
             if index >= len(rest):
                 raise ValueError("--max-length needs a count")
             options["max_length"] = int(rest[index])
+        elif argument.startswith("--"):
+            raise ValueError(f"unknown option {argument!r}")
         else:
             positional.append(argument)
         index += 1
@@ -489,8 +478,7 @@ def main(argv=None) -> int:
         return _serve_command(rest)
 
     if command == "equiv" and ("--help" in rest or "-h" in rest):
-        # _pop_flags treats unknown arguments as positionals, so catch the
-        # help request before flag parsing swallows it.
+        # Caught before flag parsing, which rejects unknown flags.
         print(_equiv_usage())
         return 0
 
@@ -527,19 +515,26 @@ def main(argv=None) -> int:
 
         from repro.pipeline import FlowPipeline
 
-        if command == "atpg":
-            store, journal = _open_run(options, f"atpg-{spec.name}")
-            pair = build_pair(spec, store=store)
+        store, journal = _open_run(options, f"{command}-{spec.name}")
+        try:
             pipeline = FlowPipeline(
                 store=store,
                 journal=journal,
                 workers=options["workers"],
-                kernel=options["kernel"],
                 backend=options["backend"],
                 guidance=options["guidance"],
                 resume=options["resume"],
+                verify=options["verify"],
+                stg_engine=options["stg_engine"] or "auto",
             )
+        except (ValueError, RuntimeError) as error:
+            if journal is not None:
+                journal.close(ok=False)
+            print(str(error), file=sys.stderr)
+            return 2
+        if command == "atpg":
             try:
+                pair = build_pair(spec, store=store)
                 faults = pipeline.stage_collapse(pair.original)
                 result = pipeline.stage_atpg(
                     pair.original, faults, _budget(rest, 3)
@@ -558,18 +553,6 @@ def main(argv=None) -> int:
             sys.stdout.write(result.test_set.to_text())
             return 0
         if command == "flow":
-            store, journal = _open_run(options, f"flow-{spec.name}")
-            pipeline = FlowPipeline(
-                store=store,
-                journal=journal,
-                workers=options["workers"],
-                kernel=options["kernel"],
-                backend=options["backend"],
-                guidance=options["guidance"],
-                resume=options["resume"],
-                verify=options["verify"],
-                stg_engine=options["stg_engine"] or "auto",
-            )
             try:
                 result = pipeline.run_spec(spec, budget=_budget(rest, 3))
             finally:

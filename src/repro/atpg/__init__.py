@@ -9,11 +9,11 @@ for every fault still open.  PODEM runs in-process
 (``engine="process"``), with identical results for a given seed whenever
 the wall-clock budget is not binding.
 
-The ``guidance`` knob (``"off"``/``"scoap"``/``"learned"``/``"auto"``,
-see :mod:`repro.atpg.guidance`) layers SCOAP testability ranking and an
-optional trained meta-predictor over the deterministic phase: fault
-ordering, pool partitioning and backtrace objective selection become
-cost-aware while ``"off"`` stays bit-identical to the unguided engine.
+The ``guidance`` knob (``"off"``/``"scoap"``, see
+:mod:`repro.atpg.guidance`) layers SCOAP testability ranking over the
+deterministic phase: fault ordering, pool partitioning and backtrace
+objective selection become cost-aware while ``"off"`` stays bit-identical
+to the unguided engine.
 """
 
 from repro.atpg.budget import AtpgBudget, EffortMeter, FaultEffort
@@ -26,15 +26,12 @@ from repro.atpg.engine import (
 from repro.atpg.guidance import (
     GUIDANCE_MODES,
     GuidancePolicy,
-    MetaPredictor,
     ScoapMeasures,
     compute_scoap,
     make_policy,
-    policy_from_effort_rows,
     scoap_measures,
-    train_predictor,
 )
-from repro.atpg.parallel import FaultOutcome, default_workers, podem_partitioned
+from repro.atpg.parallel import FaultOutcome, default_workers, iter_podem_partitioned
 from repro.atpg.podem import PodemEngine, PodemResult
 
 __all__ = [
@@ -46,17 +43,14 @@ __all__ = [
     "ATPG_ENGINES",
     "GUIDANCE_MODES",
     "GuidancePolicy",
-    "MetaPredictor",
     "ScoapMeasures",
     "compute_scoap",
     "make_policy",
-    "policy_from_effort_rows",
     "scoap_measures",
-    "train_predictor",
     "structurally_untestable",
     "PodemEngine",
     "PodemResult",
     "FaultOutcome",
-    "podem_partitioned",
+    "iter_podem_partitioned",
     "default_workers",
 ]

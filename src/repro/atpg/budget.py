@@ -62,7 +62,7 @@ class AtpgBudget:
 
 @dataclass
 class FaultEffort:
-    """Per-fault effort record: one row of the guidance training dataset.
+    """Per-fault effort record: one row of a run's telemetry.
 
     ``fault_key`` is ``(edge_index, segment, stuck_value)`` -- the stable
     identity every ranking sort ties on.  ``status`` is ``"det"``
@@ -71,12 +71,11 @@ class FaultEffort:
     (never targeted: the shared wall clock expired first).  Counters are
     the deltas of the owning :class:`EffortMeter` over the attempt, so a
     budget-aborted fault still flushes its *partial* effort instead of
-    being dropped -- partial rows are exactly the hard-fault examples the
-    meta-predictor needs.
+    being dropped.
 
     A fault the exact search (:mod:`repro.atpg.exact`) decided has status
     ``"det"`` or ``"proved"`` and its effort in ``lane_steps`` alone; it
-    never ran PODEM, so it is no training example.
+    never ran PODEM.
     """
 
     fault_key: Tuple[int, int, int]

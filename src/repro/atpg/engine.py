@@ -48,7 +48,7 @@ from repro.atpg.parallel import (
     default_workers,
     iter_podem_partitioned,
 )
-from repro.atpg.podem import PODEM_KERNELS, PodemEngine
+from repro.atpg.podem import PodemEngine
 from repro.circuit.netlist import Circuit, LineRef
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
@@ -116,7 +116,6 @@ class AtpgResult:
     deterministic_seconds: float = 0.0
     engine: str = "serial"
     workers: int = 1
-    kernel: str = "dual"
     engine_reason: str = ""
     simulations: int = 0
     frames_simulated: int = 0
@@ -126,8 +125,8 @@ class AtpgResult:
     # The subset of ``untestable`` proved by an exhausted exact search;
     # the rest are structural.
     search_proved: Set[StuckAtFault] = field(default_factory=set)
-    # Per-fault effort rows (the guidance training dataset), in queue
-    # order.  Transient telemetry: not part of the persisted artifact.
+    # Per-fault effort rows, in queue order.  Transient run telemetry:
+    # not part of the persisted artifact.
     fault_rows: List[FaultEffort] = field(default_factory=list)
 
     @property
@@ -370,7 +369,6 @@ def run_atpg(
     *,
     workers: Optional[int] = None,
     engine: Optional[str] = None,
-    kernel: str = "dual",
     backend: str = "auto",
     guidance="off",
     checkpoint=None,
@@ -381,8 +379,7 @@ def run_atpg(
     After the random phase, the exact pair search (:mod:`repro.atpg.exact`)
     decides each remaining fault, up to ``budget.exact_lane_steps``
     lane-steps per fault; only faults over that cap are left to PODEM.
-    The search is deterministic and engine-, kernel- and
-    backend-independent.
+    The search is deterministic and engine- and backend-independent.
 
     ``engine`` selects how PODEM runs: ``"serial"``
     (default) targets faults one at a time in-process; ``"process"``
@@ -394,10 +391,6 @@ def run_atpg(
     pool).  Both engines yield the same partition and test set for a
     given seed whenever the wall-clock budget is not the binding limit.
 
-    ``kernel`` selects PODEM's resimulation kernel (``"dual"`` or
-    ``"scalar"``, see :class:`~repro.atpg.podem.PodemEngine`); the two
-    produce bit-identical results at different speeds.
-
     ``backend`` selects the word implementation for the bit-parallel
     kernels (``"bigint"``, ``"numpy"``, or ``"auto"``, see
     :mod:`repro.simulation.backends`).  All backends produce bit-identical
@@ -407,11 +400,7 @@ def run_atpg(
     :mod:`repro.atpg.guidance`): ``"off"`` (default) keeps every choice
     bit-identical to the unguided engine; ``"scoap"`` orders faults
     hardest-first, ranks PODEM objectives, and prunes provably-infeasible
-    time frames from SCOAP testability measures; ``"learned"``
-    additionally scores faults and objectives
-    with a trained meta-predictor (falling back to ``"scoap"`` when no
-    predictor is at hand); ``"auto"`` picks ``learned`` when a predictor
-    is available.  A prebuilt
+    time frames from SCOAP testability measures.  A prebuilt
     :class:`~repro.atpg.guidance.GuidancePolicy` is accepted directly.
     Guided runs are deterministic (every ranking ties on the fault key)
     but ordered differently from unguided runs, so their test sets are
@@ -432,10 +421,6 @@ def run_atpg(
     """
     if budget is None:
         budget = AtpgBudget()
-    if kernel not in PODEM_KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r} (expected one of {PODEM_KERNELS})"
-        )
     # Fail fast on an unknown/unavailable backend, before any phase runs.
     resolve_backend(backend)
     if engine is None:
@@ -449,7 +434,7 @@ def run_atpg(
         policy: Optional[GuidancePolicy] = guidance
     else:
         policy = make_policy(circuit, guidance)  # validates the mode string
-    guidance_mode = policy.mode if policy is not None else "off"
+    guidance_mode = "scoap" if policy is not None else "off"
     if engine == "process":
         workers = workers if workers is not None else default_workers()
         if workers < 1:
@@ -628,8 +613,6 @@ def run_atpg(
             max_frames,
             workers,
             meter.remaining(),
-            kernel,
-            backend,
             guidance=policy,
             costs=(
                 [queue_costs[f] for f in pending]
@@ -666,7 +649,7 @@ def run_atpg(
             absorb(fault, outcome)
     else:
         # Built for the first PODEM target only: construction compiles the
-        # scalar and dual steppers, which a fully searched run never calls.
+        # dual stepper, which a fully searched run never calls.
         podem = None
         for fault in targets:
             if fault in detected:
@@ -683,16 +666,14 @@ def run_atpg(
                 continue
             if meter.out_of_time():
                 # The shared clock expired before this fault was targeted;
-                # it still flushes a (zero-effort) row so the dataset
+                # it still flushes a (zero-effort) row so the telemetry
                 # accounts for every queued fault.
                 meter.skip_fault(fault)
                 fault_rows.append(meter.fault_rows[-1])
                 abort_reason[fault] = "budget"
                 continue
             if podem is None:
-                podem = PodemEngine(
-                    circuit, kernel=kernel, backend=backend, guidance=policy
-                )
+                podem = PodemEngine(circuit, guidance=policy)
             result = podem.generate(
                 fault,
                 meter,
@@ -736,7 +717,6 @@ def run_atpg(
         deterministic_seconds=deterministic_seconds,
         engine=engine,
         workers=workers,
-        kernel=kernel,
         engine_reason=engine_reason,
         simulations=meter.simulations,
         frames_simulated=meter.frames_simulated,

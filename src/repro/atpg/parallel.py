@@ -97,14 +97,10 @@ def _worker_init(
     circuit: Circuit,
     budget: AtpgBudget,
     pool_seconds: float,
-    kernel: str = "dual",
-    backend: str = "auto",
     guidance=None,
 ) -> None:
     warm_compile_cache(circuit)
-    _WORKER_STATE["engine"] = PodemEngine(
-        circuit, kernel=kernel, backend=backend, guidance=guidance
-    )
+    _WORKER_STATE["engine"] = PodemEngine(circuit, guidance=guidance)
     _WORKER_STATE["budget"] = budget
     # The parent's remaining wall-clock allowance, anchored to this
     # process's own monotonic clock the moment the worker starts.
@@ -135,7 +131,7 @@ def _worker_chunk(
         )
         # generate() flushed exactly one effort row for this attempt; its
         # timing/objective deltas ride home on the outcome so the parent
-        # can rebuild the per-fault training rows without a second channel.
+        # can rebuild the per-fault effort rows without a second channel.
         row = meter.fault_rows[-1]
         outcomes.append(
             FaultOutcome(
@@ -160,7 +156,7 @@ def _partition_indices(
 
     Without costs: contiguous slices (the seed behavior, preserved
     verbatim for the unguided path).  With costs: longest-processing-time
-    bin packing -- faults are assigned in descending predicted-cost order
+    bin packing -- faults are assigned in descending estimated-cost order
     to the least-loaded chunk, so one run of hard faults spreads across
     the pool instead of serializing it behind one worker.  All ties break
     on index, making the partition a pure function of the inputs.
@@ -192,8 +188,6 @@ def iter_podem_partitioned(
     max_frames: int,
     workers: int,
     pool_seconds: float,
-    kernel: str = "dual",
-    backend: str = "auto",
     guidance=None,
     costs: Optional[Sequence[float]] = None,
 ) -> Iterator[Tuple[StuckAtFault, FaultOutcome]]:
@@ -210,9 +204,9 @@ def iter_podem_partitioned(
     whole pool (the parent meter's remaining budget).
 
     ``guidance`` (a :class:`~repro.atpg.guidance.GuidancePolicy`) ships to
-    every worker's engine; ``costs`` (per-fault predicted effort, aligned
+    every worker's engine; ``costs`` (per-fault estimated effort, aligned
     with ``faults``) switches the partition from contiguous index chunks
-    to predicted-cost load balancing -- the yield order is unaffected.
+    to cost-balanced bin packing -- the yield order is unaffected.
     """
     if not faults:
         return
@@ -232,7 +226,7 @@ def iter_podem_partitioned(
         max_workers=min(workers, len(chunks)),
         mp_context=context,
         initializer=_worker_init,
-        initargs=(circuit, budget, pool_seconds, kernel, backend, guidance),
+        initargs=(circuit, budget, pool_seconds, guidance),
     ) as pool:
         futures = [
             pool.submit(_worker_chunk, (chunk, max_frames)) for chunk in chunks
@@ -245,46 +239,9 @@ def iter_podem_partitioned(
             yield faults[index], results[chunk_id][position]
 
 
-def podem_partitioned(
-    circuit: Circuit,
-    faults: Sequence[StuckAtFault],
-    budget: AtpgBudget,
-    max_frames: int,
-    workers: int,
-    pool_seconds: float,
-    kernel: str = "dual",
-    backend: str = "auto",
-    guidance=None,
-    costs: Optional[Sequence[float]] = None,
-) -> List[FaultOutcome]:
-    """PODEM every fault on a ``workers``-wide process pool.
-
-    Returns one :class:`FaultOutcome` per fault, **in input order**
-    regardless of completion order -- the caller's queue-order replay
-    depends on it.  ``pool_seconds`` is the shared wall-clock allowance for
-    the whole pool (the parent meter's remaining budget).
-    """
-    return [
-        outcome
-        for _fault, outcome in iter_podem_partitioned(
-            circuit,
-            faults,
-            budget,
-            max_frames,
-            workers,
-            pool_seconds,
-            kernel,
-            backend,
-            guidance=guidance,
-            costs=costs,
-        )
-    ]
-
-
 __all__ = [
     "FaultOutcome",
     "iter_podem_partitioned",
-    "podem_partitioned",
     "default_workers",
     "CHUNKS_PER_WORKER",
 ]

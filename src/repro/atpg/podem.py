@@ -23,34 +23,23 @@ then *propagate* by picking a D-frontier gate -- a gate with a provable
 good/faulty difference on an input and an undetermined output -- and
 setting one of its unknown inputs to the gate's non-controlling value.
 
-Two interchangeable **resimulation kernels** back the search, selected by
-the engine's ``kernel`` knob and guaranteed to produce bit-identical
-:class:`PodemResult`\\ s:
+The search resimulates on the
+:class:`~repro.simulation.dual_codegen.DualFastStepper` kernel: one
+compiled pass per frame steps *both* machines over two-plane (value/care)
+bitmasks and returns the detection / difference / prune verdicts as lane
+masks, so the per-decision checks are O(frames recomputed) boolean merges
+instead of O(frames x slots) Python scans.  On top of the packed pass the
+engine adds
 
-``scalar``
-    The baseline: per-fault code-generated steppers
-    (:class:`~repro.simulation.codegen.FastStepper`) stepping the good and
-    the faulty machine separately, with interpreted full-window rescans
-    for detection, fault-effect and prune checks.
-
-``dual`` (the default)
-    The :class:`~repro.simulation.dual_codegen.DualFastStepper` kernel:
-    one compiled pass per frame steps *both* machines over two-plane
-    (value/care) bitmasks and returns the detection / difference / prune
-    verdicts as lane masks, so the per-decision checks are O(frames
-    recomputed) boolean merges instead of O(frames x slots) Python scans.
-    On top of the packed pass the kernel adds
-
-    * **branch-lane lookahead** -- every decision is simulated with its
-      complement packed into a second bit lane, so flipping the decision
-      on backtrack reuses the already-computed lane instead of
-      resimulating; and
-    * **incremental resimulation** -- per-frame records carry the machine
-      states they were computed from, and a resimulation that reconverges
-      to the previous trajectory (equal entering states, unchanged inputs)
-      adopts the remaining suffix of records instead of recomputing it,
-      while cumulative per-frame flags make the detection and
-      effect-alive checks O(1) per decision.
+* **branch-lane lookahead** -- every decision is simulated with its
+  complement packed into a second bit lane, so flipping the decision on
+  backtrack reuses the already-computed lane instead of resimulating; and
+* **incremental resimulation** -- per-frame records carry the machine
+  states they were computed from, and a resimulation that reconverges to
+  the previous trajectory (equal entering states, unchanged inputs) adopts
+  the remaining suffix of records instead of recomputing it, while
+  cumulative per-frame flags make the detection and effect-alive checks
+  O(1) per decision.
 """
 
 from __future__ import annotations
@@ -63,12 +52,7 @@ from repro.circuit.types import GateType, NodeKind
 from repro.faults.model import StuckAtFault
 from repro.logic.three_valued import ONE, Trit, X, ZERO, t_not
 from repro.atpg.budget import EffortMeter
-from repro.simulation.cache import compiled_circuit, dual_fast_stepper, fast_stepper
-from repro.simulation.codegen import FastStepper
-from repro.simulation.sequential import SequentialSimulator  # noqa: F401 (re-exported for callers)
-
-#: Valid values for the ``kernel`` knob, fastest first.
-PODEM_KERNELS = ("dual", "scalar")
+from repro.simulation.cache import compiled_circuit, dual_fast_stepper
 
 
 @dataclass
@@ -82,129 +66,12 @@ class PodemResult:
     frames_used: int
 
 
-class _ScalarMachine:
-    """Baseline resimulation state: two scalar steppers, full rescans.
-
-    Frame records are the raw ``(outputs, next_state, values)`` step
-    results; every query walks the record lists in interpreted Python.
-    """
-
-    def __init__(self, engine: "PodemEngine", faulty_step, inputs, meter):
-        self.engine = engine
-        self.good_step = engine.good_step
-        self.faulty_step = faulty_step
-        self.inputs = inputs
-        self.meter = meter
-        self.good: List[Tuple] = []
-        self.bad: List[Tuple] = []
-        self._unknown_regs = (X,) * engine.num_registers
-
-    # -- simulation --------------------------------------------------------
-
-    def _resim(self, from_frame: int) -> None:
-        """Recompute frames ``from_frame ..`` in place (earlier frames are
-        unaffected by an input change at ``from_frame``)."""
-        good, bad = self.good, self.bad
-        del good[from_frame:]
-        del bad[from_frame:]
-        unknown = (X,) * self.engine.num_registers
-        good_state = good[-1][1] if good else unknown
-        bad_state = bad[-1][1] if bad else unknown
-        good_step = self.good_step
-        faulty_step = self.faulty_step
-        for vector in self.inputs[from_frame:]:
-            vector = tuple(vector)
-            record = good_step(good_state, vector)
-            good.append(record)
-            good_state = record[1]
-            record = faulty_step(bad_state, vector)
-            bad.append(record)
-            bad_state = record[1]
-        frames = 2 * (len(self.inputs) - from_frame)
-        self.meter.note_simulation(frames=frames, lanes=frames)
-
-    def resim_initial(self) -> None:
-        self._resim(0)
-
-    def resim_decision(self, frame: int, pi: int, value: Trit) -> None:
-        self._resim(frame)
-
-    def resim_flip(
-        self, earliest: int, changed_max: int, frame: int, pi: int, value: Trit
-    ) -> None:
-        self._resim(earliest)
-
-    # -- verdicts ----------------------------------------------------------
-
-    def detected(self) -> bool:
-        for record_good, record_bad in zip(self.good, self.bad):
-            for g, b in zip(record_good[0], record_bad[0]):
-                if g != X and b != X and g != b:
-                    return True
-        return False
-
-    def effect_exists(self) -> bool:
-        for record_good, record_bad in zip(self.good, self.bad):
-            for g, b in zip(record_good[2], record_bad[2]):
-                if g != X and b != X and g != b:
-                    return True
-            for g, b in zip(record_good[1], record_bad[1]):
-                if g != X and b != X and g != b:
-                    return True
-        return False
-
-    def prune(self) -> bool:
-        """Identical, fully binary machine states at the window's end mean
-        no *stored* fault effect survives; the branch is abandoned."""
-        final_good = self.good[-1][1]
-        final_bad = self.bad[-1][1]
-        if final_good != final_bad:
-            return False
-        if any(v == X for v in final_good):
-            return False
-        return True
-
-    # -- value accessors ---------------------------------------------------
-
-    def good_value(self, frame: int, slot: int) -> Trit:
-        return self.good[frame][2][slot]
-
-    def good_values(self, frame: int) -> Tuple[Trit, ...]:
-        return self.good[frame][2]
-
-    def bad_values(self, frame: int) -> Tuple[Trit, ...]:
-        return self.bad[frame][2]
-
-    def good_regs(self, frame: int) -> Tuple[Trit, ...]:
-        """Register contents *entering* ``frame``."""
-        if frame == 0:
-            return self._unknown_regs
-        return self.good[frame - 1][1]
-
-    def bad_regs(self, frame: int) -> Tuple[Trit, ...]:
-        if frame == 0:
-            return self._unknown_regs
-        return self.bad[frame - 1][1]
-
-    def frontier_frames(self) -> Iterable[int]:
-        return range(len(self.good))
-
-    # The baseline never caches frontier scans: every decision rescans the
-    # whole window, which is exactly the cost the dual kernel eliminates.
-
-    def frontier_cached(self, frame: int):
-        return None
-
-    def frontier_store(self, frame: int, entries) -> None:
-        pass
-
-
 # Field order of one DualFastStepper.step_dual result.
 _GV, _GC, _BV, _BC, _GN, _BN, _DET, _VDIFF, _SDIFF, _SAME = range(10)
 
 
 class _DualMachine:
-    """Dual-kernel resimulation state: packed lanes, cached verdicts.
+    """Resimulation state: packed lanes, cached verdicts.
 
     Lane 0 carries the search's actual trajectory; lane 1 carries the
     complement of the most recent decision (the branch a backtrack would
@@ -218,7 +85,7 @@ class _DualMachine:
 
     def __init__(self, engine: "PodemEngine", fault: StuckAtFault, inputs, meter):
         stepper = engine.dual
-        self.step = engine.dual_step
+        self.step = stepper.step_dual
         # Per-fault frame memo, shared across escalation levels (the engine
         # resets it per generate()).  Chronological backtracking revisits
         # the same (entering states, packed inputs) configuration
@@ -515,8 +382,7 @@ class _DualMachine:
         ``sdiff``).  Frames with neither mask bit set provably contribute
         nothing and are skipped -- the fault site's own consumer, whose
         difference lives in the injected reads rather than slot values, is
-        appended separately from the excited frames by the caller, exactly
-        as in the scalar scan.
+        appended separately from the excited frames by the caller.
         """
         records, active = self.records, self.active
         entering = 0  # frame 0 enters from the all-X state: no difference
@@ -531,10 +397,6 @@ class _DualMachine:
 class PodemEngine:
     """Targets single faults on one circuit.
 
-    ``kernel`` selects the resimulation machinery: ``"dual"`` (default)
-    for the packed dual-machine kernel, ``"scalar"`` for the baseline
-    per-fault scalar steppers.  Both produce bit-identical results.
-
     ``guidance`` optionally supplies a
     :class:`~repro.atpg.guidance.GuidancePolicy` whose value-aware
     controllability/observability tables replace the built-in structural
@@ -546,37 +408,12 @@ class PodemEngine:
     engine's.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        kernel: str = "dual",
-        backend: str = "auto",
-        guidance=None,
-    ):
-        if kernel not in PODEM_KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {PODEM_KERNELS}"
-            )
-        from repro.simulation.backends import resolve_backend
-
+    def __init__(self, circuit: Circuit, guidance=None):
         self.circuit = circuit
-        self.kernel = kernel
-        # PODEM's dual kernel packs exactly two lanes per call, so the numpy
-        # word form has no lane parallelism to amortize its dispatch cost:
-        # ``auto`` therefore resolves to bigints here (unlike the wide
-        # fault-simulation kernel).  An explicit ``numpy`` request gets the
-        # bit-identical word execution for cross-backend validation.
-        self.backend = "bigint" if backend == "auto" else resolve_backend(backend)
         self.compiled = compiled_circuit(circuit)
-        self.good_step = fast_stepper(circuit).step
-        self.dual = dual_fast_stepper(circuit) if kernel == "dual" else None
-        self.dual_step = None
-        if self.dual is not None:
-            self.dual_step = (
-                self.dual.word_step()
-                if self.backend == "numpy"
-                else self.dual.step_dual
-            )
+        # Two lanes per call leave no lane parallelism to amortize numpy's
+        # dispatch cost, so the kernel always steps on bigints.
+        self.dual = dual_fast_stepper(circuit)
         self.num_inputs = len(circuit.input_names)
         self.num_registers = self.compiled.num_registers
         self._pi_index = {name: i for i, name in enumerate(circuit.input_names)}
@@ -732,7 +569,7 @@ class PodemEngine:
         Every attempt is bracketed by the meter's ``begin_fault`` /
         ``end_fault`` in ``try/finally``, so the per-fault effort row is
         flushed on *every* exit path -- a budget-aborted fault records its
-        partial counters instead of vanishing from the training data.
+        partial counters instead of vanishing from the run telemetry.
         """
         meter.begin_fault(fault)
         result: Optional[PodemResult] = None
@@ -760,20 +597,12 @@ class PodemEngine:
         import time as _time
 
         limit = max_frames or meter.budget.max_frames
-        # Fresh per-fault step memo for the dual kernel: keyed by (entering
-        # good state, entering bad state, packed inputs) -- everything else
-        # the generated step reads (plane mask, injection masks) is fixed
-        # for the duration of one fault.  Sharing it across escalation
-        # levels makes each deeper level's prefix frames free.
+        # Fresh per-fault step memo: keyed by (entering good state,
+        # entering bad state, packed inputs) -- everything else the
+        # generated step reads (plane mask, injection masks) is fixed for
+        # the duration of one fault.  Sharing it across escalation levels
+        # makes each deeper level's prefix frames free.
         self._step_memo = {}
-        if self.kernel == "scalar":
-            # The baseline pays a per-fault code generation + exec here;
-            # the dual kernel's runtime injection masks avoid it entirely.
-            faulty_step = FastStepper(
-                self.circuit, fault=fault, compiled=self.compiled
-            ).step
-        else:
-            faulty_step = None
         total_backtracks = 0
         # Geometric time-frame escalation with a *fresh* backtrack budget
         # per depth level.  Total effort per aborted fault therefore scales
@@ -818,7 +647,6 @@ class PodemEngine:
                 return PodemResult(False, None, total_backtracks, True, frames)
             found, used, aborted = self._search(
                 fault,
-                faulty_step,
                 frames,
                 meter.budget.backtracks_per_fault,
                 meter,
@@ -835,7 +663,6 @@ class PodemEngine:
     def _search(
         self,
         fault: StuckAtFault,
-        faulty_step,
         frames: int,
         backtrack_limit: int,
         meter: EffortMeter,
@@ -848,10 +675,7 @@ class PodemEngine:
         ]
         decisions: List[Tuple[int, int, Trit, bool]] = []  # (frame, pi, value, flipped)
         backtracks = 0
-        if self.kernel == "dual":
-            machine = _DualMachine(self, fault, inputs, meter)
-        else:
-            machine = _ScalarMachine(self, faulty_step, inputs, meter)
+        machine = _DualMachine(self, fault, inputs, meter)
         machine.resim_initial()
 
         while True:
@@ -1149,4 +973,4 @@ class PodemEngine:
                 return None  # constant: unreachable
         return None
 
-__all__ = ["PODEM_KERNELS", "PodemEngine", "PodemResult"]
+__all__ = ["PodemEngine", "PodemResult"]

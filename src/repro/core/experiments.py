@@ -208,23 +208,21 @@ def table2_row(
     budget: Optional[AtpgBudget] = None,
     workers: Optional[int] = None,
     engine: Optional[str] = None,
-    kernel: str = "dual",
 ) -> Tuple[Dict[str, object], AtpgResult, AtpgResult]:
     """One Table II row: ATPG on the original and the retimed circuit.
 
-    ``workers``/``engine``/``kernel`` pass straight through to
-    :func:`run_atpg`, so a row can be computed on the multiprocess
-    deterministic phase or either PODEM kernel; the table's numbers are
-    engine- and kernel-independent (same seed, same partition, bit-identical
-    search).
+    ``workers``/``engine`` pass straight through to :func:`run_atpg`, so a
+    row can be computed on the multiprocess deterministic phase; the
+    table's numbers are engine-independent (same seed, same partition,
+    bit-identical search).
     """
     if budget is None:
         budget = AtpgBudget()
     original_result = run_atpg(
-        pair.original, budget=budget, workers=workers, engine=engine, kernel=kernel
+        pair.original, budget=budget, workers=workers, engine=engine
     )
     retimed_result = run_atpg(
-        pair.retimed, budget=budget, workers=workers, engine=engine, kernel=kernel
+        pair.retimed, budget=budget, workers=workers, engine=engine
     )
     effort_original = max(original_result.cpu_seconds, 1e-9)
     row = {

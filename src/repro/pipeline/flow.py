@@ -51,16 +51,18 @@ class FlowCancelled(RuntimeError):
     """Raised at a stage boundary when the pipeline's cancel event is set."""
 
 from repro.atpg.budget import AtpgBudget
-from repro.atpg.engine import AtpgResult, run_atpg
-from repro.atpg.guidance import GUIDANCE_MODES, log_training_rows, make_policy
+from repro.atpg.engine import ATPG_ENGINES, AtpgResult, run_atpg
+from repro.atpg.guidance import GUIDANCE_MODES, make_policy
 from repro.circuit.digest import circuit_digest, structural_identity
 from repro.circuit.netlist import Circuit
 from repro.core.flow import FlowResult
+from repro.equivalence import ENGINE_LIMITS
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
 from repro.faultsim import FaultSimResult, fault_simulate
 from repro.retiming.core import Retiming
 from repro.retiming.minregister import min_register_retiming
+from repro.simulation.backends import resolve_backend
 from repro.store.artifacts import (
     atpg_result_from_payload,
     atpg_result_payload,
@@ -114,22 +116,18 @@ class FlowPipeline:
         store: artifact store backing stage memoization (``None`` = compute
             everything, the behaviour of the plain flow functions).
         journal: run journal receiving stage events and artifact pins.
-        workers / engine / kernel: forwarded to
+        workers / engine: forwarded to
             :func:`~repro.atpg.engine.run_atpg`.
         backend: word implementation for the bit-parallel kernels
             (``"bigint"``, ``"numpy"``, or ``"auto"``; see
             :mod:`repro.simulation.backends`), forwarded to ATPG and fault
             simulation.  Results are bit-identical across backends, so
             stage memoization keys deliberately ignore it.
-        guidance: ATPG search guidance (``"off"``/``"scoap"``/
-            ``"learned"``/``"auto"``, see :mod:`repro.atpg.guidance`).
-            Unlike ``backend``, guided runs may emit a *different (equally
-            valid) test set*, so the ATPG stage key includes the
-            **resolved** mode (``auto`` becomes whichever tier actually
-            ran) -- guided and unguided results never alias.  Every
-            store-backed ATPG stage, guided or not, also folds its
-            per-fault effort telemetry into the store's shared
-            ``guidance-data`` training dataset.
+        guidance: ATPG search guidance (``"off"``/``"scoap"``, see
+            :mod:`repro.atpg.guidance`).  Unlike ``backend``, guided runs
+            may emit a *different (equally valid) test set*, so the ATPG
+            stage key includes the mode -- guided and unguided results
+            never alias.
         resume: let the ATPG stage restore a surviving checkpoint for its
             exact (circuit, faults, budget) key before targeting faults.
         checkpoint_path: override the checkpoint location (defaults to the
@@ -146,6 +144,10 @@ class FlowPipeline:
             the next stage raises :class:`FlowCancelled` instead of
             starting.  One pipeline instance runs one flow at a time; for
             concurrent flows, create one pipeline per run.
+
+    Every execution option is validated here, so a bad value fails the
+    same way whether or not a warm store would have skipped the stage
+    that uses it.
     """
 
     def __init__(
@@ -155,7 +157,6 @@ class FlowPipeline:
         *,
         workers: Optional[int] = None,
         engine: Optional[str] = None,
-        kernel: str = "dual",
         backend: str = "auto",
         guidance: str = "off",
         resume: bool = False,
@@ -168,11 +169,22 @@ class FlowPipeline:
             raise ValueError(
                 f"unknown guidance {guidance!r} (expected one of {GUIDANCE_MODES})"
             )
+        resolve_backend(backend)
+        if engine is not None and engine not in ATPG_ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r} (expected one of {ATPG_ENGINES})"
+            )
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if stg_engine not in (None, "auto") and stg_engine not in ENGINE_LIMITS:
+            raise ValueError(
+                f"unknown STG engine {stg_engine!r} (choose from auto, "
+                f"{', '.join(sorted(ENGINE_LIMITS))})"
+            )
         self.store = store
         self.journal = journal
         self.workers = workers
         self.engine = engine
-        self.kernel = kernel
         self.backend = backend
         self.guidance = guidance
         self.resume = resume
@@ -390,14 +402,9 @@ class FlowPipeline:
         budget: AtpgBudget,
     ) -> AtpgResult:
         started = self._stage_start("atpg")
-        # Resolve the guidance knob *before* keying the stage: "auto" may
-        # land on "scoap" or "learned" depending on what the store holds,
-        # and results under different resolved modes are interchangeable
-        # but not interchangeable-in-place -- they must not alias.
         policy = make_policy(
             circuit, self.guidance, store=self.store, pin=self._pin()
         )
-        resolved = policy.mode if policy is not None else "off"
         key = None
         if self.store is not None:
             key_parts = [
@@ -407,10 +414,11 @@ class FlowPipeline:
                 faults_fingerprint(faults),
                 budget_fingerprint(budget),
             ]
-            if resolved != "off":
-                # Unguided keys keep their historical shape so warm
-                # stores stay warm across this feature landing.
-                key_parts.append({"guidance": resolved})
+            if policy is not None:
+                # Guided and unguided results are interchangeable but must
+                # not alias; unguided keys keep their historical shape so
+                # warm stores stay warm.
+                key_parts.append({"guidance": "scoap"})
             key = self.store.key(*key_parts)
         result, cache = self._load("atpg", key, atpg_result_from_payload)
         if result is None:
@@ -426,7 +434,6 @@ class FlowPipeline:
                 budget,
                 workers=self.workers,
                 engine=self.engine,
-                kernel=self.kernel,
                 backend=self.backend,
                 guidance=policy if policy is not None else "off",
                 checkpoint=checkpoint,
@@ -437,13 +444,6 @@ class FlowPipeline:
                 # The result is durable now; the crash-recovery file has
                 # nothing left to recover.
                 checkpoint.discard()
-            if self.store is not None and result.fault_rows:
-                # Every computed stage feeds the shared training dataset,
-                # whatever mode it ran under; cache hits carry no fresh
-                # effort telemetry and are skipped.
-                log_training_rows(
-                    self.store, circuit, result.fault_rows, pin=self._pin()
-                )
         self._stage_end(
             "atpg",
             started,
@@ -452,7 +452,6 @@ class FlowPipeline:
             circuit=circuit.name,
             workers=result.workers,
             engine=result.engine,
-            kernel=result.kernel,
             guidance=result.guidance,
             objective_choices=result.objective_choices,
             fault_coverage=round(result.fault_coverage, 3),

@@ -283,7 +283,6 @@ def flow_payload(flow, stages) -> Dict[str, object]:
             "fault_coverage": flow.atpg_result.fault_coverage,
             "fault_efficiency": flow.atpg_result.fault_efficiency,
             "engine": flow.atpg_result.engine,
-            "kernel": flow.atpg_result.kernel,
             "guidance": flow.atpg_result.guidance,
             "workers": flow.atpg_result.workers,
             "sequences": flow.atpg_result.test_set.num_sequences,
@@ -632,7 +631,6 @@ class JobManager:
                 journal=journal,
                 workers=request.workers,
                 engine=request.engine,
-                kernel=request.kernel,
                 backend=request.backend,
                 guidance=request.guidance,
                 verify=request.verify,

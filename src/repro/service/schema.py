@@ -18,8 +18,17 @@ Circuit formats::
                  {"op": "dff", "name": "q", "args": ["g1"]}],
      "outputs": [["z", "g1"]]}
 
-The fingerprint deliberately ignores ``workers`` / ``engine`` / ``kernel``
-/ ``backend`` / ``stg_engine``: results are bit-identical across those
+Execution options::
+
+    {"workers": 2, "engine": "serial|process|auto",
+     "backend": "auto|bigint|numpy", "guidance": "off|scoap",
+     "verify": false, "stg_engine": "auto|bitset|reference|reach"}
+
+Every option is validated here, so a bad value is a 400 whether or not
+the answer is already cached.
+
+The fingerprint deliberately ignores ``workers`` / ``engine`` /
+``backend`` / ``stg_engine``: results are bit-identical across those
 execution knobs (same seed, same partition), so two requests differing
 only there are the *same work* and must coalesce.  ``guidance`` is also
 excluded, on the weaker interchangeability contract: a guided run may
@@ -38,11 +47,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.atpg.budget import AtpgBudget
+from repro.atpg.engine import ATPG_ENGINES
 from repro.atpg.guidance import GUIDANCE_MODES
 from repro.circuit.netlist import Circuit, CircuitError
 
 _FORMATS = ("table2", "bench", "verilog", "builder")
-_KERNELS = ("dual", "scalar")
 _BACKENDS = ("auto", "bigint", "numpy")
 _STG_ENGINES = ("auto", "bitset", "reference", "reach")
 
@@ -51,7 +60,6 @@ _BUDGET_FIELDS = {f.name: f.type for f in dataclasses.fields(AtpgBudget)}
 _OPTION_KEYS = (
     "workers",
     "engine",
-    "kernel",
     "backend",
     "guidance",
     "verify",
@@ -73,7 +81,6 @@ class JobRequest:
     budget: AtpgBudget
     workers: Optional[int] = None
     engine: Optional[str] = None
-    kernel: str = "dual"
     backend: str = "auto"
     guidance: str = "off"
     verify: bool = False
@@ -247,10 +254,14 @@ def _parse_options(raw: object) -> Dict[str, object]:
             raise SchemaError(f"options: unknown option {key!r}")
         options[key] = value
     workers = options.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    if workers is not None and (
+        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
+    ):
         raise SchemaError("options: 'workers' must be a positive integer")
-    if options.get("kernel", "dual") not in _KERNELS:
-        raise SchemaError(f"options: 'kernel' must be one of {', '.join(_KERNELS)}")
+    if options.get("engine") not in (None,) + ATPG_ENGINES:
+        raise SchemaError(
+            f"options: 'engine' must be one of {', '.join(ATPG_ENGINES)}"
+        )
     if options.get("backend", "auto") not in _BACKENDS:
         raise SchemaError(f"options: 'backend' must be one of {', '.join(_BACKENDS)}")
     if options.get("guidance", "off") not in GUIDANCE_MODES:
@@ -296,7 +307,6 @@ def parse_request(
         budget=budget,
         workers=options.get("workers"),
         engine=options.get("engine"),
-        kernel=options.get("kernel", "dual"),
         backend=options.get("backend", "auto"),
         guidance=options.get("guidance", "off"),
         verify=options.get("verify", False),

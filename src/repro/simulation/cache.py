@@ -2,9 +2,9 @@
 
 The ATPG, fault-simulation and verification flows all lower the same
 :class:`~repro.circuit.netlist.Circuit` -- often many times per run: the
-random phase fault-simulates per candidate sequence, PODEM re-creates its
-good-machine stepper per engine, the benchmark rows simulate the same pair
-with several engines.  Re-lowering (topological ordering + read resolution)
+random phase fault-simulates per candidate sequence, every PODEM engine and
+pool worker needs the dual stepper, the benchmark rows simulate the same
+pair with several engines.  Re-lowering (topological ordering + read resolution)
 and re-``exec``-ing generated source on every call is pure waste, so the
 artifacts are cached and shared by every flow:
 
@@ -25,9 +25,6 @@ alive.  Instance stashing ties each cache entry's lifetime to its circuit
 nothing once the candidates are dropped.  A registry of *weak* references
 is kept purely for accounting (:func:`compile_cache_stats`) and bulk
 clearing (:func:`clear_compile_cache`).
-
-Per-fault steppers (PODEM's faulty machines) are deliberately *not* cached
--- each is used once per targeted fault and would only bloat the cache.
 
 On top of the in-memory level sits an optional **persistent second level**
 backed by the content-addressed artifact store (:mod:`repro.store`): the
@@ -186,10 +183,11 @@ def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
     """Write one combined stepper artifact (building any missing half;
     a stepper execs its source only on first use, so this compiles none).
 
-    The scalar and bit-parallel sources travel in one record because every
-    flow that needs one soon needs the other (PODEM simulates scalar, its
-    detection replay and the verify stage simulate bit-parallel), and a
-    single record keeps hit/miss accounting and GC granularity simple.
+    The scalar, bit-parallel and dual sources travel in one record because
+    the flows that need one soon need another (ATPG's random phase and
+    replay simulate bit-parallel, PODEM dual, the synchronizing-sequence
+    search scalar), and a single record keeps hit/miss accounting and GC
+    granularity simple.
     """
     store = _store()
     if store is None:
@@ -293,12 +291,11 @@ def warm_compile_cache(circuit: Circuit) -> None:
     see :mod:`repro.atpg.parallel`): a freshly unpickled circuit arrives
     with no cache entry, and warming it once at initialization keeps the
     lowering and ``exec`` cost out of the first work chunk's critical path
-    -- every later :class:`~repro.simulation.codegen.FastStepper` and
-    PODEM engine in that process then hits the warm entry.  PODEM's two
-    entry points are exec'd here too; elsewhere they compile on first use.
+    -- every later PODEM engine in that process then hits the warm entry.
+    PODEM's entry point is exec'd here too; elsewhere it compiles on first
+    use.
     """
     compiled_circuit(circuit)
-    fast_stepper(circuit).step
     vector_fast_stepper(circuit)
     dual_fast_stepper(circuit).step_dual
 

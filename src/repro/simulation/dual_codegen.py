@@ -335,79 +335,6 @@ class DualFastStepper:
         """The generated source text (for caching and debugging)."""
         return self._source
 
-    # -- numpy word backend --------------------------------------------------
-
-    def word_step(self):
-        """A ``step_dual``-compatible callable running on uint64 lane words.
-
-        Every operation in the generated source is an elementwise bitwise
-        op, so the *same* compiled function runs unchanged when the integer
-        plane pairs are replaced by little-endian ``uint64`` word arrays.
-        The returned wrapper converts at the boundary only -- bigint planes
-        in, bigint planes and verdict masks out -- so it is bit-identical
-        to calling :attr:`step_dual` directly (the parity suite asserts
-        it).  At PODEM's two-lane widths the word form pays ufunc dispatch
-        with no lane parallelism to amortize it, so ``backend="auto"``
-        callers keep the bigint call; this path serves explicit
-        ``backend="numpy"`` validation runs and wide-lane callers.
-        """
-        from repro.simulation.backends import numpy_or_none
-
-        if numpy_or_none() is None:
-            raise RuntimeError(
-                "word_step requires the optional numpy dependency "
-                "(install the [perf] extra)"
-            )
-        from repro.simulation.wordplane import (
-            int_from_words,
-            width_mask_words,
-            word_count,
-            words_from_int,
-        )
-
-        step = self.step_dual
-
-        def _as_int(value):
-            # Constant folds in the generated source (CONST planes, empty
-            # det terms) stay plain ints; everything else is a word array.
-            return value if isinstance(value, int) else int_from_words(value)
-
-        def step_dual_words(good_state, bad_state, vector, mask, sa1, sa0):
-            width = max(mask.bit_length(), 1)
-            words = word_count(width)
-            good_w = tuple(
-                (words_from_int(v, words), words_from_int(c, words))
-                for v, c in good_state
-            )
-            bad_w = tuple(
-                (words_from_int(v, words), words_from_int(c, words))
-                for v, c in bad_state
-            )
-            vec_w = tuple(
-                (words_from_int(v, words), words_from_int(c, words))
-                for v, c in vector
-            )
-            sa1_w = [words_from_int(v, words) for v in sa1]
-            sa0_w = [words_from_int(v, words) for v in sa0]
-            result = step(
-                good_w, bad_w, vec_w, width_mask_words(width, words), sa1_w, sa0_w
-            )
-            gv, gc, bv, bc, gn, bn, det, vdiff, sdiff, same = result
-            return (
-                tuple(_as_int(x) for x in gv),
-                tuple(_as_int(x) for x in gc),
-                tuple(_as_int(x) for x in bv),
-                tuple(_as_int(x) for x in bc),
-                tuple((_as_int(a), _as_int(b)) for a, b in gn),
-                tuple((_as_int(a), _as_int(b)) for a, b in bn),
-                _as_int(det),
-                _as_int(vdiff),
-                _as_int(sdiff),
-                _as_int(same),
-            )
-
-        return step_dual_words
-
 
 def _filled(value: Trit, width: int) -> PlanePair:
     mask = (1 << width) - 1

@@ -23,12 +23,6 @@ kind            contents
 ``scoap``       SCOAP testability measures of one circuit (per-node
                 CC0/CC1/CO, per-edge observability and detection-depth
                 bounds, see :mod:`repro.atpg.guidance`)
-``guidance-data``  the shared predictor training dataset (feature vector
-                + effort label per fault, layout ``FEATURE_NAMES``),
-                appended to by every store-backed ATPG stage
-``predictor``   the trained fault-effort meta-predictor (handled by
-                :func:`repro.atpg.guidance.save_predictor` /
-                ``load_predictor`` via ``MetaPredictor.to_payload``)
 ==============  =========================================================
 
 Artifacts that carry edge-indexed coordinates (``faults``, ``atpg``,
@@ -236,7 +230,6 @@ def atpg_result_payload(result) -> Dict[str, object]:
         "deterministic_seconds": result.deterministic_seconds,
         "engine": result.engine,
         "workers": result.workers,
-        "kernel": result.kernel,
         "engine_reason": result.engine_reason,
         "simulations": result.simulations,
         "frames_simulated": result.frames_simulated,
@@ -250,6 +243,9 @@ def atpg_result_payload(result) -> Dict[str, object]:
 
 
 def atpg_result_from_payload(payload: Dict[str, object]):
+    """The stored result, or ``None`` on a malformed record.  Keys this
+    version does not read (such as an older record's ``kernel``) are
+    ignored."""
     from repro.atpg.engine import AtpgResult
 
     try:
@@ -273,7 +269,6 @@ def atpg_result_from_payload(payload: Dict[str, object]):
             deterministic_seconds=float(payload["deterministic_seconds"]),
             engine=str(payload["engine"]),
             workers=int(payload["workers"]),
-            kernel=str(payload.get("kernel", "scalar")),
             engine_reason=str(payload.get("engine_reason", "")),
             simulations=int(payload.get("simulations", 0)),
             frames_simulated=int(payload.get("frames_simulated", 0)),
@@ -372,40 +367,6 @@ def scoap_from_payload(payload: Dict[str, object], circuit: Circuit):
         )
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
-
-
-# -- guidance training data --------------------------------------------------
-
-
-def guidance_rows_payload(
-    feature_names: Sequence[str], rows: Sequence[Sequence[float]]
-) -> Dict[str, object]:
-    """Predictor training rows (kind ``guidance-data``): one list per
-    fault, feature vector in ``feature_names`` layout with the effort
-    label appended last.  Deliberately *not* structure-guarded: the
-    dataset pools rows across circuits (the per-row features already
-    carry the circuit-size context the predictor needs)."""
-    return {
-        "feature_names": list(feature_names),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
-
-
-def guidance_rows_from_payload(
-    payload: Dict[str, object], feature_names: Sequence[str]
-) -> Optional[List[List[float]]]:
-    """The training rows, or ``None`` when the feature layout moved on
-    (the layout echo is what keeps pooled rows comparable)."""
-    if payload.get("feature_names") != list(feature_names):
-        return None
-    try:
-        width = len(feature_names) + 1
-        rows = [[float(v) for v in row] for row in payload["rows"]]
-    except (KeyError, TypeError, ValueError):
-        return None
-    if any(len(row) != width for row in rows):
-        return None
-    return rows
 
 
 # -- explicit STG tables ---------------------------------------------------
@@ -616,8 +577,6 @@ __all__ = [
     "faults_payload",
     "faultsim_from_payload",
     "faultsim_payload",
-    "guidance_rows_from_payload",
-    "guidance_rows_payload",
     "reach_stg_from_payload",
     "reach_stg_payload",
     "retiming_from_payload",

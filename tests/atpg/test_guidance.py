@@ -1,7 +1,5 @@
-"""Tests for the ATPG guidance layer: SCOAP measures, the meta-predictor,
-the off-mode bit-identity guard and guided/unguided interchangeability."""
-
-import math
+"""Tests for the ATPG guidance layer: SCOAP measures, the off-mode
+bit-identity guard and guided/unguided interchangeability."""
 
 import pytest
 
@@ -12,24 +10,12 @@ from repro.atpg import (
     run_atpg,
 )
 from repro.atpg.guidance import (
-    FEATURE_NAMES,
     GUIDANCE_MODES,
-    MetaPredictor,
     SCOAP_REGISTER_COST,
     compute_scoap,
-    effort_label,
-    fault_features,
     fault_sort_key,
-    load_predictor,
-    load_training_rows,
-    log_training_rows,
     make_policy,
-    policy_from_effort_rows,
-    save_predictor,
     scoap_measures,
-    train_predictor,
-    train_predictor_from_store,
-    training_rows,
 )
 from repro.atpg.parallel import _partition_indices
 from repro.circuit.builder import CircuitBuilder
@@ -154,93 +140,22 @@ class TestScoapStore:
         other = fig2_pair()[0]
         assert scoap_measures(other, store=store) == compute_scoap(other)
 
-
-class TestPredictor:
-    def synthetic_rows(self, count=60):
-        """Deterministic rows where feature 3 (excite_cost) drives the
-        label -- learnable by a depth-limited tree."""
-        rows = []
-        for i in range(count):
-            features = [float((i * 7 + j) % 11) for j in range(len(FEATURE_NAMES))]
-            features[3] = float(i % 5) * 10.0
-            rows.append(features + [math.log2(1.0 + features[3])])
-        return rows
-
-    def test_training_is_deterministic(self):
-        rows = self.synthetic_rows()
-        first = train_predictor(rows)
-        second = train_predictor(rows)
-        assert first is not None
-        assert first.trees == second.trees
-
-    def test_predictor_learns_the_signal(self):
-        predictor = train_predictor(self.synthetic_rows())
-        low = [0.0] * len(FEATURE_NAMES)
-        high = list(low)
-        high[3] = 40.0
-        assert predictor.predicted_cost(high) > predictor.predicted_cost(low)
-
-    def test_too_few_rows_returns_none(self):
-        assert train_predictor(self.synthetic_rows(3)) is None
-
-    def test_store_round_trip(self, tmp_path):
-        store = ArtifactStore(root=str(tmp_path))
-        predictor = train_predictor(self.synthetic_rows())
-        save_predictor(store, predictor)
-        loaded = load_predictor(store)
-        assert loaded is not None
-        assert loaded.trees == predictor.trees
-        assert loaded.feature_names == predictor.feature_names
-
-    def test_version_mismatch_rejected(self):
-        predictor = train_predictor(self.synthetic_rows())
-        payload = predictor.to_payload()
-        payload["version"] = -1
-        assert MetaPredictor.from_payload(payload) is None
-
-    def test_dataset_accumulates_and_trains(self, tmp_path):
-        store = ArtifactStore(root=str(tmp_path))
-        circuit = fig5_n1()
-        result = run_atpg(circuit, budget=small_budget(), guidance="off")
-        assert result.fault_rows  # telemetry rides on every run
-        count = log_training_rows(store, circuit, result.fault_rows)
-        assert count == len(load_training_rows(store))
-        count_again = log_training_rows(store, circuit, result.fault_rows)
-        assert count_again >= count  # appends, does not overwrite
-        # The tiny fig5 dataset is enough to train once doubled.
-        predictor = train_predictor_from_store(store)
-        if predictor is not None:
-            assert load_predictor(store) is not None
-
-    def test_search_decided_faults_add_no_training_rows(self, tmp_path, monkeypatch):
-        """Rows of faults the exact search decided count lane-steps, not
-        PODEM effort: a searched run logs nothing and never computes SCOAP
-        measures, a PODEM run still logs."""
-        from repro.atpg import guidance
+    def test_atpg_stages_store_no_other_guidance_records(self, tmp_path):
+        """PODEM runs, guided or not, leave only ``scoap`` records behind
+        as guidance state: no training dataset, no predictor."""
         from repro.pipeline import FlowPipeline
 
-        measured = []
-
-        def counting_scoap(circuit, *args, **kwargs):
-            measured.append(circuit.name)
-            return scoap_measures(circuit, *args, **kwargs)
-
-        monkeypatch.setattr(guidance, "scoap_measures", counting_scoap)
         store = ArtifactStore(root=str(tmp_path))
         circuit = fig5_n1()
         faults = collapse_faults(circuit).representatives
-        pipeline = FlowPipeline(store=store)
-        searched = pipeline.stage_atpg(
-            circuit, faults, small_budget(exact_lane_steps=1 << 20)
-        )
-        assert searched.fault_rows
-        assert all(row.lane_steps for row in searched.fault_rows)
-        assert load_training_rows(store) == []
-        assert measured == []
-        podem = pipeline.stage_atpg(circuit, faults, small_budget())
-        assert podem.fault_rows
-        assert len(load_training_rows(store)) == len(podem.fault_rows)
-        assert measured == [circuit.name]
+        for mode in GUIDANCE_MODES:
+            result = FlowPipeline(store=store, guidance=mode).stage_atpg(
+                circuit, faults, small_budget()
+            )
+            assert result.fault_rows and result.guidance == mode
+        kinds = set(store.summary()["by_kind"])
+        assert {"atpg", "scoap"} <= kinds
+        assert not kinds & {"guidance-data", "predictor"}
 
 
 class TestPolicy:
@@ -248,23 +163,10 @@ class TestPolicy:
         circuit = fig5_n1()
         assert make_policy(circuit, "off") is None
         assert make_policy(circuit, None) is None
-        with pytest.raises(ValueError):
-            make_policy(circuit, "psychic")
-        assert set(GUIDANCE_MODES) == {"off", "scoap", "learned", "auto"}
-
-    def test_learned_without_predictor_falls_back_to_scoap(self):
-        policy = make_policy(fig5_n1(), "learned")
-        assert policy is not None
-        assert policy.mode == "scoap"
-
-    def test_auto_uses_stored_predictor(self, tmp_path):
-        store = ArtifactStore(root=str(tmp_path))
-        circuit = fig5_n1()
-        rows = TestPredictor().synthetic_rows()
-        save_predictor(store, train_predictor(rows))
-        policy = make_policy(circuit, "auto", store=store)
-        assert policy.mode == "learned"
-        assert make_policy(circuit, "auto").mode == "scoap"
+        assert GUIDANCE_MODES == ("off", "scoap")
+        for mode in ("psychic", "learned", "auto"):
+            with pytest.raises(ValueError, match="'off', 'scoap'"):
+                make_policy(circuit, mode)
 
     def test_scores_carry_explicit_tie_breaks(self):
         circuit = fig5_n1()
@@ -274,24 +176,6 @@ class TestPolicy:
         ordered = sorted(faults, key=lambda f: (costs[f], fault_sort_key(f)))
         assert sorted(ordered, key=lambda f: (costs[f], fault_sort_key(f))) == ordered
         assert len(costs) == len(faults)
-
-    def test_policy_from_effort_rows(self):
-        circuit = fig5_n1()
-        result = run_atpg(circuit, budget=small_budget(), guidance="off")
-        policy = policy_from_effort_rows(circuit, result.fault_rows)
-        assert policy.mode in ("scoap", "learned")
-
-    def test_training_rows_skip_untouched_faults(self):
-        circuit = fig5_n1()
-        scoap = compute_scoap(circuit)
-        result = run_atpg(circuit, budget=small_budget(), guidance="off")
-        rows = training_rows(circuit, scoap, result.fault_rows)
-        width = len(FEATURE_NAMES) + 1
-        assert all(len(row) == width for row in rows)
-        fault = collapse_faults(circuit).representatives[0]
-        features = fault_features(circuit, scoap, fault)
-        assert len(features) == len(FEATURE_NAMES)
-        assert effort_label(0, 0) == 0.0
 
 
 class TestOffBitIdentity:
@@ -350,9 +234,8 @@ class TestGuidedRuns:
         circuit = fig5_pair()[1]
         budget = small_budget()
         off = run_atpg(circuit, budget=budget, guidance="off")
-        for mode in ("scoap", "learned"):
-            guided = run_atpg(circuit, budget=budget, guidance=mode)
-            assert guided.fault_coverage >= off.fault_coverage
+        guided = run_atpg(circuit, budget=budget, guidance="scoap")
+        assert guided.fault_coverage >= off.fault_coverage
 
     def test_guided_tests_preserve_like_unguided(self):
         """Theorem 4 does not care which engine produced the test set:

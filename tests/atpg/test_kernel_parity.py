@@ -1,23 +1,80 @@
-"""Dual-vs-scalar PODEM kernel equivalence and engine-selection tests.
+"""PODEM result pins, oracle checks and engine-selection tests.
 
-The dual kernel is a pure performance substitution: for every circuit,
-fault and budget it must return the *same* ``PodemResult`` -- sequence,
-backtrack count, abort flag, frames -- as the scalar baseline, and the
+PODEM resimulates on one kernel, the packed dual-machine stepper.  Its
+results -- sequence, backtrack count, abort flag, frames -- are pinned as
+digests, for guidance ``off`` and ``scoap``; the pins were recorded while
+a scalar baseline kernel still existed and matched them bit for bit.
+Every detection is also confirmed by two independent oracles, and the
 incremental resimulation (suffix adoption, lane flips) must leave the
 machine in the same state a from-scratch resimulation would produce.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.atpg.budget import AtpgBudget, EffortMeter
 from repro.atpg.engine import MIN_POOL_FAULTS, choose_engine, run_atpg
+from repro.atpg.exact import iter_exact
+from repro.atpg.guidance import make_policy
 from repro.atpg.podem import PodemEngine, _DualMachine
 from repro.core.experiments import TABLE2_CIRCUITS, build_pair
 from repro.faults import collapse_faults
+from repro.faultsim.serial import serial_fault_simulate
 from repro.logic.three_valued import ONE, X, ZERO, t_not
 from tests.helpers import random_circuit, resettable_counter, toggle_counter
+
+MODES = ("off", "scoap")
+
+#: Per guidance mode: the digest of every fault's ``(detected, sequence,
+#: backtracks, aborted, frames_used)`` on ``random_circuit(seed + 200)``.
+RANDOM_PINS = {
+    0: {"off": "a62e8383762d43fa", "scoap": "a7fb2a644a6b13d1"},
+    1: {"off": "b440558a46fc9854", "scoap": "9bbc2d3ce2c44a3e"},
+    2: {"off": "e546f2d164d51499", "scoap": "34fe8d6ee5d2ba98"},
+    3: {"off": "1819bf05f8c8cbba", "scoap": "4203d5e083ee3597"},
+    4: {"off": "4960ff7cce7e5167", "scoap": "2da0c806cc840e4f"},
+}
+
+#: The same digest on 25 dk16.ji.sd faults.
+MCNC_PINS = {"off": "4545f53a4e5035b8", "scoap": "2d6cc14fcf546d04"}
+
+#: ``(test-set text digest, detected, aborted, backtracks)`` of a 40-fault
+#: ``run_atpg`` on dk16.ji.sd with the exact search off.
+RUN_PINS = {
+    "off": ("f5e152f40a99144e", 9, 31, 379),
+    "scoap": ("f5e152f40a99144e", 9, 31, 186),
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _results_digest(results):
+    rows = [
+        (
+            result.detected,
+            None if result.sequence is None else [list(v) for v in result.sequence],
+            result.backtracks,
+            result.aborted,
+            result.frames_used,
+        )
+        for result in results
+    ]
+    return _digest(repr(rows))
+
+
+def _generate_all(circuit, faults, budget, mode):
+    engine = PodemEngine(circuit, guidance=make_policy(circuit, mode))
+    return [engine.generate(fault, EffortMeter(budget)) for fault in faults]
+
+
+def _random_case(seed):
+    circuit = random_circuit(seed + 200, num_inputs=3, num_gates=18, num_dffs=3)
+    faults = collapse_faults(circuit).representatives[:15]
+    return circuit, faults, AtpgBudget(backtracks_per_fault=8, max_frames=4)
 
 
 def _mcnc_circuit():
@@ -28,28 +85,18 @@ def _mcnc_circuit():
 class TestKernelParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_circuits_bit_identical(self, seed):
-        circuit = random_circuit(
-            seed + 200, num_inputs=3, num_gates=18, num_dffs=3
-        )
-        faults = collapse_faults(circuit).representatives[:15]
-        budget = AtpgBudget(backtracks_per_fault=8, max_frames=4)
-        scalar = PodemEngine(circuit, kernel="scalar")
-        dual = PodemEngine(circuit, kernel="dual")
-        for fault in faults:
-            expected = scalar.generate(fault, EffortMeter(budget))
-            actual = dual.generate(fault, EffortMeter(budget))
-            assert actual == expected, fault
+        circuit, faults, budget = _random_case(seed)
+        for mode in MODES:
+            results = _generate_all(circuit, faults, budget, mode)
+            assert _results_digest(results) == RANDOM_PINS[seed][mode], mode
 
     def test_mcnc_circuit_bit_identical(self):
         circuit = _mcnc_circuit()
         faults = collapse_faults(circuit).representatives[:25]
         budget = AtpgBudget(backtracks_per_fault=6, max_frames=4)
-        scalar = PodemEngine(circuit, kernel="scalar")
-        dual = PodemEngine(circuit, kernel="dual")
-        for fault in faults:
-            expected = scalar.generate(fault, EffortMeter(budget))
-            actual = dual.generate(fault, EffortMeter(budget))
-            assert actual == expected, fault
+        for mode in MODES:
+            results = _generate_all(circuit, faults, budget, mode)
+            assert _results_digest(results) == MCNC_PINS[mode], mode
 
     def test_run_atpg_kernel_parity(self):
         circuit = _mcnc_circuit()
@@ -61,24 +108,41 @@ class TestKernelParity:
             random_sequences=2,
             exact_lane_steps=0,
         )
-        results = {
-            kernel: run_atpg(
-                circuit, faults, budget, engine="serial", kernel=kernel
-            )
-            for kernel in ("scalar", "dual")
-        }
-        scalar, dual = results["scalar"], results["dual"]
-        assert dual.detected == scalar.detected
-        assert dual.aborted == scalar.aborted
-        assert dual.untestable == scalar.untestable
-        assert dual.backtracks == scalar.backtracks
-        assert dual.test_set.to_text() == scalar.test_set.to_text()
-        assert dual.kernel == "dual" and scalar.kernel == "scalar"
+        for mode in MODES:
+            result = run_atpg(circuit, faults, budget, engine="serial", guidance=mode)
+            assert (
+                _digest(result.test_set.to_text()),
+                len(result.detected),
+                len(result.aborted),
+                result.backtracks,
+            ) == RUN_PINS[mode], mode
+            assert result.guidance == mode
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_detections_confirmed_by_oracles(self, seed):
+        """Each PODEM test detects its fault under the serial reference
+        fault simulator, and the exact pair search proves none of the
+        detected faults untestable."""
+        circuit, faults, budget = _random_case(seed)
+        for mode in MODES:
+            results = _generate_all(circuit, faults, budget, mode)
+            detected = [f for f, r in zip(faults, results) if r.detected]
+            assert detected
+            for fault, result in zip(faults, results):
+                if result.detected:
+                    replay = serial_fault_simulate(
+                        circuit, [result.sequence], [fault]
+                    )
+                    assert fault in replay.detections, (mode, fault)
+            for fault, outcome in iter_exact(circuit, detected, 1 << 20):
+                assert outcome.status != "proved", (mode, fault)
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
+        """The dual kernel is the only one: no entry point takes a
+        ``kernel`` argument."""
+        with pytest.raises(TypeError):
             PodemEngine(toggle_counter(), kernel="vector")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_atpg(toggle_counter(), kernel="vector")
 
 
@@ -104,7 +168,7 @@ class TestIncrementalResim:
         fault = collapse_faults(circuit).representatives[
             seed % len(collapse_faults(circuit).representatives)
         ]
-        engine = PodemEngine(circuit, kernel="dual")
+        engine = PodemEngine(circuit)
         budget = AtpgBudget()
         frames = 4
         rng = random.Random(seed)
@@ -202,7 +266,7 @@ class TestMeterAccounting:
     def test_dual_resim_counts_frames_and_lanes(self):
         circuit = toggle_counter()
         fault = collapse_faults(circuit).representatives[0]
-        engine = PodemEngine(circuit, kernel="dual")
+        engine = PodemEngine(circuit)
         meter = EffortMeter(AtpgBudget())
         frames = 3
         inputs = [[X] * engine.num_inputs for _ in range(frames)]

@@ -11,7 +11,7 @@ than being silently dropped.
 import pytest
 
 from repro.atpg import AtpgBudget, run_atpg
-from repro.atpg.parallel import FaultOutcome, default_workers, podem_partitioned
+from repro.atpg.parallel import FaultOutcome, default_workers, iter_podem_partitioned
 from repro.faults import collapse_faults
 
 from tests.helpers import pipelined_logic, random_circuit, resettable_counter
@@ -206,17 +206,21 @@ class TestPodemPartitioned:
     def test_outcomes_align_with_input_order(self):
         circuit = random_circuit(705, num_inputs=3, num_gates=12, num_dffs=3)
         faults = collapse_faults(circuit).representatives
-        outcomes = podem_partitioned(
-            circuit, faults, PARITY, max_frames=6, workers=2, pool_seconds=30.0
+        pairs = list(
+            iter_podem_partitioned(
+                circuit, faults, PARITY, max_frames=6, workers=2, pool_seconds=30.0
+            )
         )
-        assert len(outcomes) == len(faults)
-        assert all(isinstance(outcome, FaultOutcome) for outcome in outcomes)
+        assert [fault for fault, _ in pairs] == list(faults)
+        assert all(isinstance(outcome, FaultOutcome) for _, outcome in pairs)
 
     def test_empty_fault_list(self):
         circuit = resettable_counter()
         assert (
-            podem_partitioned(
-                circuit, [], PARITY, max_frames=4, workers=2, pool_seconds=1.0
+            list(
+                iter_podem_partitioned(
+                    circuit, [], PARITY, max_frames=4, workers=2, pool_seconds=1.0
+                )
             )
             == []
         )
@@ -224,9 +228,12 @@ class TestPodemPartitioned:
     def test_expired_pool_budget_marks_unattempted(self):
         circuit = random_circuit(706, num_inputs=3, num_gates=12, num_dffs=3)
         faults = collapse_faults(circuit).representatives
-        outcomes = podem_partitioned(
-            circuit, faults, PARITY, max_frames=6, workers=2, pool_seconds=0.0
-        )
+        outcomes = [
+            outcome
+            for _, outcome in iter_podem_partitioned(
+                circuit, faults, PARITY, max_frames=6, workers=2, pool_seconds=0.0
+            )
+        ]
         assert len(outcomes) == len(faults)
         assert all(not outcome.attempted for outcome in outcomes)
         assert all(outcome.aborted for outcome in outcomes)

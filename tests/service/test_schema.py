@@ -114,11 +114,11 @@ class TestBudgetAndOptions:
         request = parse_request(
             {
                 **_table2(),
-                "options": {"workers": 2, "kernel": "scalar", "verify": True},
+                "options": {"workers": 2, "engine": "process", "verify": True},
             }
         )
         assert request.workers == 2
-        assert request.kernel == "scalar"
+        assert request.engine == "process"
         assert request.verify is True
 
     def test_options_unknown_key_rejected(self):
@@ -126,12 +126,32 @@ class TestBudgetAndOptions:
             parse_request({**_table2(), "options": {"turbo": True}})
 
     def test_options_bad_kernel_rejected(self):
-        with pytest.raises(SchemaError, match="kernel"):
-            parse_request({**_table2(), "options": {"kernel": "warp"}})
+        """PODEM has one kernel, so ``kernel`` is no option at all."""
+        for kernel in ("warp", "dual"):
+            with pytest.raises(SchemaError, match="unknown option 'kernel'"):
+                parse_request({**_table2(), "options": {"kernel": kernel}})
 
     def test_options_bad_workers_rejected(self):
         with pytest.raises(SchemaError, match="workers"):
             parse_request({**_table2(), "options": {"workers": 0}})
+
+    @pytest.mark.parametrize("workers", [True, False, 1.5, "2"])
+    def test_options_non_integer_workers_rejected(self, workers):
+        with pytest.raises(SchemaError, match="workers"):
+            parse_request({**_table2(), "options": {"workers": workers}})
+
+    def test_options_engine_validated(self):
+        for engine in ("serial", "process", "auto", None):
+            request = parse_request({**_table2(), "options": {"engine": engine}})
+            assert request.engine == engine
+        for engine in ("gpu", "", 2):
+            with pytest.raises(SchemaError, match="'engine' must be one of"):
+                parse_request({**_table2(), "options": {"engine": engine}})
+
+    @pytest.mark.parametrize("guidance", ["learned", "auto", "psychic"])
+    def test_options_guidance_is_off_or_scoap(self, guidance):
+        with pytest.raises(SchemaError, match="off, scoap"):
+            parse_request({**_table2(), "options": {"guidance": guidance}})
 
     def test_invalid_tenant_rejected(self):
         with pytest.raises(SchemaError, match="tenant"):
@@ -150,7 +170,7 @@ class TestFingerprint:
         tuned = parse_request(
             {
                 **_table2(),
-                "options": {"workers": 4, "kernel": "scalar", "backend": "bigint"},
+                "options": {"workers": 4, "engine": "process", "backend": "bigint"},
             }
         ).fingerprint()
         assert tuned == base  # bit-identical results => same work

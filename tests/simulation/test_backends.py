@@ -1,11 +1,9 @@
 """Cross-backend parity: the numpy word-plane vs the bigint reference.
 
-Every compiled kernel (fault-simulation vector stepper, PODEM's dual
+Every compiled kernel with a numpy lowering (the fault-simulation vector
 stepper, the bitset STG extractor) must produce **bit-identical** packed
-words on both backends -- the numpy lowering is a speed knob, never a
-behaviour knob.  These tests mirror the kernel-parity suite in
-``tests/atpg/test_kernel_parity.py``, one backend axis instead of one
-kernel axis.
+words on both backends, and every engine built on them identical results
+-- the numpy lowering is a speed knob, never a behaviour knob.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import pytest
 
 from repro.simulation import backends
 from repro.simulation.backends import BACKENDS, resolve_backend
-from repro.simulation.cache import dual_fast_stepper, vector_fast_stepper
+from repro.simulation.cache import vector_fast_stepper
 
 from tests.helpers import random_circuit, requires_numpy, toggle_counter
 
@@ -227,30 +225,6 @@ class TestVectorKernelParity:
 
 
 @requires_numpy
-class TestDualKernelParity:
-    """``word_step`` vs the bigint ``step_dual`` of the PODEM kernel."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_word_step_matches_bigint(self, seed):
-        from repro.faults.collapse import collapse_faults
-
-        rng = random.Random(seed)
-        circuit = random_circuit(seed + 400, num_inputs=3, num_gates=16, num_dffs=3)
-        stepper = dual_fast_stepper(circuit)
-        word_step = stepper.word_step()
-        faults = collapse_faults(circuit).representatives
-        for width in (1, 2, 7, 64, 130):
-            mask = (1 << width) - 1
-            fault = faults[rng.randrange(len(faults))]
-            sa1, sa0 = stepper.injection_masks(fault, width=width)
-            good = _random_rails(rng, stepper.compiled.num_registers, width)
-            bad = _random_rails(rng, stepper.compiled.num_registers, width)
-            vector = _random_rails(rng, stepper.compiled.num_inputs, width)
-            reference = stepper.step_dual(good, bad, vector, mask, sa1, sa0)
-            assert word_step(good, bad, vector, mask, sa1, sa0) == reference
-
-
-@requires_numpy
 class TestEngineBackendParity:
     """End-to-end engines: identical results on both backends."""
 
@@ -322,23 +296,24 @@ class TestEngineBackendParity:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_podem_results_identical(self, seed):
-        from repro.atpg.budget import AtpgBudget, EffortMeter
-        from repro.atpg.podem import PodemEngine
-        from repro.faults.collapse import collapse_faults
+        """A PODEM-only run (exact search off): the random phase and the
+        collateral replay simulate on the chosen backend."""
+        from repro.atpg import AtpgBudget, run_atpg
 
         circuit = random_circuit(seed + 460, num_inputs=3, num_gates=18, num_dffs=3)
-        faults = collapse_faults(circuit).representatives[:10]
-        budget = AtpgBudget(backtracks_per_fault=8, max_frames=4)
-        reference = PodemEngine(circuit, kernel="dual", backend="bigint")
-        candidate = PodemEngine(circuit, kernel="dual", backend="numpy")
-        for fault in faults:
-            expected = reference.generate(fault, EffortMeter(budget))
-            actual = candidate.generate(fault, EffortMeter(budget))
-            assert (actual.detected, actual.sequence, actual.backtracks) == (
-                expected.detected,
-                expected.sequence,
-                expected.backtracks,
-            )
+        budget = AtpgBudget(
+            backtracks_per_fault=8,
+            max_frames=4,
+            random_sequences=8,
+            exact_lane_steps=0,
+        )
+        reference = run_atpg(circuit, budget=budget, backend="bigint")
+        candidate = run_atpg(circuit, budget=budget, backend="numpy")
+        assert reference.backtracks > 0
+        assert candidate.test_set.to_text() == reference.test_set.to_text()
+        assert candidate.detected == reference.detected
+        assert candidate.aborted == reference.aborted
+        assert candidate.backtracks == reference.backtracks
 
     @pytest.mark.parametrize("num_faults", [0, 1, 3])
     def test_bitset_stg_tables_identical(self, num_faults):

@@ -57,7 +57,6 @@ class TestRunFlags:
             "store": True,
             "resume": False,
             "workers": None,
-            "kernel": "dual",
             "backend": "auto",
             "guidance": "off",
             "engine": None,
@@ -78,8 +77,6 @@ class TestRunFlags:
                 "--workers",
                 "3",
                 "sd",
-                "--kernel",
-                "scalar",
                 "--backend",
                 "bigint",
                 "--guidance",
@@ -101,7 +98,6 @@ class TestRunFlags:
             "store": False,
             "resume": True,
             "workers": 3,
-            "kernel": "scalar",
             "backend": "bigint",
             "guidance": "scoap",
             "engine": "reference",
@@ -117,8 +113,42 @@ class TestRunFlags:
             _pop_flags(["--workers"])
 
     def test_kernel_without_name_is_an_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="--kernel"):
             _pop_flags(["--kernel"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kernel", "scalar"],
+            ["--guidance", "learned"],
+            ["--guidance", "auto"],
+            ["--bogus"],
+        ],
+    )
+    def test_retired_and_unknown_flags_exit_2(self, capsys, flags):
+        assert main(["atpg", "--no-store", "dk16", "ji", "sd", "3"] + flags) == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_unknown_flag_is_not_a_positional(self, capsys):
+        assert main(["synth", "dk16", "ji", "sd", "--frobnicate"]) == 2
+        assert "--frobnicate" in capsys.readouterr().err
+        assert main(["atpg", "--no-store", "--bogus", "dk16", "ji", "sd"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "bogus"], ["--workers", "0"], ["--stg-engine", "warp"]],
+    )
+    def test_bad_option_fails_the_same_warm_and_cold(self, capsys, flags):
+        """The option is checked before any stage, so a cached ATPG stage
+        cannot hide it."""
+        assert main(["atpg", "dk16", "ji", "sd", "3"]) == 0
+        capsys.readouterr()
+        warm = main(["atpg", "dk16", "ji", "sd", "3"] + flags)
+        warm_err = capsys.readouterr().err
+        cold = main(["atpg", "--no-store", "dk16", "ji", "sd", "3"] + flags)
+        cold_err = capsys.readouterr().err
+        assert warm == cold == 2
+        assert warm_err == cold_err and flags[1] in cold_err
 
     def test_backend_without_name_is_an_error(self):
         with pytest.raises(ValueError):
@@ -127,8 +157,9 @@ class TestRunFlags:
     def test_guidance_rejects_unknown_modes(self):
         with pytest.raises(ValueError):
             _pop_flags(["--guidance"])
-        with pytest.raises(ValueError):
-            _pop_flags(["--guidance", "psychic"])
+        for mode in ("psychic", "learned", "auto"):
+            with pytest.raises(ValueError, match="off or scoap"):
+                _pop_flags(["--guidance", mode])
 
     def test_no_store_atpg_writes_nothing(self, capsys):
         assert main(["atpg", "--no-store", "dk16", "ji", "sd", "3"]) == 0
