@@ -1,28 +1,31 @@
-"""Equivalence-engine performance harness.
+"""Equivalence-extraction performance harness.
 
-Times the explicit-STG engine tiers -- the scalar ``reference`` engine
-(per-state ``SequentialSimulator`` sweeps, dict-based refinement,
-frozenset BFS), the bit-packed ``bitset`` engine (all ``2^r`` states as
-lanes of one compiled step, array refinement, integer-bitset BFS), and
-the reachability-bounded ``reach`` engine (BFS frontier expansion from
-the reset state, one compiled sweep per frontier level) -- on extraction,
-state classification and functional sync-sequence search, and writes the
-results to ``BENCH_equiv.json``.
+Times three legs on extraction, state classification and functional
+sync-sequence search, and writes the results to ``BENCH_equiv.json``:
+
+* ``reference`` -- the scalar oracles (``extract_stg_reference``'s
+  per-state ``SequentialSimulator`` sweeps, ``classify_reference``'s dict
+  refinement, the frozenset BFS);
+* ``bitset`` -- the full state space (``extract_stg``: all ``2^r`` states
+  as lanes of one compiled step, array refinement, integer-bitset BFS);
+* ``reach`` -- the reset-reachable set (``extract_stg(initial_states=
+  "reset")``: BFS frontier expansion from the reset state, one compiled
+  sweep per frontier level).
 
 Run from the repository root::
 
     PYTHONPATH=src python -m benchmarks.perf_equiv --quick
     PYTHONPATH=src python -m benchmarks.perf_equiv --full -o BENCH_equiv.json
 
-Every row cross-checks the engines -- identical transition tables and
+Every row cross-checks the legs -- identical transition tables and
 classification block ids on the reference/bitset pair, restricted-table
-agreement between the reach engine and the bitset engine's
-reset-reachable set, bigint/numpy word-backend identity on the reach
-legs -- so a benchmark run is also an end-to-end parity check.  Rows past
-the bitset engine's 18-register wall (the ``ring`` workloads) carry
+agreement between the reach leg and the full space's reset-reachable
+set, bigint/numpy word-backend identity on the reach legs -- so a
+benchmark run is also an end-to-end parity check.  Rows past the
+full-space 18-register cap (the ``ring`` workloads) carry
 ``bitset_rejected: true`` and only the reach legs; they are excluded from
-the cross-engine speedup statistics.  Each row records the parameters
-needed to regenerate its circuit (``circuit_from_params``), which is how
+the speedup statistics.  Each row records the parameters needed to
+regenerate its circuit (``circuit_from_params``), which is how
 ``benchmarks.perf_guard --equiv-baseline`` re-measures the bitset and
 reach legs against a committed baseline.
 
@@ -32,6 +35,7 @@ This module is *not* collected by pytest (``testpaths = ["tests"]``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import random
@@ -48,10 +52,13 @@ from repro.equivalence import (
     extract_stg,
     find_functional_sync_sequence,
 )
+from repro.equivalence.explicit import extract_stg_reference
+from repro.equivalence.relations import classify_reference
+from repro.equivalence.syncseq import find_functional_sync_sequence_reference
 from repro.simulation import clear_compile_cache
 from repro.simulation.backends import numpy_available
 
-# Sync-search budgets, shared by both engines so cutoffs are comparable.
+# Sync-search budgets, shared by every leg so cutoffs are comparable.
 SYNC_MAX_LENGTH = 6
 SYNC_MAX_VISITED = 2_000
 
@@ -60,7 +67,7 @@ QUICK_PARAMS: Tuple[Dict[str, object], ...] = (
     {"kind": "random", "seed": 7, "num_inputs": 3, "num_gates": 30, "num_dffs": 8},
     {"kind": "random", "seed": 11, "num_inputs": 4, "num_gates": 45, "num_dffs": 10},
     {"kind": "ring", "width": 12},
-    {"kind": "ring", "width": 28},  # past the bitset wall: reach legs only
+    {"kind": "ring", "width": 28},  # past the full-space cap: reach legs only
 )
 FULL_EXTRA_PARAMS: Tuple[Dict[str, object], ...] = (
     {"kind": "random", "seed": 13, "num_inputs": 4, "num_gates": 60, "num_dffs": 12},
@@ -127,9 +134,10 @@ def _workload_token_ring(width: int) -> Circuit:
     """A one-hot token ring with synchronous reset: ``width`` flip-flops
     but only ``width + 1`` reset-reachable states (empty + one-hots).
 
-    The sparse-reachability workload for the reach engine: at widths past
-    18 registers the bitset engine rejects the circuit outright, while the
-    reach engine's BFS visits a vanishing fraction of ``2^width``.
+    The sparse-reachability workload for the reach leg: at widths past
+    18 registers the full-space extraction rejects the circuit outright,
+    while the reset-reachable BFS visits a vanishing fraction of
+    ``2^width``.
     """
     builder = CircuitBuilder(f"bench_ring{width}")
     builder.input("rst")
@@ -190,26 +198,32 @@ def _time(fn, repeats: int) -> Tuple[float, object]:
 
 
 def time_engine_leg(
-    circuit: Circuit, engine: str, repeats: int, backend: str = "auto"
+    circuit: Circuit, leg: str, repeats: int, backend: str = "auto"
 ) -> Tuple[Dict[str, float], object, object, object]:
-    """(timings, stg, classification, sequence) for one engine on one row."""
-    classify_engine = "reference" if engine == "reference" else "array"
-    extract_s, stg = _time(
-        lambda: extract_stg(
-            circuit, engine=engine, use_store=False, backend=backend
-        ),
-        repeats,
-    )
-    classify_s, classification = _time(
-        lambda: classify([stg], engine=classify_engine), repeats
-    )
+    """(timings, stg, classification, sequence) for one leg on one row:
+    ``"reference"`` (the scalar oracles), ``"bitset"`` (full space) or
+    ``"reach"`` (reset-reachable set)."""
+    if leg == "reference":
+        extract = functools.partial(extract_stg_reference, circuit)
+        classifier = classify_reference
+        search = find_functional_sync_sequence_reference
+    else:
+        extract = functools.partial(
+            extract_stg,
+            circuit,
+            use_store=False,
+            backend=backend,
+            initial_states="reset" if leg == "reach" else "all",
+        )
+        classifier, search = classify, find_functional_sync_sequence
+    extract_s, stg = _time(extract, repeats)
+    classify_s, classification = _time(lambda: classifier([stg]), repeats)
     sync_s, sequence = _time(
-        lambda: find_functional_sync_sequence(
+        lambda: search(
             stg,
             max_length=SYNC_MAX_LENGTH,
             max_visited=SYNC_MAX_VISITED,
             classification=classification,
-            engine=engine,
         ),
         repeats,
     )
@@ -223,7 +237,7 @@ def time_engine_leg(
 
 
 def _assert_restricted_parity(bit_stg, rch_stg, circuit_name: str) -> None:
-    """The reach tables must be the bitset tables restricted to the
+    """The reach tables must be the full-space tables restricted to the
     reset-reachable set, entry for entry."""
     zeros = (0,) * len(bit_stg.states[0])
     if set(rch_stg.states) != set(bit_stg.reachable_from(zeros)):
@@ -243,8 +257,8 @@ def _assert_restricted_parity(bit_stg, rch_stg, circuit_name: str) -> None:
 
 
 def bench_row(params: Dict[str, object], repeats: int) -> Dict[str, object]:
-    """One benchmark row: every in-limit engine on one circuit, parity
-    asserted.  Rows past the bitset wall get ``bitset_rejected: true``
+    """One benchmark row: every in-cap leg on one circuit, parity
+    asserted.  Rows past the full-space cap get ``bitset_rejected: true``
     and carry only the reach legs."""
     circuit = circuit_from_params(params)
     row: Dict[str, object] = {
@@ -257,8 +271,8 @@ def bench_row(params: Dict[str, object], repeats: int) -> Dict[str, object]:
 
     bit = bit_stg = None
     if circuit.num_registers() <= ENGINE_LIMITS["bitset"].registers:
-        # The scalar engine costs O(states x vectors x circuit) per repeat;
-        # best-of-1 keeps the harness bounded while the compiled engines
+        # The scalar oracle costs O(states x vectors x circuit) per repeat;
+        # best-of-1 keeps the harness bounded while the compiled legs
         # still get warm-cache best-of-``repeats``.
         ref, ref_stg, ref_cls, ref_seq = time_engine_leg(circuit, "reference", 1)
         bit, bit_stg, bit_cls, bit_seq = time_engine_leg(
@@ -271,7 +285,7 @@ def bench_row(params: Dict[str, object], repeats: int) -> Dict[str, object]:
             and ref_seq == bit_seq
         )
         if not parity:
-            raise AssertionError(f"engine parity violated on {circuit.name}")
+            raise AssertionError(f"oracle parity violated on {circuit.name}")
         row.update(
             {
                 "num_states": len(bit_stg.states),
@@ -295,12 +309,12 @@ def bench_row(params: Dict[str, object], repeats: int) -> Dict[str, object]:
         )
     else:
         try:
-            extract_stg(circuit, engine="bitset", use_store=False)
+            extract_stg(circuit, use_store=False)
         except StateSpaceTooLarge:
             row["bitset_rejected"] = True
         else:
             raise AssertionError(
-                f"{circuit.name} was expected to be past the bitset wall"
+                f"{circuit.name} was expected to be past the full-space cap"
             )
 
     rch, rch_stg, rch_cls, rch_seq = time_engine_leg(

@@ -83,26 +83,25 @@ def test_codegen_step(benchmark, circuit):
 
 @pytest.fixture(scope="module")
 def small_circuit():
-    # s820 has 18 primary inputs -- beyond every STG engine's vector
-    # limit -- so the state-space ablation runs on dk16 (5 dffs, 4 PIs).
+    # s820 has 18 primary inputs -- beyond both state-space caps -- so
+    # the state-space ablation runs on dk16 (5 dffs, 4 PIs).
     from repro.core.experiments import TABLE2_CIRCUITS
 
     spec = next(s for s in TABLE2_CIRCUITS if s.name == "dk16.ji.sd")
     return build_pair(spec).original
 
 
-@pytest.mark.parametrize("engine", ["bitset", "reference"])
-def test_stg_engine(benchmark, small_circuit, engine):
+def test_stg_engine(benchmark, small_circuit):
     from repro.equivalence import classify, extract_stg
 
     def analyse():
-        stg = extract_stg(small_circuit, engine=engine, use_store=False)
+        stg = extract_stg(small_circuit, use_store=False)
         return stg, classify([stg])
 
     stg, classification = benchmark(analyse)
     assert len(stg.states) == 1 << small_circuit.num_registers()
-    # Both engines land on the same partition (cross-checked in depth by
-    # tests/equivalence/test_engine_parity.py; this pins the headline
+    # The partition the scalar oracle also lands on (cross-checked in depth
+    # by tests/equivalence/test_engine_parity.py; this pins the headline
     # number the speedup claim is anchored to).
     assert len(set(classification.class_array(0))) == 28
 

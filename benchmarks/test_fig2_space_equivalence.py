@@ -6,8 +6,6 @@ equivalent-state class {01, 10, 11}, and the two machines are
 space-equivalent; <11> synchronizes both to equivalent states (Theorem 1).
 """
 
-import pytest
-
 from repro.equivalence import classify, extract_stg, space_equivalent, states_equivalent
 from repro.papercircuits import fig2_pair
 from repro.simulation import SequentialSimulator
@@ -21,13 +19,12 @@ def test_fig2_characteristics(benchmark):
     assert c2.num_registers() == 2
 
 
-@pytest.mark.parametrize("engine", ["bitset", "reference"])
-def test_fig2_state_space(benchmark, engine):
+def test_fig2_state_space(benchmark):
     c1, c2, _ = fig2_pair()
 
     def analyse():
-        stg1 = extract_stg(c1, engine=engine, use_store=False)
-        stg2 = extract_stg(c2, engine=engine, use_store=False)
+        stg1 = extract_stg(c1, use_store=False)
+        stg2 = extract_stg(c2, use_store=False)
         equivalent = space_equivalent(stg1, stg2)
         classes = classify([stg2]).equivalence_classes(0)
         return stg1, stg2, equivalent, classes

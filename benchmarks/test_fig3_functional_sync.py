@@ -8,8 +8,6 @@ reasoning validates on L1 fails on L2).
 
 import itertools
 
-import pytest
-
 from repro.circuit import LineRef
 from repro.equivalence import (
     extract_stg,
@@ -21,17 +19,16 @@ from repro.faults import StuckAtFault
 from repro.papercircuits import fig3_pair
 
 
-@pytest.mark.parametrize("engine", ["bitset", "reference"])
-def test_fig3_observation1(benchmark, engine):
+def test_fig3_observation1(benchmark):
     l1, l2, _ = fig3_pair()
 
     def analyse():
-        stg1 = extract_stg(l1, engine=engine, use_store=False)
-        stg2 = extract_stg(l2, engine=engine, use_store=False)
+        stg1 = extract_stg(l1, use_store=False)
+        stg2 = extract_stg(l2, use_store=False)
         return (
-            is_functional_sync_sequence(stg1, [(1, 1)], engine=engine),
+            is_functional_sync_sequence(stg1, [(1, 1)]),
             is_structural_sync_sequence(l1, [(1, 1)]),
-            is_functional_sync_sequence(stg2, [(1, 1)], engine=engine),
+            is_functional_sync_sequence(stg2, [(1, 1)]),
         )
 
     functional_l1, structural_l1, functional_l2 = benchmark(analyse)

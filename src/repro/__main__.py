@@ -11,14 +11,15 @@ Commands:
   benchmark circuit and print the test set (``testset`` text format);
 * ``flow <fsm> <style> <script> [seconds]`` — run the Fig. 6
   retime-for-testability flow on the retimed circuit (``--verify`` adds a
-  Lemma 2 behavioural check stage, ``--stg-engine`` picks its STG engine);
+  Lemma 2 behavioural check stage and prints its outcome: the bound and
+  each side's state space, or ``unverified`` and the reason);
 * ``equiv <fsm> <style> <script>`` — explicit state-space analysis: state
   counts, equivalence classes and the shortest functional synchronizing
-  sequence (``--engine bitset|reference|reach|auto`` selects the STG
-  engine, ``--initial reset|all`` picks the reach engine's start set,
-  ``--retimed`` analyses the retimed circuit, ``--max-length N`` bounds
-  the sequence search); ``equiv --help`` prints the per-engine limits
-  table; prints artifact-store hit/miss stats;
+  sequence (``--initial all|reset`` picks the full state space, the
+  default, or the states reachable from reset; ``--retimed`` analyses the
+  retimed circuit, ``--max-length N`` bounds the sequence search);
+  ``equiv --help`` prints the two state-space caps; prints artifact-store
+  hit/miss stats;
 * ``store stats [--json]`` — one table of per-kind, per-shard and
   per-tenant artifact counts/bytes plus session and lifetime hit/miss/
   eviction counters (``--json`` emits the machine-readable summary);
@@ -104,12 +105,10 @@ def _pop_flags(rest):
         "workers": None,
         "backend": "auto",
         "guidance": "off",
-        "engine": None,
         "retimed": False,
         "max_length": None,
-        "initial": None,
+        "initial": "all",
         "verify": False,
-        "stg_engine": None,
     }
     positional = []
     index = 0
@@ -138,27 +137,16 @@ def _pop_flags(rest):
             if index >= len(rest) or rest[index] not in ("off", "scoap"):
                 raise ValueError("--guidance needs a mode (off or scoap)")
             options["guidance"] = rest[index]
-        elif argument == "--engine":
-            index += 1
-            if index >= len(rest):
-                raise ValueError(
-                    "--engine needs a name (bitset, reference, reach or auto)"
-                )
-            options["engine"] = rest[index]
         elif argument == "--initial":
             index += 1
-            if index >= len(rest):
-                raise ValueError("--initial needs a start set (reset or all)")
-            options["initial"] = rest[index]
+            space = rest[index] if index < len(rest) else None
+            if space not in ("all", "reset"):
+                raise ValueError(
+                    f"--initial needs a state space (all or reset), got {space!r}"
+                )
+            options["initial"] = space
         elif argument == "--verify":
             options["verify"] = True
-        elif argument == "--stg-engine":
-            index += 1
-            if index >= len(rest):
-                raise ValueError(
-                    "--stg-engine needs a name (bitset, reference, reach or auto)"
-                )
-            options["stg_engine"] = rest[index]
         elif argument == "--max-length":
             index += 1
             if index >= len(rest):
@@ -185,20 +173,25 @@ def _open_run(options, label):
 
 
 def _equiv_usage() -> str:
-    from repro.equivalence import engine_limits_table
+    from repro.equivalence import ENGINE_LIMITS
 
+    full, reach = ENGINE_LIMITS["bitset"], ENGINE_LIMITS["reach"]
     return (
         "usage: python -m repro equiv <fsm> <style> <script> [options]\n"
         "\n"
         "options:\n"
-        "  --engine bitset|reference|reach|auto  STG extraction engine\n"
-        "  --initial reset|all      reach engine start set (default reset)\n"
+        "  --initial all|reset      full state space (default) or the states\n"
+        "                           reachable from reset\n"
         "  --retimed                analyse the retimed circuit\n"
         "  --max-length N           sync-sequence search bound (default 8)\n"
         "  --backend auto|bigint|numpy  word backend for compiled kernels\n"
         "  --no-store               bypass the artifact store\n"
         "\n"
-        "engine limits:\n" + engine_limits_table()
+        "state-space caps:\n"
+        f"  all:   {full.registers} registers, {full.inputs} inputs, "
+        f"2^{full.transitions.bit_length() - 1} states x vectors\n"
+        f"  reset: {reach.registers} output-cone registers, {reach.inputs} inputs, "
+        f"2^{reach.transitions.bit_length() - 1} visited states x vectors"
     )
 
 
@@ -210,19 +203,9 @@ def _equiv_command(spec, options) -> int:
         classify,
         extract_stg,
         find_functional_sync_sequence,
-        resolved_engine_name,
     )
     from repro.store.core import default_store
 
-    engine = options["engine"]
-    initial = options["initial"]
-    if initial is not None:
-        if initial not in ("reset", "all"):
-            print(f"--initial must be reset or all, got {initial!r}", file=sys.stderr)
-            return 2
-        if engine != "reach":
-            print("--initial requires --engine reach", file=sys.stderr)
-            return 2
     store = default_store() if options["store"] else None
     pair = build_pair(spec, store=store)
     circuit = pair.retimed if options["retimed"] else pair.original
@@ -230,17 +213,13 @@ def _equiv_command(spec, options) -> int:
     try:
         stg = extract_stg(
             circuit,
-            engine=engine,
             use_store=options["store"],
             backend=options["backend"],
-            initial_states=initial,
+            initial_states=options["initial"],
         )
     except StateSpaceTooLarge as error:
         print(f"state space too large: {error}", file=sys.stderr)
         return 1
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
     classification = classify([stg])
     num_classes = len(set(classification.class_array(0)))
     sequence = find_functional_sync_sequence(
@@ -252,15 +231,14 @@ def _equiv_command(spec, options) -> int:
     )
     if isinstance(stg, ReachableSTG):
         print(
-            f"engine reach: visited {stg.visited_states} of "
+            f"reachable from reset: visited {stg.visited_states} of "
             f"{stg.total_states} states x {len(stg.alphabet)} vectors "
             f"(peak frontier {stg.peak_frontier}, {stg.levels} levels), "
             f"{num_classes} equivalence classes"
         )
     else:
         print(
-            f"engine {resolved_engine_name(engine, stg)}: "
-            f"{len(stg.states)} states x "
+            f"full space: {len(stg.states)} states x "
             f"{len(stg.alphabet)} vectors, {num_classes} equivalence classes"
         )
     if sequence is None:
@@ -278,6 +256,24 @@ def _equiv_command(spec, options) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def _verify_line(detail, flow) -> str:
+    """The verify stage's outcome: the bound and each side's state space,
+    or ``unverified`` and the reason."""
+    if not detail["checked"]:
+        return f"verify: unverified, {detail['skipped']}"
+    spaces = []
+    for side, circuit in (("hard", flow.hard_circuit), ("easy", flow.easy_circuit)):
+        visited = detail.get(f"visited_{side}")
+        if visited is None:
+            spaces.append(f"{side}: all {1 << circuit.num_registers()} states")
+        else:
+            spaces.append(f"{side}: {visited} states reachable from reset")
+    return (
+        f"verify: checked, K =={detail['bound']}t K' (least N {detail['found']}); "
+        + "; ".join(spaces)
+    )
 
 
 def _human_bytes(count: int) -> str:
@@ -525,7 +521,6 @@ def main(argv=None) -> int:
                 guidance=options["guidance"],
                 resume=options["resume"],
                 verify=options["verify"],
-                stg_engine=options["stg_engine"] or "auto",
             )
         except (ValueError, RuntimeError) as error:
             if journal is not None:
@@ -559,6 +554,9 @@ def main(argv=None) -> int:
                 if journal is not None:
                     journal.close(ok=True)
             print(result.flow.summary())
+            verify = result.stage("verify")
+            if verify is not None:
+                print(_verify_line(verify.detail, result.flow))
             for stage in result.stages:
                 print(
                     f"stage {stage.name}: {stage.cache} {stage.seconds:.2f}s",

@@ -1,11 +1,11 @@
 """Cone-of-influence reduction: drop logic outside every output's support.
 
-The reachability-bounded STG engine (``engine="reach"``) only needs the
-machine *as observed at the primary outputs*: a register whose value can
-never reach an output (and never feeds a kept register's next-state
-function) contributes nothing to the transition/output tables the paper's
-Section II machinery inspects, yet doubles the state space.  This pass
-computes the backward closure of the output vertices over all
+Reachability-bounded STG extraction (``initial_states="reset"``) only
+needs the machine *as observed at the primary outputs*: a register whose
+value can never reach an output (and never feeds a kept register's
+next-state function) contributes nothing to the transition/output tables
+the paper's Section II machinery inspects, yet doubles the state space.
+This pass computes the backward closure of the output vertices over all
 interconnections -- registered edges included, so the full load cone of
 every kept register is retained -- and rebuilds the circuit with only the
 closure's edges.

@@ -89,7 +89,7 @@ class PreservationReport:
     missed: List[StuckAtFault] = field(default_factory=list)
     explained_by_register_split: List[StuckAtFault] = field(default_factory=list)
     time_equivalence_checked: bool = False  # Lemma 2 STG check ran and held
-    time_equivalence_engine: str = ""  # STG engine that ran it ("" if skipped)
+    time_equivalence_engine: str = ""  # extraction(s) it ran on ("" if skipped)
 
     @property
     def holds(self) -> bool:
@@ -104,7 +104,6 @@ def verify_preservation(
     retimed: Optional[Circuit] = None,
     engine: str = "parallel",
     check_time_equivalence: bool = False,
-    stg_engine: Optional[str] = None,
 ) -> PreservationReport:
     """Empirically check Theorem 4 on a test set.
 
@@ -116,14 +115,12 @@ def verify_preservation(
     reported separately).
 
     With ``check_time_equivalence=True`` the report additionally validates
-    Lemma 2 on the explicit state space (``K ≡Nt K'`` with the plan's
-    bound) via the STG engine selected by ``stg_engine``; machines beyond
-    the engine's limits skip the check (``time_equivalence_checked`` stays
-    False), a bound violation raises :class:`ValueError`.  With
-    ``stg_engine="reach"`` (or ``"auto"`` resolving to it) the bound is
-    validated over the *reset-reachable* state sets of the two machines --
-    reachability-bounded rather than full-space Lemma 2; the engine that
-    actually ran is recorded in ``time_equivalence_engine``.
+    Lemma 2 (``K ≡Nt K'`` with the plan's bound) through
+    :func:`~repro.equivalence.check_time_equivalence`: a machine past the
+    full-space cap is checked over its reset-reachable states, a pair past
+    both caps leaves ``time_equivalence_checked`` False, and a bound
+    violation raises :class:`ValueError`.  ``time_equivalence_engine``
+    records the extraction(s) the check ran on.
     """
     retimed_circuit = retimed if retimed is not None else retiming.apply()
     correspondence = FaultCorrespondence(original, retimed_circuit)
@@ -156,32 +153,13 @@ def verify_preservation(
         retimed_detected=result_retimed.num_detected,
     )
     if check_time_equivalence:
-        from repro.equivalence import (
-            StateSpaceTooLarge,
-            extract_stg,
-            resolved_engine_name,
-            time_equivalence_bound,
-        )
+        from repro import equivalence
 
-        try:
-            stg_original = extract_stg(original, engine=stg_engine)
-            stg_retimed = extract_stg(retimed_circuit, engine=stg_engine)
-        except StateSpaceTooLarge:
-            pass  # machine too large for the chosen engine: skip, don't fail
-        else:
-            found = time_equivalence_bound(
-                stg_original, stg_retimed, max_steps=plan.time_equivalence_bound
-            )
-            if found is None:
-                raise ValueError(
-                    f"{original.name} and {retimed_circuit.name} are not "
-                    f"{plan.time_equivalence_bound}-time-equivalent: "
-                    "Lemma 2 violated"
-                )
-            report.time_equivalence_checked = True
-            report.time_equivalence_engine = resolved_engine_name(
-                stg_engine, stg_original, stg_retimed
-            )
+        check = equivalence.check_time_equivalence(
+            original, retimed_circuit, plan.time_equivalence_bound
+        )
+        report.time_equivalence_checked = check.checked
+        report.time_equivalence_engine = check.engine
     for fault in retimed_faults:
         if fault in result_retimed.detections:
             continue

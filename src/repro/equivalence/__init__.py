@@ -1,33 +1,34 @@
 """Explicit state-space analysis: the paper's Section II machinery.
 
-STG extraction (including faulty machines), state equivalence via joint
-partition refinement, space/time containment and equivalence relations, and
-structural/functional synchronizing sequences.
+STG extraction (including faulty machines) over the full state space or
+the states reachable from a start set, state equivalence via joint
+partition refinement, space/time containment and equivalence relations,
+the Lemma 2 check (:func:`check_time_equivalence`), and structural/
+functional synchronizing sequences.
 
-Extraction, classification and the functional sync-sequence searches all
-run on a bit-packed engine by default (flat transition tables built by
-lane-parallel simulation, state sets as int bitsets); the scalar seed
-implementations stay available as ``engine="reference"`` and are asserted
-result-identical by the cross-engine parity suite.
+Extraction, classification and the functional sync-sequence searches run
+on bit-packed tables (built by lane-parallel simulation, state sets as int
+bitsets).  The scalar seed implementations stay as named oracles --
+:func:`~repro.equivalence.explicit.extract_stg_reference`,
+:func:`~repro.equivalence.relations.classify_reference` and the
+``*_reference`` searches in :mod:`repro.equivalence.syncseq` -- that the
+parity suite holds the fast paths to.
 """
 
 from repro.equivalence.explicit import (
-    DEFAULT_ENGINE,
     ENGINE_LIMITS,
-    ENGINE_TIERS,
     EngineLimits,
     ExplicitSTG,
     STG_FORMAT_VERSION,
     StateSpaceTooLarge,
     all_vectors,
-    engine_limits_table,
     extract_stg,
-    resolved_engine_name,
-    select_engine,
 )
 from repro.equivalence.reach import REACH_FORMAT_VERSION, ReachableSTG
 from repro.equivalence.relations import (
     StateClassification,
+    TimeEquivalenceCheck,
+    check_time_equivalence,
     classify,
     space_contains,
     space_equivalent,
@@ -51,14 +52,9 @@ __all__ = [
     "ReachableSTG",
     "EngineLimits",
     "ENGINE_LIMITS",
-    "ENGINE_TIERS",
-    "DEFAULT_ENGINE",
     "STG_FORMAT_VERSION",
     "REACH_FORMAT_VERSION",
     "extract_stg",
-    "select_engine",
-    "engine_limits_table",
-    "resolved_engine_name",
     "all_vectors",
     "StateSpaceTooLarge",
     "classify",
@@ -68,6 +64,8 @@ __all__ = [
     "space_equivalent",
     "time_contains",
     "time_equivalence_bound",
+    "check_time_equivalence",
+    "TimeEquivalenceCheck",
     "is_structural_sync_sequence",
     "synchronizes_up_to_equivalence",
     "covered_states",

@@ -6,10 +6,11 @@ module packs **(state, vector) pairs as lanes** of the compiled
 bit-parallel stepper (:class:`~repro.simulation.vector_codegen.
 VectorFastStepper`): :func:`alphabet_sweep` advances a block of states
 under a whole chunk of the input alphabet per step and decodes the
-next-state/output rail planes into packed codes.  The bitset engine
-sweeps the block of all ``2^r`` states (:func:`extract_arrays_bitset`,
-flat arrays indexed ``[vector_idx][state_idx]``); the reach engine
-sweeps each BFS frontier block.
+next-state/output rail planes into packed codes.  The full-space
+extraction sweeps the block of all ``2^r`` states
+(:func:`extract_arrays_bitset`, flat arrays indexed
+``[vector_idx][state_idx]``); the reachable-state BFS sweeps each
+frontier block.
 
 In the full block lane ``s`` of a vector's run carries the state whose
 register bits are the binary digits of ``s`` (register ``j`` holds bit
@@ -134,7 +135,7 @@ def decode_plane_into(
 
 #: Widest step a sweep packs: a block of ``B`` states times a chunk of the
 #: alphabet fills at most this many lanes (64 words for the numpy runner).
-#: Blocks at least this wide -- the bitset engine's full ``2^r`` range from
+#: Blocks at least this wide -- the full ``2^r`` range of the state space from
 #: 12 registers up -- step one vector at a time.
 REACH_LANE_BLOCK = 1 << 12
 
@@ -182,8 +183,8 @@ def alphabet_sweep(
     lists ``(next_codes, out_codes)``: the packed next-state code and the
     packed output word of every state ``block[s]`` (MSB-first: register
     ``j`` is bit ``r - 1 - j``, output ``k`` bit ``o - 1 - k``).  ``block``
-    holds packed state codes; ``range(2 ** r)`` -- the bitset engine's full
-    state space -- gets its rails from the closed-form :func:`state_plane`.
+    holds packed state codes; ``range(2 ** r)`` -- the full state space --
+    gets its rails from the closed-form :func:`state_plane`.
 
     One compiled step covers a chunk of ``max(1, REACH_LANE_BLOCK // B)``
     vectors for a block of ``B`` states: lane ``v * B + s`` carries chunk
@@ -192,7 +193,7 @@ def alphabet_sweep(
     ``B``-lane run per vector.  Stuck-at ``faults`` are forced through the
     stepper's runtime ``sa1``/``sa0`` masks on every lane; the last fault
     per line wins, matching the reference simulator's forced-value dict.
-    Both backends decode identical rows (the engine-parity suite asserts
+    Both backends decode identical rows (the parity suite asserts
     it); ``backend="auto"`` takes numpy for steps of at least
     :data:`REACH_NUMPY_MIN_LANES` lanes.
     """
@@ -380,7 +381,7 @@ def _numpy_rows(circuit: Circuit, stepper, alphabet, forced, injection_masks):
 def _not_binary(circuit: Circuit, what: str, position: int) -> ValueError:
     return ValueError(
         f"{circuit.name}: {what} {position} is not binary on every lane; "
-        "the STG engines require binary states and input vectors"
+        "STG extraction requires binary states and input vectors"
     )
 
 

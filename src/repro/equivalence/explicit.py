@@ -6,22 +6,23 @@ state transition graph.  For circuits with a modest number of flip-flops
 (the paper's examples have 1-3, the synthesized benchmarks 5-7) the STG can
 be built exactly by enumerating all binary states and input vectors.
 
-Three engine tiers build compatible tables:
+:func:`extract_stg` answers two questions, chosen by ``initial_states``:
 
-* ``engine="bitset"`` (default) packs all ``2^r`` initial states as lanes
-  of the compiled bit-parallel stepper and advances the whole state space
-  with **one vectorized step per input vector**
+* ``"all"`` (the default) enumerates the full state space: all ``2^r``
+  initial states ride as lanes of the compiled bit-parallel stepper, a
+  chunk of the input alphabet beside them, one vectorized step per chunk
   (:mod:`repro.equivalence.bitset`);
-* ``engine="reference"`` runs one scalar
-  :class:`~repro.simulation.sequential.SequentialSimulator` step per
-  (state, vector) pair -- the obviously-correct engine the bitset engine is
-  cross-checked against;
-* ``engine="reach"`` (:mod:`repro.equivalence.reach`) BFS-expands only the
-  states reachable from a reset/initial set, after a cone-of-influence
-  reduction -- reachability-bounded semantics, but it breaks the
-  exhaustive tiers' register wall on sparse machines;
-* ``engine="auto"`` picks the cheapest exhaustive tier that fits, falling
-  back to ``reach`` beyond the bitset limits (:func:`select_engine`).
+* ``"reset"`` or an iterable of register states BFS-expands only the
+  states reachable from that start set, after a cone-of-influence
+  reduction (:mod:`repro.equivalence.reach`) -- reachability-bounded
+  semantics, which reach past the full-space register wall on sparse
+  machines.
+
+Each space has one cap (:data:`ENGINE_LIMITS`); a machine past it raises
+:class:`StateSpaceTooLarge` before any work.  The seed algorithm -- one
+scalar :class:`~repro.simulation.sequential.SequentialSimulator` step per
+(state, vector) pair -- survives as :func:`extract_stg_reference`, the
+oracle the parity suites compare the sweep against.
 
 Either way the machine is stored as **flat integer tables** indexed
 ``[vector_idx][state_idx]``: ``next_index`` holds successor state indices,
@@ -67,170 +68,29 @@ Vector = Tuple[int, ...]
 #: folded into :func:`repro.store.core.schema_version`.
 STG_FORMAT_VERSION = 1
 
-DEFAULT_ENGINE = "bitset"
-
-
 @dataclass(frozen=True)
 class EngineLimits:
-    """Largest machine one extraction engine will enumerate."""
+    """Largest machine one state space will enumerate."""
 
     registers: int
     inputs: int
-    transitions: Optional[int]  # cap on 2^r * |alphabet|; None = unchecked
+    transitions: int  # cap on states x |alphabet|
 
 
-#: Measured on the benchmark sweep (see ``BENCH_equiv.json``): the bitset
-#: engine sustains 2^18-state sweeps in seconds where the scalar reference
-#: engine is already minutes at 2^12.  The reference engine keeps its
-#: historical caps so ``engine="reference"`` behaves exactly like the seed.
-#: The reach tier enumerates visited states only, so its register cap is a
-#: cone-of-influence cap and its transition cap (``visited x |alphabet|``)
-#: is enforced *during* traversal rather than up front.
+#: The two caps, measured on the benchmark sweep (see ``BENCH_equiv.json``),
+#: keyed by the extraction that answers each space: ``bitset`` sweeps the
+#: full state space (2^18-state sweeps take seconds) and ``reach`` the
+#: reachable set.  The reach register cap applies to the cone-reduced
+#: machine and its transition cap (``visited x |alphabet|``) is enforced
+#: *during* traversal; every other cap is checked before any work.
 ENGINE_LIMITS: Dict[str, EngineLimits] = {
     "bitset": EngineLimits(registers=18, inputs=12, transitions=1 << 22),
-    "reference": EngineLimits(registers=16, inputs=10, transitions=None),
     "reach": EngineLimits(registers=30, inputs=12, transitions=1 << 24),
 }
-
-#: Engine tiers from cheapest-per-state to largest-capacity; the order the
-#: limits table prints in and the escalation order of the too-large hints.
-ENGINE_TIERS: Tuple[str, ...] = ("reference", "bitset", "reach")
-
-_DEPRECATED_LIMIT_ALIASES = {
-    "MAX_EXPLICIT_REGISTERS": "registers",
-    "MAX_EXPLICIT_INPUTS": "inputs",
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 shim for the pre-``ENGINE_LIMITS`` module constants."""
-    field_name = _DEPRECATED_LIMIT_ALIASES.get(name)
-    if field_name is not None:
-        import warnings
-
-        warnings.warn(
-            f"{name} is deprecated; read "
-            f"ENGINE_LIMITS[engine].{field_name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(ENGINE_LIMITS[DEFAULT_ENGINE], field_name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StateSpaceTooLarge(ValueError):
     """Raised when explicit enumeration would be intractable."""
-
-
-def engine_limits_table() -> str:
-    """The per-tier limits, one aligned row per engine.
-
-    Shared by the ``StateSpaceTooLarge`` escalation hints and the
-    ``python -m repro equiv --help`` output.
-    """
-    lines = [f"{'engine':<10} {'registers':>9} {'inputs':>6}  transition cap"]
-    for name in ENGINE_TIERS:
-        limits = ENGINE_LIMITS[name]
-        if limits.transitions is None:
-            cap = "unchecked"
-        else:
-            cap = f"2^{limits.transitions.bit_length() - 1}"
-        if name == "reach":
-            cap += " (visited x |alphabet|, checked during traversal)"
-        lines.append(f"{name:<10} {limits.registers:>9} {limits.inputs:>6}  {cap}")
-    return "\n".join(lines)
-
-
-def _next_tier_hint(engine: str) -> str:
-    """What to try after ``engine`` rejected the machine."""
-    try:
-        position = ENGINE_TIERS.index(engine)
-    except ValueError:
-        position = len(ENGINE_TIERS) - 1
-    if position + 1 >= len(ENGINE_TIERS):
-        return "no larger engine tier exists"
-    next_engine = ENGINE_TIERS[position + 1]
-    limits = ENGINE_LIMITS[next_engine]
-    hint = (
-        f"try engine={next_engine!r} "
-        f"(up to {limits.registers} registers / {limits.inputs} inputs"
-    )
-    if next_engine == "reach":
-        hint += (
-            f", visited x |alphabet| capped at {limits.transitions}; "
-            "reachability-bounded semantics"
-        )
-    elif limits.transitions is not None:
-        hint += f", {limits.transitions} transitions"
-    return hint + ")"
-
-
-def select_engine(
-    circuit: Circuit, alphabet: Optional[Sequence[Vector]] = None
-) -> str:
-    """The ``engine="auto"`` policy: cheapest tier that fits the machine.
-
-    Prefers the exhaustive ``bitset`` tier (exact full-state-space
-    semantics) whenever its register/input/transition limits all fit;
-    escalates to the reachability-bounded ``reach`` tier otherwise.
-    Raises :class:`StateSpaceTooLarge` (with the full limits table) when
-    no tier accepts the machine.
-    """
-    num_registers = circuit.num_registers()
-    num_inputs = len(circuit.input_names)
-    num_vectors = (1 << num_inputs) if alphabet is None else len(alphabet)
-    bitset_limits = ENGINE_LIMITS["bitset"]
-    if (
-        num_registers <= bitset_limits.registers
-        and (alphabet is not None or num_inputs <= bitset_limits.inputs)
-        and (
-            bitset_limits.transitions is None
-            or (1 << num_registers) * num_vectors <= bitset_limits.transitions
-        )
-    ):
-        return "bitset"
-    reach_limits = ENGINE_LIMITS["reach"]
-    if num_registers <= reach_limits.registers and (
-        alphabet is not None or num_inputs <= reach_limits.inputs
-    ):
-        return "reach"
-    raise StateSpaceTooLarge(
-        f"{circuit.name}: {num_registers} flip-flops / {num_inputs} inputs "
-        f"exceeds every engine tier:\n{engine_limits_table()}"
-    )
-
-
-def resolved_engine_name(engine: Optional[str], *stgs: "ExplicitSTG") -> str:
-    """The engine name(s) that actually produced ``stgs``.
-
-    Callers that pass ``engine=None`` or ``"auto"`` to :func:`extract_stg`
-    use this to report which tier ran: a :class:`~repro.equivalence.reach.
-    ReachableSTG` came from ``reach``, anything else from the requested
-    engine (or the package default).  Mixed pairs -- e.g. ``auto`` picking
-    ``bitset`` for a small machine and ``reach`` for its large retiming --
-    join the names with ``+``.
-    """
-    from repro.equivalence.reach import ReachableSTG
-
-    names = []
-    for stg in stgs:
-        if isinstance(stg, ReachableSTG):
-            names.append("reach")
-        elif engine in (None, "auto"):
-            names.append(DEFAULT_ENGINE)
-        else:
-            names.append(engine)
-    return "+".join(sorted(set(names)))
-
-
-def _require_engine(engine: Optional[str]) -> str:
-    engine = DEFAULT_ENGINE if engine is None else engine
-    if engine != "auto" and engine not in ENGINE_LIMITS:
-        raise ValueError(
-            f"unknown STG engine {engine!r} (choose from auto, "
-            f"{', '.join(sorted(ENGINE_LIMITS))})"
-        )
-    return engine
 
 
 def _pack_bits(bits: Sequence[int]) -> int:
@@ -566,71 +426,98 @@ def _normalize_faults(fault: FaultSpec) -> Tuple[StuckAtFault, ...]:
     return (fault,)
 
 
-def _check_limits(
-    circuit: Circuit,
-    engine: str,
-    num_registers: int,
-    num_vectors: Optional[int],
-) -> None:
-    limits = ENGINE_LIMITS[engine]
-    # The reach tier checks its register cap against the cone-reduced
-    # machine (repro.equivalence.reach) and its transition cap against the
-    # states actually visited, so only the alphabet cost is knowable here.
-    if engine != "reach" and num_registers > limits.registers:
-        raise StateSpaceTooLarge(
-            f"{circuit.name}: {num_registers} flip-flops is too many for the "
-            f"{engine} engine (limit {limits.registers}; enumerating would "
-            f"cost 2^{num_registers} = {1 << num_registers} states); "
-            f"{_next_tier_hint(engine)}"
+def _machine_name(circuit: Circuit, faults: Sequence[StuckAtFault]) -> str:
+    """``circuit.name``, suffixed ``^fault+fault`` for a faulty machine."""
+    if not faults:
+        return circuit.name
+    return circuit.name + "^" + "+".join(f.describe(circuit) for f in faults)
+
+
+def _cap_violation(
+    circuit: Circuit, space: str, num_vectors: Optional[int] = None
+) -> str:
+    """Why ``circuit`` is past the up-front cap of ``space`` ("" if it fits).
+
+    ``space`` is an :data:`ENGINE_LIMITS` key and ``num_vectors`` the
+    alphabet size (default: the full binary alphabet, bounded by the input
+    cap).  The reach register and transition caps depend on the cone and
+    on the states visited, so :mod:`repro.equivalence.reach` checks them.
+    """
+    limits = ENGINE_LIMITS[space]
+    label = "full-space" if space == "bitset" else "reachable-state"
+    hint = "; initial_states='reset' extracts the reset-reachable states instead"
+    num_registers = circuit.num_registers()
+    if space == "bitset" and num_registers > limits.registers:
+        return (
+            f"{circuit.name}: {num_registers} flip-flops is past the {label} "
+            f"cap of {limits.registers} (2^{num_registers} = "
+            f"{1 << num_registers} states){hint}"
         )
     if num_vectors is None:
         num_inputs = len(circuit.input_names)
         if num_inputs > limits.inputs:
-            raise StateSpaceTooLarge(
-                f"{circuit.name}: {num_inputs} inputs is too many for the "
-                f"{engine} engine's full alphabet (limit {limits.inputs}; "
-                f"enumerating would cost 2^{num_inputs} = {1 << num_inputs} "
-                f"vectors per state); {_next_tier_hint(engine)}"
+            return (
+                f"{circuit.name}: {num_inputs} inputs is past the {label} cap "
+                f"of {limits.inputs} (2^{num_inputs} = {1 << num_inputs} "
+                "vectors per state)"
             )
         num_vectors = 1 << num_inputs
-    if engine == "reach":
-        return
     transitions = (1 << num_registers) * num_vectors
-    if limits.transitions is not None and transitions > limits.transitions:
-        raise StateSpaceTooLarge(
-            f"{circuit.name}: the {engine} engine caps enumeration at "
-            f"{limits.transitions} transitions; this machine costs "
-            f"{1 << num_registers} states x {num_vectors} vectors = "
-            f"{transitions} transitions; {_next_tier_hint(engine)}"
+    if space == "bitset" and transitions > limits.transitions:
+        return (
+            f"{circuit.name}: {1 << num_registers} states x {num_vectors} "
+            f"vectors = {transitions} transitions is past the {label} cap of "
+            f"{limits.transitions}{hint}"
         )
+    return ""
 
 
-def _extract_arrays_reference(
+def _full_stg(circuit, faults, alphabet, num_outputs, next_index, output_index):
+    """The full-space :class:`ExplicitSTG` over the given tables."""
+    return ExplicitSTG(
+        name=_machine_name(circuit, faults),
+        num_inputs=len(circuit.input_names),
+        num_registers=circuit.num_registers(),
+        alphabet=alphabet,
+        states=all_vectors(circuit.num_registers()),
+        num_outputs=num_outputs,
+        next_index=next_index,
+        output_index=output_index,
+    )
+
+
+def extract_stg_reference(
     circuit: Circuit,
-    faults: Sequence[StuckAtFault],
-    alphabet: Sequence[Vector],
-    states: Sequence[State],
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
-    """One scalar simulation per (state, vector) pair -- the seed algorithm."""
-    simulator = SequentialSimulator(circuit, fault=list(faults) if faults else None)
-    state_index = {tuple(state): index for index, state in enumerate(states)}
+    fault: FaultSpec = None,
+    alphabet: Optional[Sequence[Vector]] = None,
+) -> ExplicitSTG:
+    """The full-space STG by the seed algorithm: one scalar simulation per
+    (state, vector) pair.
+
+    The oracle the parity suites compare :func:`extract_stg` against; it
+    has no cap and no store, so keep it to small machines.
+    """
+    faults = _normalize_faults(fault)
+    if alphabet is None:
+        alphabet = all_vectors(len(circuit.input_names))
+    alphabet = tuple(tuple(v) for v in alphabet)
+    states = all_vectors(circuit.num_registers())
+    state_index = {state: index for index, state in enumerate(states)}
+    simulator = SequentialSimulator(circuit, fault=list(faults) or None)
     next_rows: List[Tuple[int, ...]] = []
     output_rows: List[Tuple[int, ...]] = []
     for vector in alphabet:
-        next_row: List[int] = []
-        output_row: List[int] = []
-        for state in states:
-            result = simulator.step(state, vector)
-            next_row.append(state_index[result.next_state])
-            output_row.append(_pack_bits(result.outputs))
-        next_rows.append(tuple(next_row))
-        output_rows.append(tuple(output_row))
-    return tuple(next_rows), tuple(output_rows)
+        results = [simulator.step(state, vector) for state in states]
+        next_rows.append(tuple(state_index[r.next_state] for r in results))
+        output_rows.append(tuple(_pack_bits(r.outputs) for r in results))
+    return _full_stg(
+        circuit, faults, alphabet, len(circuit.output_names), next_rows, output_rows
+    )
 
 
 #: Records larger than this many (state, vector) table entries are computed
 #: but not persisted: a 2^18-state x 4-vector table would be a multi-MB
-#: JSON document, slower to decode than to recompute with the bitset engine.
+#: JSON document, slower to decode than to recompute with the lane sweep.
 _STORE_MAX_ENTRIES = 1 << 16
 
 
@@ -650,10 +537,9 @@ def extract_stg(
     circuit: Circuit,
     fault: FaultSpec = None,
     alphabet: Optional[Sequence[Vector]] = None,
-    engine: Optional[str] = None,
     use_store: bool = True,
     backend: str = "auto",
-    initial_states=None,
+    initial_states: Union[str, Iterable[State]] = "all",
 ) -> ExplicitSTG:
     """Enumerate the (possibly faulty) machine's STG.
 
@@ -663,30 +549,24 @@ def extract_stg(
             them (a multiple-fault machine), or ``None`` for fault-free.
         alphabet: input vectors to enumerate (default: the full binary
             alphabet over the circuit's inputs).
-        engine: ``"bitset"`` (lane-parallel, default) or ``"reference"``
-            (scalar simulation), which produce identical full-space
-            tables; ``"reach"`` for reachability-bounded traversal
-            (:mod:`repro.equivalence.reach`); or ``"auto"`` to pick by
-            machine size (:func:`select_engine`).
         use_store: memoize the tables in the content-addressed artifact
             store (skipped automatically for oversized machines and when
             the store is disabled).
-        backend: word implementation for the lane-parallel engines
+        backend: word implementation for the lane-parallel sweeps
             (``"bigint"``, ``"numpy"``, or ``"auto"``); tables are
             identical either way, so the store key deliberately ignores
             it.
-        initial_states: reach engine only -- ``None``/``"reset"`` (the
-            all-zero state), ``"all"`` (full state space, bit-identical to
-            the bitset engine's tables), or an iterable of register-state
-            tuples to seed the traversal from.
+        initial_states: the state space.  ``"all"`` (default) enumerates
+            every register state; ``"reset"`` (the all-zero state) or an
+            iterable of register-state tuples returns the
+            :class:`~repro.equivalence.reach.ReachableSTG` of the states
+            reachable from that set.
 
-    Raises :class:`StateSpaceTooLarge` when the machine exceeds the chosen
-    engine's limits (:data:`ENGINE_LIMITS`); the message names the engine,
-    the limit, the estimated enumeration cost and the next tier to try.
+    Raises :class:`StateSpaceTooLarge` when the machine exceeds its
+    space's cap (:data:`ENGINE_LIMITS`); the message names the cap and the
+    estimated enumeration cost.
     """
-    engine = _require_engine(engine)
     faults = _normalize_faults(fault)
-    num_registers = circuit.num_registers()
     if alphabet is not None:
         alphabet = tuple(tuple(v) for v in alphabet)
         for vector in alphabet:
@@ -695,42 +575,31 @@ def extract_stg(
                     f"{circuit.name}: STG extraction needs a binary alphabet, "
                     f"got vector {vector!r}"
                 )
-    if engine == "auto":
-        engine = select_engine(circuit, alphabet)
-    if initial_states is not None and engine != "reach":
-        raise ValueError(
-            f"initial_states is only meaningful for engine='reach' "
-            f"(got engine={engine!r}); the exhaustive engines always "
-            "enumerate the full state space"
-        )
-    _check_limits(
-        circuit, engine, num_registers, None if alphabet is None else len(alphabet)
+    full_space = initial_states == "all"
+    problem = _cap_violation(
+        circuit,
+        "bitset" if full_space else "reach",
+        None if alphabet is None else len(alphabet),
     )
+    if problem:
+        raise StateSpaceTooLarge(problem)
     if alphabet is None:
         alphabet = tuple(all_vectors(len(circuit.input_names)))
-    if engine == "reach":
+    if not full_space:
         from repro.equivalence.reach import extract_stg_reach
 
         return extract_stg_reach(
             circuit,
             faults,
             alphabet,
+            initial_states,
             use_store=use_store,
             backend=backend,
-            initial_states=initial_states,
         )
-
-    states = tuple(all_vectors(num_registers))
-    num_outputs = len(circuit.output_names)
-    if faults:
-        suffix = "^" + "+".join(f.describe(circuit) for f in faults)
-    else:
-        suffix = ""
-    name = circuit.name + suffix
 
     store = None
     key = None
-    persistable = len(states) * len(alphabet) <= _STORE_MAX_ENTRIES
+    persistable = (1 << circuit.num_registers()) * len(alphabet) <= _STORE_MAX_ENTRIES
     if use_store and persistable:
         from repro.store.core import default_store
 
@@ -743,26 +612,12 @@ def extract_stg(
         if payload is not None:
             tables = stg_arrays_from_payload(payload, circuit, faults, alphabet)
             if tables is not None:
-                return ExplicitSTG(
-                    name=name,
-                    num_inputs=len(circuit.input_names),
-                    num_registers=num_registers,
-                    alphabet=alphabet,
-                    states=states,
-                    num_outputs=tables[0],
-                    next_index=tables[1],
-                    output_index=tables[2],
-                )
+                return _full_stg(circuit, faults, alphabet, *tables)
 
-    if engine == "bitset":
-        next_index, output_index = _bitset.extract_arrays_bitset(
-            circuit, faults, alphabet, backend=backend
-        )
-    else:
-        next_index, output_index = _extract_arrays_reference(
-            circuit, faults, alphabet, states
-        )
-
+    num_outputs = len(circuit.output_names)
+    next_index, output_index = _bitset.extract_arrays_bitset(
+        circuit, faults, alphabet, backend=backend
+    )
     if store is not None:
         from repro.store.artifacts import stg_payload
 
@@ -776,30 +631,16 @@ def extract_stg(
             )
         except OSError:
             pass  # unwritable store degrades to recomputation
-
-    return ExplicitSTG(
-        name=name,
-        num_inputs=len(circuit.input_names),
-        num_registers=num_registers,
-        alphabet=alphabet,
-        states=states,
-        num_outputs=num_outputs,
-        next_index=next_index,
-        output_index=output_index,
-    )
+    return _full_stg(circuit, faults, alphabet, num_outputs, next_index, output_index)
 
 
 __all__ = [
     "ExplicitSTG",
     "EngineLimits",
     "ENGINE_LIMITS",
-    "ENGINE_TIERS",
-    "DEFAULT_ENGINE",
     "STG_FORMAT_VERSION",
     "extract_stg",
-    "select_engine",
-    "engine_limits_table",
-    "resolved_engine_name",
+    "extract_stg_reference",
     "all_vectors",
     "StateSpaceTooLarge",
     "State",

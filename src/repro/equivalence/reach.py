@@ -1,12 +1,13 @@
-"""Reachability-bounded STG extraction: the ``engine="reach"`` tier.
+"""Reachability-bounded STG extraction: ``extract_stg(initial_states=...)``
+with ``"reset"`` or an iterable of start states.
 
-The explicit engines (``reference``, ``bitset``) enumerate all ``2^r``
-initial states; real synthesized FSMs typically reach only a tiny fraction
-of that space from their reset state.  This module BFS-expands only the
-states actually reachable from a chosen initial set, sweeping each
-frontier level -- in blocks of at most ``REACH_LANE_BLOCK`` states, with a
-chunk of the input alphabet packed into lanes beside the states -- through
-the same :func:`~repro.equivalence.bitset.alphabet_sweep` the bitset engine
+The full-space extraction enumerates all ``2^r`` initial states; real
+synthesized FSMs typically reach only a tiny fraction of that space from
+their reset state.  This module BFS-expands only the states actually
+reachable from a chosen initial set, sweeping each frontier level -- in
+blocks of at most ``REACH_LANE_BLOCK`` states, with a chunk of the input
+alphabet packed into lanes beside the states -- through the same
+:func:`~repro.equivalence.bitset.alphabet_sweep` the full-space sweep
 uses, and grows the flat ``next_index``/``output_index`` tables
 incrementally as new states are interned.
 
@@ -24,11 +25,12 @@ deterministic BFS discovery order).  Classification, sync-sequence search
 and :func:`~repro.equivalence.relations.time_equivalence_bound` run on it
 unchanged, with *reachability-bounded* semantics: "all states" means "all
 states reachable from the initial set".  The reachable set is closed under
-transitions, so on the overlap with the exhaustive engines the induced
+transitions, so on the overlap with the full-space tables the induced
 classification and sync-sequence results coincide exactly with the
-full-machine results restricted to the reachable states (the cross-engine
-parity suite asserts it); with ``initial_states="all"`` the tables are
-bit-identical to the bitset engine's.
+full-machine results restricted to the reachable states (the parity suite
+asserts it); started from every state (an iterable of all ``2^r`` register
+tuples) on an identity cone, the tables are bit-identical to the
+full-space ones.
 
 Extracted machines are memoized in the artifact store (kind ``reach-stg``)
 keyed by circuit digest, fault coordinates, alphabet and initial-state
@@ -48,6 +50,8 @@ from repro.equivalence.explicit import (
     State,
     StateSpaceTooLarge,
     Vector,
+    _STORE_MAX_ENTRIES,
+    _machine_name,
     _unpack_bits,
 )
 from repro.faults.model import StuckAtFault
@@ -58,7 +62,7 @@ from repro.simulation.cache import vector_fast_stepper
 #: :func:`repro.store.core.schema_version`.
 REACH_FORMAT_VERSION = 1
 
-InitialStates = Union[None, str, Iterable[State]]
+InitialStates = Union[str, Iterable[State]]
 
 
 class ReachableSTG(ExplicitSTG):
@@ -122,38 +126,22 @@ class ReachableSTG(ExplicitSTG):
 
 
 def _initial_spec_and_codes(
-    circuit: Circuit,
-    cone: ConeReduction,
-    initial_states: InitialStates,
-    num_vectors: int,
+    circuit: Circuit, cone: ConeReduction, initial_states: InitialStates
 ) -> Tuple[object, List[int]]:
     """Normalize the initial-state request into (store spec, packed codes).
 
     Codes are packed MSB-first over the *cone* registers (register ``j``
-    carries bit ``rc - 1 - j``, the bitset engine's lane numbering) and
+    carries bit ``rc - 1 - j``, the full-space sweep's lane numbering) and
     returned sorted ascending, so the interning order -- and with it every
     downstream table -- is deterministic.
     """
     reduced_registers = cone.circuit.num_registers()
-    if initial_states is None or initial_states == "reset":
+    if initial_states == "reset":
         return "reset", [0]
-    if initial_states == "all":
-        limits = ENGINE_LIMITS["reach"]
-        if (
-            limits.transitions is not None
-            and (1 << reduced_registers) * num_vectors > limits.transitions
-        ):
-            raise StateSpaceTooLarge(
-                f"{circuit.name}: initial_states='all' over "
-                f"{reduced_registers} registers x {num_vectors} vectors "
-                f"exceeds the reach engine's transition cap "
-                f"({limits.transitions}); use the default reset seed"
-            )
-        return "all", list(range(1 << reduced_registers))
     if isinstance(initial_states, str):
         raise ValueError(
             f"unknown initial_states spec {initial_states!r} "
-            "(choose 'reset', 'all', or an iterable of register states)"
+            "(choose 'all', 'reset', or an iterable of register states)"
         )
     total_registers = circuit.num_registers()
     codes = set()
@@ -239,15 +227,12 @@ def _traverse(
     peak_frontier = 0
     levels = 0
     while frontier:
-        if (
-            limits.transitions is not None
-            and len(codes) * len(alphabet) > limits.transitions
-        ):
+        if len(codes) * len(alphabet) > limits.transitions:
             raise StateSpaceTooLarge(
-                f"{reduced.name}: the reach engine visited {len(codes)} "
-                f"states x {len(alphabet)} vectors, exceeding its "
-                f"{limits.transitions}-transition cap; the reachable set is "
-                "not sparse enough for reachability-bounded extraction"
+                f"{reduced.name}: visited {len(codes)} states x "
+                f"{len(alphabet)} vectors, past the reachable-state cap of "
+                f"{limits.transitions}; the reachable set is not sparse "
+                "enough for reachability-bounded extraction"
             )
         peak_frontier = max(peak_frontier, len(frontier))
         levels += 1
@@ -290,20 +275,18 @@ def extract_stg_reach(
     circuit: Circuit,
     faults: Sequence[StuckAtFault],
     alphabet: Sequence[Vector],
+    initial_states: InitialStates,
     *,
     use_store: bool = True,
     backend: str = "auto",
-    initial_states: InitialStates = None,
 ) -> ReachableSTG:
     """Reachability-bounded STG of the (possibly faulty) machine.
 
-    Called through :func:`repro.equivalence.explicit.extract_stg` with
-    ``engine="reach"``; ``faults`` and ``alphabet`` arrive normalized.
-    ``initial_states`` seeds the traversal: ``None``/``"reset"`` starts
-    from the all-zero register state, ``"all"`` from the full (cone) state
-    space (making the result bit-identical to the bitset engine's tables),
-    and an iterable of full-width register states starts from exactly
-    those states.
+    Called through :func:`repro.equivalence.explicit.extract_stg`, which
+    normalizes ``faults`` and ``alphabet`` and checks the input cap.
+    ``initial_states`` seeds the traversal: ``"reset"`` starts from the
+    all-zero register state, an iterable of full-width register states
+    from exactly those states.
     """
     limits = ENGINE_LIMITS["reach"]
     cone = cone_of_influence(circuit)
@@ -312,19 +295,14 @@ def extract_stg_reach(
     if reduced_registers > limits.registers:
         raise StateSpaceTooLarge(
             f"{circuit.name}: {reduced_registers} flip-flops in the output "
-            f"cone ({cone.dropped_registers} dropped) is too many for the "
-            f"reach engine (limit {limits.registers} registers); no larger "
-            "engine tier exists"
+            f"cone ({cone.dropped_registers} dropped) is past the "
+            f"reachable-state cap of {limits.registers}"
         )
     initial_spec, initial_codes = _initial_spec_and_codes(
-        circuit, cone, initial_states, len(alphabet)
+        circuit, cone, initial_states
     )
     kept_faults = _remap_faults(cone, faults)
-    if faults:
-        suffix = "^" + "+".join(f.describe(circuit) for f in faults)
-    else:
-        suffix = ""
-    name = circuit.name + suffix
+    name = _machine_name(circuit, faults)
     num_outputs = len(circuit.output_names)
 
     def build(codes, next_rows, output_rows, peak_frontier, levels):
@@ -369,8 +347,6 @@ def extract_stg_reach(
     codes, next_rows, output_rows, peak_frontier, levels = _traverse(
         reduced, stepper, kept_faults, alphabet, initial_codes, backend
     )
-
-    from repro.equivalence.explicit import _STORE_MAX_ENTRIES
 
     if store is not None and len(codes) * len(alphabet) <= _STORE_MAX_ENTRIES:
         from repro.store.artifacts import reach_stg_payload

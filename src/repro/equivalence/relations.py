@@ -7,13 +7,13 @@ same output for every input and equivalent successors (the classic Mealy
 machine bisimulation, which for deterministic complete machines coincides
 with sequential I/O equivalence).
 
-The default refinement loop (``engine="array"``) runs Moore-style rounds
-directly over the machines' flat ``next_index``/``output_index`` tables:
-signatures are small tuples of ints, block ids are dense lists indexed by
-state index, and no ``(state, vector)`` pair is ever hashed.  The seed
-implementation over dict signatures survives as ``engine="reference"`` and
-the two are block-id-identical (same first-occurrence tie-breaking), which
-the cross-engine parity suite asserts.
+:func:`classify` runs Moore-style rounds directly over the machines' flat
+``next_index``/``output_index`` tables: signatures are small tuples of
+ints, block ids are dense lists indexed by state index, and no ``(state,
+vector)`` pair is ever hashed.  The seed implementation over dict
+signatures survives as :func:`classify_reference`, the oracle the parity
+suite holds it to: the two are block-id-identical (same first-occurrence
+tie-breaking).
 
 On top of the classifier:
 
@@ -22,15 +22,24 @@ On top of the classifier:
 * ``space_equivalent(a, b)`` --  ``a ≡s b``;
 * ``time_contains(a, b, n)`` --  ``a ⊇nt b``: every state of ``b_n`` has an
   equivalent state in ``a``;
-* ``time_equivalence_bound(a, b, max_n)`` -- least ``N`` with ``a ≡Nt b``.
+* ``time_equivalence_bound(a, b, max_n)`` -- least ``N`` with ``a ≡Nt b``;
+* ``check_time_equivalence(circuit_a, circuit_b, n)`` -- Lemma 2 on two
+  circuits, the one check the flow, ``verify_preservation`` and
+  ``verify_retiming`` share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.equivalence.explicit import ExplicitSTG, State
+from repro.circuit.netlist import Circuit
+from repro.equivalence.explicit import (
+    ExplicitSTG,
+    State,
+    StateSpaceTooLarge,
+    _cap_violation,
+)
 
 MachineState = Tuple[int, State]  # (machine index, state)
 
@@ -70,15 +79,7 @@ class StateClassification:
         return masks
 
 
-def classify(
-    machines: Sequence[ExplicitSTG], engine: str = "array"
-) -> StateClassification:
-    """Joint bisimulation partition refinement.
-
-    ``engine="array"`` (default) refines over the flat tables;
-    ``engine="reference"`` is the seed dict-signature implementation kept
-    for cross-checking.  Both assign identical block ids.
-    """
+def _shared_alphabet(machines: Sequence[ExplicitSTG]) -> Tuple:
     if not machines:
         raise ValueError("need at least one machine")
     alphabet = machines[0].alphabet
@@ -88,22 +89,17 @@ def classify(
                 f"machines {machines[0].name!r} and {machine.name!r} have "
                 "different input alphabets"
             )
-    if engine == "reference":
-        return _classify_reference(machines, alphabet)
-    if engine != "array":
-        raise ValueError(f"unknown classify engine {engine!r}")
-    return _classify_array(machines, alphabet)
+    return alphabet
 
 
-def _classify_array(
-    machines: Sequence[ExplicitSTG], alphabet: Tuple
-) -> StateClassification:
-    vector_range = range(len(alphabet))
+def classify(machines: Sequence[ExplicitSTG]) -> StateClassification:
+    """Joint bisimulation partition refinement over the flat tables."""
+    vector_range = range(len(_shared_alphabet(machines)))
     # Initial partition: output signature over the whole alphabet.  The
     # packed output ints are compared raw -- a machine's output width
     # disambiguates them across machines of different widths, keeping the
     # signature -> block mapping injective (ids then match the reference
-    # engine's, which compares unpacked tuples).
+    # classifier's, which compares unpacked tuples).
     block_ids: Dict[Tuple, int] = {}
     class_arrays: List[List[int]] = []
     for machine in machines:
@@ -144,9 +140,10 @@ def _classify_array(
         num_classes = len(block_ids)
 
 
-def _classify_reference(
-    machines: Sequence[ExplicitSTG], alphabet: Tuple
-) -> StateClassification:
+def classify_reference(machines: Sequence[ExplicitSTG]) -> StateClassification:
+    """The seed refinement over dict signatures keyed by ``(state, vector)``:
+    the oracle :func:`classify` must match block id for block id."""
+    alphabet = _shared_alphabet(machines)
     universe: List[MachineState] = [
         (index, state)
         for index, machine in enumerate(machines)
@@ -250,12 +247,81 @@ def time_equivalence_bound(
     return None
 
 
+@dataclass(frozen=True)
+class TimeEquivalenceCheck:
+    """Outcome of :func:`check_time_equivalence`.
+
+    ``found`` is the least ``N' <= bound`` with ``a ≡N't b``, or ``None``
+    when the check could not run (``skipped`` says why).  ``visited``
+    holds, per circuit, the size of its reset-reachable set, or ``None``
+    where the full state space was enumerated.
+    """
+
+    bound: int
+    found: Optional[int] = None
+    visited: Tuple[Optional[int], Optional[int]] = (None, None)
+    skipped: str = ""
+
+    @property
+    def checked(self) -> bool:
+        """Lemma 2 was checked and held."""
+        return self.found is not None
+
+    @property
+    def engine(self) -> str:
+        """``"bitset"`` (full space), ``"reach"`` (reset-reachable) or
+        ``"bitset+reach"`` (one of each); ``""`` when unverified."""
+        if not self.checked:
+            return ""
+        names = {"bitset" if count is None else "reach" for count in self.visited}
+        return "+".join(sorted(names))
+
+
+def check_time_equivalence(
+    a: Circuit, b: Circuit, bound: int
+) -> TimeEquivalenceCheck:
+    """Lemma 2 on two circuits: ``a ≡Nt b`` with ``N = bound``.
+
+    Each circuit is extracted over its full state space when that fits the
+    full-space cap, and over the states reachable from reset otherwise
+    (reachability-bounded Lemma 2 on that side).  A circuit past both caps
+    leaves the check unverified with the reason; a bound violation raises
+    :class:`ValueError`.
+    """
+    # Looked up through the package at call time, so a rebinding of
+    # ``repro.equivalence.extract_stg`` / ``time_equivalence_bound`` (the
+    # e2e benchmark's tracer does this) sees these calls.
+    from repro.equivalence import ReachableSTG, extract_stg, time_equivalence_bound
+
+    def extract(circuit: Circuit):
+        full = not _cap_violation(circuit, "bitset")
+        return extract_stg(circuit, initial_states="all" if full else "reset")
+
+    try:
+        stgs = [extract(a), extract(b)]
+    except StateSpaceTooLarge as error:
+        return TimeEquivalenceCheck(bound, skipped=str(error))
+    found = time_equivalence_bound(stgs[0], stgs[1], max_steps=bound)
+    if found is None:
+        raise ValueError(
+            f"{a.name} and {b.name} are not {bound}-time-equivalent: "
+            "Lemma 2 violated"
+        )
+    visited = tuple(
+        stg.visited_states if isinstance(stg, ReachableSTG) else None for stg in stgs
+    )
+    return TimeEquivalenceCheck(bound, found, visited)
+
+
 __all__ = [
     "StateClassification",
+    "TimeEquivalenceCheck",
     "classify",
+    "classify_reference",
     "states_equivalent",
     "space_contains",
     "space_equivalent",
     "time_contains",
     "time_equivalence_bound",
+    "check_time_equivalence",
 ]

@@ -19,7 +19,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.circuit.netlist import Circuit
 from repro.equivalence.explicit import ExplicitSTG, State, Vector, all_vectors
-from repro.equivalence.relations import StateClassification, classify
+from repro.equivalence.relations import (
+    StateClassification,
+    classify,
+    classify_reference,
+)
 from repro.logic.three_valued import Trit, X
 from repro.simulation.cache import fast_stepper
 
@@ -91,9 +95,7 @@ def covered_states(ternary_state: Sequence[Trit]):
 
 
 def synchronizes_up_to_equivalence(
-    circuit: Circuit,
-    vectors: Sequence[Sequence[Trit]],
-    engine: Optional[str] = None,
+    circuit: Circuit, vectors: Sequence[Sequence[Trit]]
 ) -> bool:
     """Three-valued sync where leftover X bits must be unobservable.
 
@@ -105,22 +107,14 @@ def synchronizes_up_to_equivalence(
     ternary state is not fully binary.  This check expands the leftover X
     bits and verifies all covered states are mutually equivalent.
 
-    Only usable on circuits small enough for explicit STG extraction.
+    Only usable on circuits within the full-space extraction cap.
     """
     from repro.equivalence.explicit import extract_stg
-    from repro.equivalence.relations import classify
 
     final = structural_final_state(circuit, vectors)
     if X not in final:
         return True
-    stg = extract_stg(circuit, engine=engine)
-    if len(stg.states) != 1 << circuit.num_registers():
-        raise ValueError(
-            f"{circuit.name}: synchronizes_up_to_equivalence must expand "
-            "leftover X bits over the full state space; the chosen engine "
-            f"produced a partial STG ({len(stg.states)} states) -- use an "
-            "exhaustive engine or initial_states='all'"
-        )
+    stg = extract_stg(circuit)
     classification = classify([stg])
     classes = {
         classification.class_of[(0, state)] for state in covered_states(final)
@@ -130,35 +124,19 @@ def synchronizes_up_to_equivalence(
 
 # -- functional (STG-based) ----------------------------------------------------
 #
-# State sets travel as Python-int bitsets (bit s <=> stg.states[s]) in the
-# default engine: images are table lookups through the STG's memoized
-# (vector_idx, bitset) cache, the "single equivalence class" test is one
-# mask comparison, and BFS dedup hashes machine ints instead of frozensets
-# of tuples.  The seed frozenset implementations survive as
-# ``engine="reference"``; both traverse in identical (BFS x alphabet)
-# order, so they find identical sequences and hit identical search-budget
-# cutoffs.
-
-
-def _require_sync_engine(engine: str) -> str:
-    # "reach" is accepted as an alias of the bitset search: a ReachableSTG
-    # carries reachable states only, so its full_bitset already *is* the
-    # reachability-bounded start set and the int-bitset BFS applies as-is.
-    if engine not in ("bitset", "reference", "reach"):
-        raise ValueError(f"unknown sync-sequence engine {engine!r}")
-    return "bitset" if engine == "reach" else engine
+# State sets travel as Python-int bitsets (bit s <=> stg.states[s]): images
+# are table lookups through the STG's memoized (vector_idx, bitset) cache,
+# the "single equivalence class" test is one mask comparison, and BFS dedup
+# hashes machine ints instead of frozensets of tuples.  The seed frozenset
+# implementations survive as the ``*_reference`` oracles; both traverse in
+# identical (BFS x alphabet) order, so they find identical sequences and hit
+# identical search-budget cutoffs.
 
 
 def _start_bitset(stg: ExplicitSTG, start_states) -> int:
     if start_states is None:
         return stg.full_bitset
     return stg.bitset_of_states(start_states)
-
-
-def _start_frozenset(stg: ExplicitSTG, start_states) -> FrozenSet[State]:
-    if start_states is None:
-        return frozenset(stg.states)
-    return frozenset(tuple(state) for state in start_states)
 
 
 def _machine_index_of(stg: ExplicitSTG, classification: StateClassification) -> int:
@@ -185,20 +163,10 @@ def _bitset_within_one_class(
     return bits & ~class_masks[class_array[lowest]] == 0
 
 
-def _within_one_class(
-    states: FrozenSet[State],
-    classification: StateClassification,
-    machine_index: int = 0,
-) -> bool:
-    classes = {classification.class_of[(machine_index, s)] for s in states}
-    return len(classes) == 1
-
-
 def is_functional_sync_sequence(
     stg: ExplicitSTG,
     vectors: Sequence[Vector],
     classification: Optional[StateClassification] = None,
-    engine: str = "bitset",
     start_states: Optional[Iterable[State]] = None,
 ) -> bool:
     """Applied from every initial state, the machine lands in one
@@ -206,19 +174,11 @@ def is_functional_sync_sequence(
     equivalence, per the paper's definition).
 
     ``start_states`` restricts the initial set (default: every state of
-    the machine) -- the restriction the reach engine's parity suite uses
-    to compare reachability-bounded searches against full-space ones.
+    the machine) -- the restriction the parity suite uses to compare
+    reachability-bounded searches against full-space ones.
     """
-    engine = _require_sync_engine(engine)
     if classification is None:
         classification = classify([stg])
-    if engine == "reference":
-        current = _start_frozenset(stg, start_states)
-        for vector in vectors:
-            current = stg.step_set(current, tuple(vector))
-        return _within_one_class(
-            current, classification, _machine_index_of(stg, classification)
-        )
     bits = _start_bitset(stg, start_states)
     for vector in vectors:
         bits = stg.image_bitset(bits, stg.index_of_vector(vector))
@@ -229,16 +189,9 @@ def is_functional_sync_sequence(
 def functional_final_states(
     stg: ExplicitSTG,
     vectors: Sequence[Vector],
-    engine: str = "bitset",
     start_states: Optional[Iterable[State]] = None,
 ) -> FrozenSet[State]:
     """Image of the (full or restricted) start state set under the sequence."""
-    engine = _require_sync_engine(engine)
-    if engine == "reference":
-        current = _start_frozenset(stg, start_states)
-        for vector in vectors:
-            current = stg.step_set(current, tuple(vector))
-        return current
     bits = _start_bitset(stg, start_states)
     for vector in vectors:
         bits = stg.image_bitset(bits, stg.index_of_vector(vector))
@@ -250,24 +203,16 @@ def find_functional_sync_sequence(
     max_length: int = 10,
     max_visited: int = 200_000,
     classification: Optional[StateClassification] = None,
-    engine: str = "bitset",
     start_states: Optional[Iterable[State]] = None,
 ) -> Optional[List[Vector]]:
     """Shortest functional synchronizing sequence by BFS over state sets.
 
     Returns None when no sequence of length <= ``max_length`` exists or the
-    ``max_visited`` set budget is exhausted.  Both engines explore sets in
-    the same order, so results (and budget cutoffs) are identical.
-    ``start_states`` restricts the initial set (default: every state).
+    ``max_visited`` set budget is exhausted.  ``start_states`` restricts
+    the initial set (default: every state).
     """
-    engine = _require_sync_engine(engine)
     if classification is None:
         classification = classify([stg])
-    if engine == "reference":
-        return _find_functional_reference(
-            stg, max_length, max_visited, classification,
-            _start_frozenset(stg, start_states),
-        )
     class_array, class_masks = _class_masks(stg, classification)
     start = _start_bitset(stg, start_states)
     if _bitset_within_one_class(start, class_array, class_masks):
@@ -292,14 +237,57 @@ def find_functional_sync_sequence(
     return None
 
 
-def _find_functional_reference(
+# -- the seed frozenset searches: oracles for the parity suite -----------------
+
+
+def _within_one_class(
+    states: FrozenSet[State], classification: StateClassification, machine_index: int
+) -> bool:
+    return len({classification.class_of[(machine_index, s)] for s in states}) == 1
+
+
+def functional_final_states_reference(
     stg: ExplicitSTG,
-    max_length: int,
-    max_visited: int,
-    classification: StateClassification,
-    start: FrozenSet[State],
+    vectors: Sequence[Vector],
+    start_states: Optional[Iterable[State]] = None,
+) -> FrozenSet[State]:
+    """:func:`functional_final_states` over frozensets of state tuples."""
+    if start_states is None:
+        start_states = stg.states
+    current = frozenset(tuple(state) for state in start_states)
+    for vector in vectors:
+        current = stg.step_set(current, tuple(vector))
+    return current
+
+
+def is_functional_sync_sequence_reference(
+    stg: ExplicitSTG,
+    vectors: Sequence[Vector],
+    classification: Optional[StateClassification] = None,
+    start_states: Optional[Iterable[State]] = None,
+) -> bool:
+    """:func:`is_functional_sync_sequence` over frozensets of state tuples."""
+    if classification is None:
+        classification = classify_reference([stg])
+    final = functional_final_states_reference(stg, vectors, start_states)
+    return _within_one_class(
+        final, classification, _machine_index_of(stg, classification)
+    )
+
+
+def find_functional_sync_sequence_reference(
+    stg: ExplicitSTG,
+    max_length: int = 10,
+    max_visited: int = 200_000,
+    classification: Optional[StateClassification] = None,
+    start_states: Optional[Iterable[State]] = None,
 ) -> Optional[List[Vector]]:
+    """:func:`find_functional_sync_sequence` over frozensets of state
+    tuples, in the same (BFS x alphabet) order."""
+    if classification is None:
+        classification = classify_reference([stg])
     machine_index = _machine_index_of(stg, classification)
+    start = functional_final_states_reference(stg, (), start_states)
     if _within_one_class(start, classification, machine_index):
         return []
     visited: Set[FrozenSet[State]] = {start}
@@ -328,4 +316,7 @@ __all__ = [
     "is_functional_sync_sequence",
     "functional_final_states",
     "find_functional_sync_sequence",
+    "is_functional_sync_sequence_reference",
+    "functional_final_states_reference",
+    "find_functional_sync_sequence_reference",
 ]

@@ -56,7 +56,6 @@ from repro.atpg.guidance import GUIDANCE_MODES, make_policy
 from repro.circuit.digest import circuit_digest, structural_identity
 from repro.circuit.netlist import Circuit
 from repro.core.flow import FlowResult
-from repro.equivalence import ENGINE_LIMITS
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
 from repro.faultsim import FaultSimResult, fault_simulate
@@ -133,12 +132,9 @@ class FlowPipeline:
         checkpoint_path: override the checkpoint location (defaults to the
             store's checkpoint directory; no checkpointing without either).
         verify: run a ``verify`` stage after retiming -- the Lemma 2
-            behavioural check (``K ==Nt K'`` on the explicit state space)
-            between the hard circuit and its easy retiming.
-        stg_engine: STG extraction engine for the verify stage
-            (``"bitset"``/``"reference"``/``"reach"``/``"auto"``; default
-            ``"auto"``, which escalates past-the-bitset-wall machines to
-            the reachability-bounded ``reach`` tier instead of skipping).
+            behavioural check (``K ==Nt K'`` on the explicit state space,
+            :func:`~repro.equivalence.check_time_equivalence`) between the
+            hard circuit and its easy retiming.
         cancel_event: an object with ``is_set()`` (e.g. a
             ``threading.Event``) polled at every stage boundary; once set,
             the next stage raises :class:`FlowCancelled` instead of
@@ -162,7 +158,6 @@ class FlowPipeline:
         resume: bool = False,
         checkpoint_path: Optional[str] = None,
         verify: bool = False,
-        stg_engine: Optional[str] = "auto",
         cancel_event=None,
     ):
         if guidance not in GUIDANCE_MODES:
@@ -176,11 +171,6 @@ class FlowPipeline:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if stg_engine not in (None, "auto") and stg_engine not in ENGINE_LIMITS:
-            raise ValueError(
-                f"unknown STG engine {stg_engine!r} (choose from auto, "
-                f"{', '.join(sorted(ENGINE_LIMITS))})"
-            )
         self.store = store
         self.journal = journal
         self.workers = workers
@@ -190,7 +180,6 @@ class FlowPipeline:
         self.resume = resume
         self.checkpoint_path = checkpoint_path
         self.verify = verify
-        self.stg_engine = stg_engine
         self.cancel_event = cancel_event
         self.stages: List[StageRecord] = []
 
@@ -335,46 +324,31 @@ class FlowPipeline:
     ) -> StageRecord:
         """Lemma 2 behavioural check between the hard/easy pair.
 
-        Extracts both STGs with the pipeline's ``stg_engine`` and asserts
-        ``K ==Nt K'`` with the retiming's bound.  Machines beyond the
-        engine's limits record ``skipped`` detail instead of failing; a
-        bound violation raises :class:`ValueError`.  Never store-memoized:
-        the check *is* the evidence, recomputing it is the point.
+        Runs :func:`~repro.equivalence.check_time_equivalence` with the
+        retiming's bound.  A pair past both extraction caps records
+        ``skipped`` detail instead of failing; a bound violation raises
+        :class:`ValueError`.  Never store-memoized: the check *is* the
+        evidence, recomputing it is the point.
         """
-        from repro.equivalence import (
-            ReachableSTG,
-            StateSpaceTooLarge,
-            extract_stg,
-            resolved_engine_name,
-            time_equivalence_bound,
-        )
+        from repro.equivalence import check_time_equivalence
 
         started = self._stage_start("verify")
-        bound = easy_retiming.time_equivalence_bound()
+        check = check_time_equivalence(
+            hard_circuit, easy_circuit, easy_retiming.time_equivalence_bound()
+        )
         detail: Dict[str, object] = {
             "circuit": hard_circuit.name,
-            "bound": bound,
-            "checked": False,
+            "bound": check.bound,
+            "checked": check.checked,
         }
-        try:
-            stg_hard = extract_stg(hard_circuit, engine=self.stg_engine)
-            stg_easy = extract_stg(easy_circuit, engine=self.stg_engine)
-        except StateSpaceTooLarge as error:
-            detail["skipped"] = str(error)
-            return self._stage_end("verify", started, "off", None, **detail)
-        found = time_equivalence_bound(stg_hard, stg_easy, max_steps=bound)
-        if found is None:
-            raise ValueError(
-                f"{hard_circuit.name} and {easy_circuit.name} are not "
-                f"{bound}-time-equivalent: Lemma 2 violated"
-            )
-        detail["checked"] = True
-        detail["found"] = found
-        detail["engine"] = resolved_engine_name(self.stg_engine, stg_hard, stg_easy)
-        if isinstance(stg_hard, ReachableSTG):
-            detail["visited_hard"] = stg_hard.visited_states
-        if isinstance(stg_easy, ReachableSTG):
-            detail["visited_easy"] = stg_easy.visited_states
+        if not check.checked:
+            detail["skipped"] = check.skipped
+        else:
+            detail["found"] = check.found
+            detail["engine"] = check.engine
+            for side, visited in zip(("visited_hard", "visited_easy"), check.visited):
+                if visited is not None:
+                    detail[side] = visited
         return self._stage_end("verify", started, "off", None, **detail)
 
     def stage_collapse(self, circuit: Circuit) -> List[StuckAtFault]:

@@ -11,9 +11,9 @@ A release-grade safety net around the retiming engines: given two circuits
    determine labels up to a constant on each weakly-connected component,
    pinned to 0 at interface vertices);
 3. **legality** -- all retimed weights non-negative, interface labels 0;
-4. optionally, for circuits small enough for explicit state-space
-   analysis, **Lemma 2's behavioural guarantee**: ``K ≡Nt K'`` with
-   ``N = max(F_stem, B_stem)``.
+4. optionally, **Lemma 2's behavioural guarantee**: ``K ≡Nt K'`` with
+   ``N = max(F_stem, B_stem)``, on the explicit state space
+   (:func:`repro.equivalence.check_time_equivalence`).
 
 Returns the reconstructed :class:`Retiming`, so callers get the prefix
 lengths of Theorems 2-4 for *any* retimed netlist pair, not only pairs
@@ -37,8 +37,8 @@ class RetimingVerification:
     retiming: Retiming  # original -> retimed, reconstructed or validated
     time_equivalence_bound: int  # Lemma 2's N
     prefix_length_tests: int  # Theorems 3-4's |P|
-    behaviour_checked: bool  # True when the STG-level check ran
-    behaviour_engine: str = ""  # STG engine that ran the check ("" if skipped)
+    behaviour_checked: bool  # True when the STG-level check ran and held
+    behaviour_engine: str = ""  # extraction(s) it ran on ("" if skipped)
 
 
 def reconstruct_labels(original: Circuit, retimed: Circuit) -> Dict[str, int]:
@@ -95,19 +95,14 @@ def verify_retiming(
     retimed: Circuit,
     labels: Optional[Dict[str, int]] = None,
     check_behaviour: bool = False,
-    max_state_bits: int = 10,
-    engine: Optional[str] = None,
 ) -> RetimingVerification:
     """Verify that ``retimed`` is a legal retiming of ``original``.
 
-    ``engine`` selects the STG extraction engine for the behavioural check
-    (``"bitset"``/``"reference"``/``"reach"``/``"auto"``, default the
-    package default).  Without an explicit engine the check only runs on
-    machines within ``max_state_bits`` registers / 8 inputs; with one, the
-    engine's own :data:`~repro.equivalence.ENGINE_LIMITS` govern, and a
-    machine beyond them skips the check (``behaviour_checked`` stays
-    False) rather than failing.  Note the ``reach`` engine validates the
-    bound over the *reset-reachable* state sets only.
+    ``check_behaviour`` adds Lemma 2 through
+    :func:`~repro.equivalence.check_time_equivalence`: a machine past the
+    full-space cap is checked over its reset-reachable states, and a pair
+    past both caps skips the check (``behaviour_checked`` stays False)
+    rather than failing.
 
     Raises :class:`RetimingError` (structure/label/legality problems) or
     :class:`ValueError` on behavioural mismatch.
@@ -123,45 +118,18 @@ def verify_retiming(
         )
     bound = retiming.time_equivalence_bound()
 
-    behaviour_checked = False
-    behaviour_engine = ""
-    small_enough = (
-        original.num_registers() <= max_state_bits
-        and retimed.num_registers() <= max_state_bits
-        and len(original.input_names) <= 8
-    )
-    if check_behaviour and (engine is not None or small_enough):
-        from repro.equivalence import (
-            StateSpaceTooLarge,
-            extract_stg,
-            resolved_engine_name,
-            time_equivalence_bound,
-        )
+    behaviour = None
+    if check_behaviour:
+        from repro.equivalence import check_time_equivalence
 
-        try:
-            stg_original = extract_stg(original, engine=engine)
-            stg_retimed = extract_stg(retimed, engine=engine)
-        except StateSpaceTooLarge:
-            pass  # beyond the chosen engine's limits: skip, don't fail
-        else:
-            found = time_equivalence_bound(
-                stg_original, stg_retimed, max_steps=bound
-            )
-            if found is None:
-                raise ValueError(
-                    f"circuits are not {bound}-time-equivalent: Lemma 2 violated"
-                )
-            behaviour_checked = True
-            behaviour_engine = resolved_engine_name(
-                engine, stg_original, stg_retimed
-            )
+        behaviour = check_time_equivalence(original, retimed, bound)
 
     return RetimingVerification(
         retiming=retiming,
         time_equivalence_bound=bound,
         prefix_length_tests=retiming.max_forward_moves(),
-        behaviour_checked=behaviour_checked,
-        behaviour_engine=behaviour_engine,
+        behaviour_checked=behaviour is not None and behaviour.checked,
+        behaviour_engine=behaviour.engine if behaviour is not None else "",
     )
 
 

@@ -634,7 +634,6 @@ class JobManager:
                 backend=request.backend,
                 guidance=request.guidance,
                 verify=request.verify,
-                stg_engine=request.stg_engine,
                 cancel_event=job.cancel_event,
             )
             if request.spec is not None:

@@ -22,22 +22,23 @@ Execution options::
 
     {"workers": 2, "engine": "serial|process|auto",
      "backend": "auto|bigint|numpy", "guidance": "off|scoap",
-     "verify": false, "stg_engine": "auto|bitset|reference|reach"}
+     "verify": false}
 
 Every option is validated here, so a bad value is a 400 whether or not
 the answer is already cached.
 
 The fingerprint deliberately ignores ``workers`` / ``engine`` /
-``backend`` / ``stg_engine``: results are bit-identical across those
-execution knobs (same seed, same partition), so two requests differing
-only there are the *same work* and must coalesce.  ``guidance`` is also
-excluded, on the weaker interchangeability contract: a guided run may
-emit a different test set, but any test set the flow emits satisfies the
-same preservation guarantees, so two requests differing only in guidance
-still want the same *answer* -- whichever run lands first serves both
-(the pipeline's own stage keys still separate guided and unguided
-artifacts underneath).  The fingerprint includes the budget fingerprint
-and the ``verify`` flag, which change what is computed.
+``backend``: results are bit-identical across those execution knobs (same
+seed, same partition), so two requests differing only there are the *same
+work* and must coalesce.  ``guidance`` is also excluded, on the weaker
+interchangeability contract: a guided run may emit a different test set,
+but any test set the flow emits satisfies the same preservation
+guarantees, so two requests differing only in guidance still want the
+same *answer* -- whichever run lands first serves both (the pipeline's own
+stage keys still separate guided and unguided artifacts underneath).  The
+fingerprint includes the budget fingerprint and the ``verify`` flag, which
+change what is computed; the verify stage has one extraction policy, so a
+fingerprint always names one verify outcome.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.circuit.netlist import Circuit, CircuitError
 
 _FORMATS = ("table2", "bench", "verilog", "builder")
 _BACKENDS = ("auto", "bigint", "numpy")
-_STG_ENGINES = ("auto", "bitset", "reference", "reach")
 
 _BUDGET_FIELDS = {f.name: f.type for f in dataclasses.fields(AtpgBudget)}
 
@@ -63,7 +63,6 @@ _OPTION_KEYS = (
     "backend",
     "guidance",
     "verify",
-    "stg_engine",
 )
 
 
@@ -84,7 +83,6 @@ class JobRequest:
     backend: str = "auto"
     guidance: str = "off"
     verify: bool = False
-    stg_engine: str = "auto"
     tenant: Optional[str] = None
 
     def fingerprint(self) -> str:
@@ -268,10 +266,6 @@ def _parse_options(raw: object) -> Dict[str, object]:
         raise SchemaError(
             f"options: 'guidance' must be one of {', '.join(GUIDANCE_MODES)}"
         )
-    if options.get("stg_engine", "auto") not in _STG_ENGINES:
-        raise SchemaError(
-            f"options: 'stg_engine' must be one of {', '.join(_STG_ENGINES)}"
-        )
     if not isinstance(options.get("verify", False), bool):
         raise SchemaError("options: 'verify' must be a boolean")
     return options
@@ -310,7 +304,6 @@ def parse_request(
         backend=options.get("backend", "auto"),
         guidance=options.get("guidance", "off"),
         verify=options.get("verify", False),
-        stg_engine=options.get("stg_engine", "auto"),
         tenant=tenant,
     )
 

@@ -91,16 +91,7 @@ class FastStepper:
         fault: Optional[StuckAtFault] = None,
         compiled: Optional[CompiledCircuit] = None,
         source: Optional[str] = None,
-        backend: str = "auto",
     ):
-        # The scalar stepper carries one machine per call -- there are no
-        # lane words to vectorize -- so every backend resolves to the
-        # bigint (plain-int) evaluation.  The knob is accepted and
-        # validated anyway so callers can thread one backend setting
-        # through all three kernels uniformly.
-        from repro.simulation.backends import resolve_backend
-
-        self.backend = "bigint" if backend == "auto" else resolve_backend(backend)
         self.circuit = circuit
         self.compiled = compiled if compiled is not None else CompiledCircuit(circuit)
         self.fault = fault

@@ -133,34 +133,13 @@ class TestFacadeBitsetApi:
 
 
 class TestEngineLimits:
-    def test_deprecated_aliases_warn_and_track_bitset_limits(self):
-        from repro.equivalence import explicit
-
-        with pytest.deprecated_call(match="ENGINE_LIMITS"):
-            assert (
-                explicit.MAX_EXPLICIT_REGISTERS
-                == ENGINE_LIMITS["bitset"].registers
-            )
-        with pytest.deprecated_call(match="ENGINE_LIMITS"):
-            assert explicit.MAX_EXPLICIT_INPUTS == ENGINE_LIMITS["bitset"].inputs
-        with pytest.raises(AttributeError):
-            explicit.NOT_A_LIMIT
-        assert "MAX_EXPLICIT_REGISTERS" not in explicit.__all__
-
     def test_register_limit_message_names_engine_and_cost(self):
         with pytest.raises(StateSpaceTooLarge) as excinfo:
             extract_stg(shift_register(depth=20))
         message = str(excinfo.value)
-        assert "bitset" in message
+        assert "full-space" in message
         assert str(ENGINE_LIMITS["bitset"].registers) in message
         assert "2^20" in message
-
-    def test_reference_engine_keeps_seed_limits(self):
-        assert ENGINE_LIMITS["reference"].registers == 16
-        assert ENGINE_LIMITS["reference"].inputs == 10
-        with pytest.raises(StateSpaceTooLarge) as excinfo:
-            extract_stg(shift_register(depth=17), engine="reference")
-        assert "reference" in str(excinfo.value)
 
     def test_transitions_cap_reports_estimated_cost(self, monkeypatch):
         from repro.equivalence import explicit
@@ -175,10 +154,6 @@ class TestEngineLimits:
         message = str(excinfo.value)
         assert "transitions" in message
         assert "16 states x 8 vectors" in message
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown STG engine"):
-            extract_stg(toggle_counter(), engine="warp")
 
     def test_ternary_alphabet_rejected(self):
         circuit = toggle_counter()

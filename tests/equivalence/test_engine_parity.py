@@ -1,7 +1,9 @@
-"""Cross-engine parity: the bitset STG engine must be result-identical to
-the scalar reference engine -- same tables, same classification block ids,
-same sync sequences (including tie-breaking and search-budget cutoffs), on
-fault-free and faulty machines alike."""
+"""Oracle parity: the lane-parallel STG sweep, the array classifier and
+the bitset sync searches must be result-identical to the scalar seed
+algorithms kept as named oracles (``extract_stg_reference``,
+``classify_reference`` and the ``*_reference`` searches) -- same tables,
+same classification block ids, same sync sequences (including tie-breaking
+and search-budget cutoffs), on fault-free and faulty machines alike."""
 
 import functools
 import random
@@ -10,6 +12,7 @@ import pytest
 
 from repro.circuit import CircuitBuilder
 from repro.equivalence import (
+    all_vectors,
     classify,
     extract_stg,
     find_functional_sync_sequence,
@@ -20,6 +23,13 @@ from repro.equivalence import (
     time_equivalence_bound,
 )
 from repro.equivalence.bitset import alphabet_sweep
+from repro.equivalence.explicit import extract_stg_reference
+from repro.equivalence.relations import classify_reference
+from repro.equivalence.syncseq import (
+    find_functional_sync_sequence_reference,
+    functional_final_states_reference,
+    is_functional_sync_sequence_reference,
+)
 from repro.faults.collapse import collapse_faults
 from repro.papercircuits import fig3_pair, fig5_pair, n2_g1_q12_fault
 from repro.simulation import vector_fast_stepper
@@ -49,8 +59,8 @@ CIRCUITS = [
 
 
 def both_engines(circuit, **kwargs):
-    reference = extract_stg(circuit, engine="reference", use_store=False, **kwargs)
-    bitset = extract_stg(circuit, engine="bitset", use_store=False, **kwargs)
+    reference = extract_stg_reference(circuit, **kwargs)
+    bitset = extract_stg(circuit, use_store=False, **kwargs)
     return reference, bitset
 
 
@@ -95,8 +105,8 @@ class TestClassificationParity:
     def test_single_machine_block_ids_identical(self, name, make):
         reference, bitset = both_engines(make())
         assert (
-            classify([reference], engine="reference").class_of
-            == classify([bitset], engine="array").class_of
+            classify_reference([reference]).class_of
+            == classify([bitset]).class_of
         )
 
     def test_joint_classification_block_ids_identical(self):
@@ -104,8 +114,8 @@ class TestClassificationParity:
         ref1, bit1 = both_engines(l1)
         ref2, bit2 = both_engines(l2)
         assert (
-            classify([ref1, ref2], engine="reference").class_of
-            == classify([bit1, bit2], engine="array").class_of
+            classify_reference([ref1, ref2]).class_of
+            == classify([bit1, bit2]).class_of
         )
 
     def test_joint_classification_with_faulty_machine(self):
@@ -114,8 +124,8 @@ class TestClassificationParity:
         good_ref, good_bit = both_engines(circuit)
         bad_ref, bad_bit = both_engines(circuit, fault=fault)
         assert (
-            classify([good_ref, bad_ref], engine="reference").class_of
-            == classify([good_bit, bad_bit], engine="array").class_of
+            classify_reference([good_ref, bad_ref]).class_of
+            == classify([good_bit, bad_bit]).class_of
         )
 
     @pytest.mark.parametrize("name,make", CIRCUITS[:7], ids=[c[0] for c in CIRCUITS[:7]])
@@ -137,50 +147,45 @@ class TestSyncSequenceParity:
     @pytest.mark.parametrize("name,make", CIRCUITS, ids=[c[0] for c in CIRCUITS])
     def test_found_sequences_identical(self, name, make):
         reference, bitset = both_engines(make())
-        found_ref = find_functional_sync_sequence(reference, engine="reference")
-        found_bit = find_functional_sync_sequence(bitset, engine="bitset")
+        found_ref = find_functional_sync_sequence_reference(reference)
+        found_bit = find_functional_sync_sequence(bitset)
         assert found_ref == found_bit
         if found_bit is not None:
-            assert is_functional_sync_sequence(bitset, found_bit, engine="bitset")
-            assert is_functional_sync_sequence(
-                reference, found_bit, engine="reference"
-            )
-            assert functional_final_states(
-                reference, found_bit, engine="reference"
-            ) == functional_final_states(bitset, found_bit, engine="bitset")
+            assert is_functional_sync_sequence(bitset, found_bit)
+            assert is_functional_sync_sequence_reference(reference, found_bit)
+            assert functional_final_states_reference(
+                reference, found_bit
+            ) == functional_final_states(bitset, found_bit)
 
     def test_budget_cutoff_identical(self):
-        """Both engines give up at the same max_visited budget."""
+        """Both searches give up at the same max_visited budget."""
         circuit = random_circuit(13, num_dffs=4)
         reference, bitset = both_engines(circuit)
         for budget in (1, 2, 5):
-            assert find_functional_sync_sequence(
-                reference, max_visited=budget, engine="reference"
-            ) == find_functional_sync_sequence(
-                bitset, max_visited=budget, engine="bitset"
-            )
+            assert find_functional_sync_sequence_reference(
+                reference, max_visited=budget
+            ) == find_functional_sync_sequence(bitset, max_visited=budget)
 
     def test_observation1_pair_across_engines(self):
-        """Fig. 3: <11> functionally synchronizes L1 but not L2 -- on both
-        engines, with identical final state sets."""
+        """Fig. 3: <11> functionally synchronizes L1 but not L2 -- on the
+        oracle and the fast path, with identical final state sets."""
         l1, l2, _ = fig3_pair()
-        for engine in ("reference", "bitset"):
-            stg1 = extract_stg(l1, engine=engine, use_store=False)
-            stg2 = extract_stg(l2, engine=engine, use_store=False)
-            assert is_functional_sync_sequence(stg1, [(1, 1)], engine=engine)
-            assert not is_functional_sync_sequence(stg2, [(1, 1)], engine=engine)
-            assert functional_final_states(
-                stg1, [(1, 1)], engine=engine
-            ) == frozenset({(1,)})
+        (ref1, bit1), (ref2, bit2) = both_engines(l1), both_engines(l2)
+        assert is_functional_sync_sequence_reference(ref1, [(1, 1)])
+        assert is_functional_sync_sequence(bit1, [(1, 1)])
+        assert not is_functional_sync_sequence_reference(ref2, [(1, 1)])
+        assert not is_functional_sync_sequence(bit2, [(1, 1)])
+        assert functional_final_states_reference(ref1, [(1, 1)]) == frozenset({(1,)})
+        assert functional_final_states(bit1, [(1, 1)]) == frozenset({(1,)})
 
     def test_faulty_machine_sequences_identical(self):
         """Observation 2 machinery: sync search on faulty machines agrees."""
         _, n2, _ = fig5_pair()
         fault = n2_g1_q12_fault(n2)
         reference, bitset = both_engines(n2, fault=fault)
-        assert find_functional_sync_sequence(
-            reference, engine="reference"
-        ) == find_functional_sync_sequence(bitset, engine="bitset")
+        assert find_functional_sync_sequence_reference(
+            reference
+        ) == find_functional_sync_sequence(bitset)
 
 
 # -- the alphabet sweep against the lane cap ----------------------------------
@@ -200,7 +205,7 @@ SWEEP_BACKENDS = ["bigint", pytest.param("numpy", marks=requires_numpy)]
 
 def sweep_circuit(registers, inputs):
     # Seed 1 keeps every register in the output cone at each shape, so the
-    # reach engine's states are the full register tuples.
+    # reachable-state tables' states are the full register tuples.
     return random_circuit(
         1, num_inputs=inputs, num_gates=3 * registers + 6, num_dffs=registers
     )
@@ -213,12 +218,13 @@ def sweep_reference(registers, inputs, faulty):
     if faulty:
         faults = collapse_faults(circuit).representatives
         fault = faults[len(faults) // 2]
-    stg = extract_stg(circuit, engine="reference", fault=fault, use_store=False)
+    stg = extract_stg_reference(circuit, fault=fault)
     return circuit, fault, stg
 
 
 class TestAlphabetSweepParity:
-    """One sweep serves the bitset and reach tiers at every step width."""
+    """One sweep serves the full-space and reachable-state extractions at
+    every step width."""
 
     @pytest.mark.parametrize("faulty", [False, True], ids=["fault-free", "faulty"])
     @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
@@ -227,16 +233,13 @@ class TestAlphabetSweepParity:
         self, registers, inputs, backend, faulty
     ):
         circuit, fault, reference = sweep_reference(registers, inputs, faulty)
-        bitset = extract_stg(
-            circuit, engine="bitset", fault=fault, backend=backend, use_store=False
-        )
+        bitset = extract_stg(circuit, fault=fault, backend=backend, use_store=False)
         assert_stg_identical(reference, bitset)
         reach = extract_stg(
             circuit,
-            engine="reach",
             fault=fault,
             backend=backend,
-            initial_states="all",
+            initial_states=all_vectors(registers),
             use_store=False,
         )
         assert reach.num_registers == registers  # identity cone
@@ -274,9 +277,7 @@ class TestAlphabetSweepParity:
         for k in range(70):
             builder.output(f"z{k}", "t" if k % 3 else "q")
         circuit = builder.build()
-        reference = extract_stg(circuit, engine="reference", use_store=False)
+        reference = extract_stg_reference(circuit)
         assert max(max(row) for row in reference.output_index) >= 1 << 63
-        bitset = extract_stg(
-            circuit, engine="bitset", backend=backend, use_store=False
-        )
+        bitset = extract_stg(circuit, backend=backend, use_store=False)
         assert_stg_identical(reference, bitset)

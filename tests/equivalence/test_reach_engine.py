@@ -1,5 +1,6 @@
-"""The reach engine: parity with the bitset engine on the overlap, cone
-reduction, store memoization, and breaking the 18-register wall."""
+"""Reachable-state extraction: parity with the full-space tables on the
+overlap, cone reduction, store memoization, and breaking the 18-register
+wall."""
 
 import random
 
@@ -10,6 +11,7 @@ from repro.core.preservation import verify_preservation
 from repro.equivalence import (
     ReachableSTG,
     StateSpaceTooLarge,
+    all_vectors,
     classify,
     extract_stg,
     find_functional_sync_sequence,
@@ -31,12 +33,18 @@ from tests.helpers import (
 
 def reach(circuit, **kwargs):
     kwargs.setdefault("use_store", False)
-    return extract_stg(circuit, engine="reach", **kwargs)
+    kwargs.setdefault("initial_states", "reset")
+    return extract_stg(circuit, **kwargs)
 
 
 def bitset(circuit, **kwargs):
     kwargs.setdefault("use_store", False)
-    return extract_stg(circuit, engine="bitset", **kwargs)
+    return extract_stg(circuit, **kwargs)
+
+
+def every_state(circuit):
+    """A BFS start set of all ``2^r`` register states."""
+    return all_vectors(circuit.num_registers())
 
 
 class TestAllModeExactParity:
@@ -44,7 +52,7 @@ class TestAllModeExactParity:
     def test_tables_bit_identical_to_bitset(self, seed):
         circuit = random_circuit(seed, num_dffs=4)
         full = bitset(circuit)
-        rch = reach(circuit, initial_states="all")
+        rch = reach(circuit, initial_states=every_state(circuit))
         assert isinstance(rch, ReachableSTG)
         assert rch.states == full.states
         assert rch.next_index == full.next_index
@@ -55,7 +63,7 @@ class TestAllModeExactParity:
     def test_classification_and_sync_search_coincide(self):
         circuit = toggle_counter()
         full = bitset(circuit)
-        rch = reach(circuit, initial_states="all")
+        rch = reach(circuit, initial_states=every_state(circuit))
         assert classify([full]).class_array(0) == classify([rch]).class_array(0)
         assert find_functional_sync_sequence(
             full
@@ -99,7 +107,7 @@ class TestResetModeRestriction:
 
     def test_sync_search_matches_start_restricted_bitset_search(self):
         # The reachable set is forward-closed, so BFS over subsets of it is
-        # the same abstract search as the bitset engine's restricted to the
+        # the same abstract search as the full-space one restricted to the
         # same start set -- identical sequences, identical cutoffs.
         for seed in (5, 12):
             circuit = random_circuit(seed, num_inputs=2, num_gates=25, num_dffs=6)
@@ -171,7 +179,7 @@ class TestBackends:
         # each stepping one vector at a time.
         circuit = random_circuit(0, num_inputs=2, num_gates=45, num_dffs=13)
         full = bitset(circuit, backend="bigint")
-        rch = reach(circuit, initial_states="all", backend=backend)
+        rch = reach(circuit, initial_states=every_state(circuit), backend=backend)
         assert rch.num_registers == 13  # identity cone
         assert rch.peak_frontier == 1 << 13
         assert rch.next_index == full.next_index
@@ -200,10 +208,10 @@ class TestStoreMemoization:
         from repro.store.core import default_store
 
         circuit = random_circuit(5, num_inputs=3, num_gates=30, num_dffs=8)
-        first = extract_stg(circuit, engine="reach")
+        first = extract_stg(circuit, initial_states="reset")
         store = default_store()
         hits_before = store.stats.hits
-        second = extract_stg(circuit, engine="reach")
+        second = extract_stg(circuit, initial_states="reset")
         assert store.stats.hits == hits_before + 1
         assert second.states == first.states
         assert second.next_index == first.next_index
@@ -228,8 +236,8 @@ class TestStoreMemoization:
         from repro.store.core import default_store
 
         circuit = random_circuit(5, num_dffs=4)
-        reset_mode = extract_stg(circuit, engine="reach")
-        all_mode = extract_stg(circuit, engine="reach", initial_states="all")
+        reset_mode = extract_stg(circuit, initial_states="reset")
+        all_mode = extract_stg(circuit, initial_states=every_state(circuit))
         assert all_mode.visited_states == 1 << circuit.num_registers()
         store = default_store()
         assert store.summary()["by_kind"].get("reach-stg", 0) == 2
@@ -237,8 +245,8 @@ class TestStoreMemoization:
 
 
 class TestWallBreak:
-    """The acceptance story: a 28-register machine the bitset engine
-    rejects, verified end to end by the reach engine."""
+    """The acceptance story: a 28-register machine past the full-space cap,
+    verified end to end over its reset-reachable states."""
 
     WIDTH = 28
 
@@ -250,8 +258,8 @@ class TestWallBreak:
     def test_bitset_rejects_and_names_reach(self):
         circuit, _ = self.make_pair()
         with pytest.raises(StateSpaceTooLarge) as excinfo:
-            extract_stg(circuit, engine="bitset")
-        assert "reach" in str(excinfo.value)
+            extract_stg(circuit)
+        assert "reset-reachable" in str(excinfo.value)
 
     def test_reach_traverses_a_sparse_fraction(self):
         circuit, retiming = self.make_pair()
@@ -266,20 +274,10 @@ class TestWallBreak:
     def test_verify_retiming_behaviour_check_runs_on_reach(self):
         circuit, retiming = self.make_pair()
         retimed = retiming.apply()
-        verification = verify_retiming(
-            circuit, retimed, check_behaviour=True, engine="reach"
-        )
+        verification = verify_retiming(circuit, retimed, check_behaviour=True)
         assert verification.behaviour_checked
         assert verification.behaviour_engine == "reach"
         assert verification.time_equivalence_bound == 1
-        # Without an engine the pair is beyond the small-machine gate.
-        skipped = verify_retiming(circuit, retimed, check_behaviour=True)
-        assert not skipped.behaviour_checked
-        # An explicit bitset request is over the wall: skipped, not failed.
-        over = verify_retiming(
-            circuit, retimed, check_behaviour=True, engine="bitset"
-        )
-        assert not over.behaviour_checked
 
     def test_verify_preservation_with_reach_time_equivalence(self):
         circuit, retiming = self.make_pair()
@@ -296,7 +294,6 @@ class TestWallBreak:
             test_set,
             retimed=retimed,
             check_time_equivalence=True,
-            stg_engine="reach",
         )
         assert report.holds
         assert report.time_equivalence_checked

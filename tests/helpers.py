@@ -221,9 +221,9 @@ def token_ring(width: int, name: str = "") -> Circuit:
     token that then rotates forever (``q_{w-1}`` wraps to ``q0``).  The
     output observes ``q_{w-1}`` through a BUF, and the fanout stem feeding
     that BUF has one register on its in-edge -- so labelling the stem
-    ``-1`` is a legal single forward move that the reach engine can verify
-    (reachability-bounded Lemma 2) far beyond the bitset engine's
-    18-register wall.
+    ``-1`` is a legal single forward move that the reset-reachable
+    extraction can verify (reachability-bounded Lemma 2) far beyond the
+    full space's 18-register wall.
     """
     builder = CircuitBuilder(name or f"ring{width}")
     builder.input("rst")
@@ -257,6 +257,19 @@ def token_ring_stem(circuit: Circuit) -> str:
     """The fanout stem feeding ``zbuf`` (the forward-move target)."""
     (edge,) = [e for e in circuit.edges if e.sink == "zbuf"]
     return edge.source
+
+
+def wide_or(num_inputs: int = 13) -> Circuit:
+    """One register latching the OR of ``num_inputs`` inputs: past both
+    state-space caps' 12-input limit at the default width."""
+    builder = CircuitBuilder("wide")
+    names = [builder.input(f"i{k}") for k in range(num_inputs)]
+    acc = names[0]
+    for k, name in enumerate(names[1:]):
+        acc = builder.or_(f"o{k}", acc, name)
+    builder.dff("q", acc)
+    builder.output("z", "q")
+    return builder.build()
 
 
 def all_binary_vectors(width: int) -> List[Tuple[int, ...]]:

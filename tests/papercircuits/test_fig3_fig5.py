@@ -161,13 +161,15 @@ class TestFig5Observation2:
     def test_corresponding_fault_is_multiple_fault_equivalent(self, engine):
         """The G1-Q12 fault in N2 is space-equivalent to the *multiple*
         s-a-1 fault on I1-Q1 and I2-Q2 in N1 (checked behaviourally via
-        parallel injection)."""
+        parallel injection), on the lane sweep and on the scalar oracle."""
         n1, n2, _ = fig5_pair()
         from repro.equivalence import space_equivalent
+        from repro.equivalence.explicit import extract_stg_reference
 
+        extract = extract_stg if engine == "bitset" else extract_stg_reference
         multi_faults = _n1_multi_fault(n1)
-        stg_multi = extract_stg(n1, fault=multi_faults, engine=engine)
-        stg_single = extract_stg(n2, fault=n2_g1_q12_fault(n2), engine=engine)
+        stg_multi = extract(n1, fault=multi_faults)
+        stg_single = extract(n2, fault=n2_g1_q12_fault(n2))
         assert space_equivalent(stg_multi, stg_single)
 
     def test_multi_fault_extraction_matches_dict_construction(self):

@@ -78,10 +78,9 @@ class TestVerification:
         else:
             retiming = performance_retiming(circuit, backward_passes=1).retiming
         retimed = retiming.apply()
-        verification = verify_retiming(
-            circuit, retimed, check_behaviour=True, max_state_bits=12
-        )
+        verification = verify_retiming(circuit, retimed, check_behaviour=True)
         assert isinstance(verification, RetimingVerification)
+        assert verification.behaviour_checked
 
     def test_supplied_labels_checked(self):
         c1, c2, retiming = fig2_pair()

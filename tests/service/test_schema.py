@@ -148,6 +148,25 @@ class TestBudgetAndOptions:
             with pytest.raises(SchemaError, match="'engine' must be one of"):
                 parse_request({**_table2(), "options": {"engine": engine}})
 
+    @pytest.mark.parametrize("value", ["auto", "bitset", "reference", "reach"])
+    def test_options_stg_engine_is_unknown(self, value):
+        """The verify stage has one extraction policy, so ``stg_engine`` is
+        no option at all."""
+        with pytest.raises(SchemaError, match="unknown option 'stg_engine'"):
+            parse_request({**_table2(), "options": {"stg_engine": value}})
+
+    def test_every_other_option_parses_as_before(self):
+        options = {
+            "workers": 3,
+            "engine": "serial",
+            "backend": "bigint",
+            "guidance": "scoap",
+            "verify": True,
+        }
+        request = parse_request({**_table2(), "options": options})
+        assert {key: getattr(request, key) for key in options} == options
+        assert not hasattr(request, "stg_engine")
+
     @pytest.mark.parametrize("guidance", ["learned", "auto", "psychic"])
     def test_options_guidance_is_off_or_scoap(self, guidance):
         with pytest.raises(SchemaError, match="off, scoap"):

@@ -224,6 +224,25 @@ class TestValidationOverTheWire:
             assert excinfo.value.status == 400
             assert "format" in excinfo.value.message
 
+    def test_stg_engine_option_is_400(self, store):
+        """The verify stage has one extraction policy: no ``stg_engine``."""
+        with BackgroundServer(store=store, pool=1) as server:
+            client = _client(server)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(
+                    {
+                        "circuit": {
+                            "format": "table2",
+                            "fsm": "dk16",
+                            "style": "ji",
+                            "script": "sd",
+                        },
+                        "options": {"verify": True, "stg_engine": "reach"},
+                    }
+                )
+            assert excinfo.value.status == 400
+            assert "unknown option 'stg_engine'" in excinfo.value.message
+
     def test_unknown_job_is_404(self, store):
         with BackgroundServer(store=store, pool=1) as server:
             client = _client(server)

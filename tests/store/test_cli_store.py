@@ -59,12 +59,10 @@ class TestRunFlags:
             "workers": None,
             "backend": "auto",
             "guidance": "off",
-            "engine": None,
-            "initial": None,
+            "initial": "all",
             "retimed": False,
             "max_length": None,
             "verify": False,
-            "stg_engine": None,
         }
 
     def test_pop_flags_parses_everything(self):
@@ -81,16 +79,12 @@ class TestRunFlags:
                 "bigint",
                 "--guidance",
                 "scoap",
-                "--engine",
-                "reference",
                 "--initial",
-                "all",
+                "reset",
                 "--retimed",
                 "--max-length",
                 "5",
                 "--verify",
-                "--stg-engine",
-                "reach",
             ]
         )
         assert positional == ["dk16", "ji", "sd"]
@@ -100,12 +94,10 @@ class TestRunFlags:
             "workers": 3,
             "backend": "bigint",
             "guidance": "scoap",
-            "engine": "reference",
-            "initial": "all",
+            "initial": "reset",
             "retimed": True,
             "max_length": 5,
             "verify": True,
-            "stg_engine": "reach",
         }
 
     def test_workers_without_count_is_an_error(self):
@@ -123,6 +115,8 @@ class TestRunFlags:
             ["--guidance", "learned"],
             ["--guidance", "auto"],
             ["--bogus"],
+            ["--stg-engine", "auto"],
+            ["--engine", "reach"],
         ],
     )
     def test_retired_and_unknown_flags_exit_2(self, capsys, flags):
@@ -136,7 +130,7 @@ class TestRunFlags:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--backend", "bogus"], ["--workers", "0"], ["--stg-engine", "warp"]],
+        [["--backend", "bogus"], ["--workers", "0"], ["--initial", "bogus"]],
     )
     def test_bad_option_fails_the_same_warm_and_cold(self, capsys, flags):
         """The option is checked before any stage, so a cached ATPG stage

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.equivalence import extract_stg
+from repro.equivalence.explicit import extract_stg_reference
 from repro.faults.collapse import collapse_faults
 from repro.store.artifacts import stg_arrays_from_payload, stg_payload
 from repro.store.core import default_store, set_default_store
@@ -29,13 +30,14 @@ class TestStgMemoization:
         assert first.output_index == second.output_index
 
     def test_hit_serves_both_engines(self):
+        """A store hit replays exactly the oracle's tables."""
         circuit = random_circuit(7)
-        extract_stg(circuit, engine="bitset")
+        extract_stg(circuit)
         store = default_store()
         hits_before = store.stats.hits
-        from_store = extract_stg(circuit, engine="reference")
+        from_store = extract_stg(circuit)
         assert store.stats.hits == hits_before + 1
-        assert from_store == extract_stg(circuit, use_store=False)
+        assert from_store == extract_stg_reference(circuit)
 
     def test_faulty_machines_get_distinct_records(self):
         circuit = toggle_counter()

@@ -50,48 +50,69 @@ class TestCli:
         assert "store:" in captured.err
 
     def test_equiv_reference_engine_matches(self, capsys):
-        assert main(["equiv", "dk16", "ji", "sd", "--engine", "reference"]) == 0
+        """The printed counts are the scalar oracle's."""
+        from repro.core.experiments import TABLE2_CIRCUITS, build_pair
+        from repro.equivalence.explicit import extract_stg_reference
+        from repro.equivalence.relations import classify_reference
+
+        assert main(["equiv", "dk16", "ji", "sd"]) == 0
         out = capsys.readouterr().out
-        assert "engine reference" in out
-        assert "28 equivalence classes" in out
+        spec = next(s for s in TABLE2_CIRCUITS if s.name == "dk16.ji.sd")
+        oracle = extract_stg_reference(build_pair(spec).original)
+        classes = len(set(classify_reference([oracle]).class_array(0)))
+        assert classes == 28
+        assert (
+            f"full space: {len(oracle.states)} states x {len(oracle.alphabet)} "
+            f"vectors, {classes} equivalence classes"
+        ) in out
 
     def test_equiv_rejects_oversized_circuit(self, capsys):
-        # s820 has 18 primary inputs -- beyond every engine's vector limit.
+        # s820 has 18 primary inputs -- beyond both state-space caps.
         assert main(["equiv", "s820", "jc", "rugged"]) == 1
         assert "state space too large" in capsys.readouterr().err
 
     def test_equiv_reach_engine_reports_visited_states(self, capsys):
-        assert main(["equiv", "dk16", "ji", "sd", "--engine", "reach"]) == 0
+        assert main(["equiv", "dk16", "ji", "sd", "--initial", "reset"]) == 0
         out = capsys.readouterr().out
-        assert "engine reach: visited 27 of 32 states" in out
+        assert "reachable from reset: visited 27 of 32 states" in out
         assert "peak frontier" in out
 
     def test_equiv_reach_initial_all_matches_bitset_counts(self, capsys):
-        assert (
-            main(
-                [
-                    "equiv", "dk16", "ji", "sd",
-                    "--engine", "reach", "--initial", "all",
-                ]
-            )
-            == 0
-        )
+        assert main(["equiv", "dk16", "ji", "sd", "--initial", "all"]) == 0
         out = capsys.readouterr().out
-        assert "visited 32 of 32 states" in out
-        assert "28 equivalence classes" in out  # same as the bitset engine
-
-    def test_equiv_initial_requires_reach_engine(self, capsys):
-        assert main(["equiv", "dk16", "ji", "sd", "--initial", "all"]) == 2
-        assert "--initial requires --engine reach" in capsys.readouterr().err
+        assert "full space: 32 states x 16 vectors" in out
+        assert "28 equivalence classes" in out
+        assert main(["equiv", "dk16", "ji", "sd"]) == 0
+        assert capsys.readouterr().out == out  # "all" is the default
 
     def test_equiv_help_prints_engine_limits_table(self, capsys):
         assert main(["equiv", "--help"]) == 0
         out = capsys.readouterr().out
-        assert "engine limits:" in out
-        for engine in ("reference", "bitset", "reach"):
-            assert engine in out
+        assert "state-space caps:" in out
+        assert "all:   18 registers, 12 inputs, 2^22" in out
+        assert "reset: 30 output-cone registers, 12 inputs, 2^24" in out
 
     def test_flow_verify_stage_runs(self, capsys):
         assert main(["flow", "dk16", "ji", "sd", "2", "--verify"]) == 0
         captured = capsys.readouterr()
         assert "stage verify:" in captured.err
+
+    def test_flow_verify_prints_the_checked_outcome(self, capsys):
+        assert main(["flow", "dk16", "ji", "sd", "--no-store", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "verify: checked, K ==1t K' (least N 1); "
+            "hard: 134 states reachable from reset; easy: all 32 states"
+        ) in out.splitlines()
+
+    def test_flow_verify_prints_the_unverified_outcome(self, capsys):
+        assert main(["flow", "s510", "jo", "sr", "--no-store", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "verify: unverified, s510.jo.sr.re: 21 inputs is past the "
+            "reachable-state cap of 12 (2^21 = 2097152 vectors per state)"
+        ) in out.splitlines()
+
+    def test_flow_without_verify_prints_no_outcome(self, capsys):
+        assert main(["flow", "dk16", "ji", "sd", "--no-store"]) == 0
+        assert "verify:" not in capsys.readouterr().out
