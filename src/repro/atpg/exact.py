@@ -16,21 +16,27 @@ pairs, so a breadth-first search over the pairs reachable from
   exactly as the fault simulator grades it.
 
 **Cube lanes.**  A *row* -- one (fault, pair) -- is expanded over input
-cubes, not over the alphabet: it starts as one lane holding the all-X
-cube.  After a step a lane is a *leaf* when every observed line (an
-output or a next-state rail, good or faulty half) is binary, or X with
-its whole structural input support assigned; every minterm of a leaf then
-gives the same successor pair and the same detect bit, because ternary
-simulation is monotone and a line reads nothing outside its support (a
-stuck-at only removes dependencies, so the fault-free supports bound the
-faulty half too).  A lane that detects is a leaf as well: its lowest
-minterm detects, and the row ends the search.  Any other lane splits on
-one unassigned input from the support of an unresolved X line, giving two
-lanes for a later step.  Lanes of many rows and faults share one compiled
-step of at most :data:`~repro.equivalence.bitset.REACH_LANE_BLOCK` lanes:
-the good half steps through ``step_clean``, the faulty half through
-``step_inject`` with each fault's stuck-at set in the runtime masks of its
-own lanes, so no code is generated per fault.
+cubes, not over the alphabet.  After a step a lane is a *leaf* when every
+observed line (an output or a next-state rail, good or faulty half) is
+binary, or X with its whole structural input support assigned; every
+minterm of a leaf then gives the same successor pair and the same detect
+bit, because ternary simulation is monotone and a line reads nothing
+outside its support (a stuck-at only removes dependencies, so the
+fault-free supports bound the faulty half too).  A lane that detects is a
+leaf as well: its lowest minterm detects, and the row ends the search.
+Any other lane splits on one unassigned input from the support of an
+unresolved X line, giving two lanes for a later step.  Lanes of many rows
+and faults share one compiled step of at most
+:data:`~repro.equivalence.bitset.REACH_LANE_BLOCK` lanes: the good half
+steps through ``step_clean``, the faulty half through ``step_inject`` with
+each fault's stuck-at set in the runtime masks of its own lanes, so no
+code is generated per fault.
+
+**Seeds.**  A row does not start from the all-X cube: it starts from the
+*seeds* of its good state ``g`` -- the leaves of the fault-free row
+``(g, g)``, expanded once per good state and kept for the run -- so only
+its faulty half still splits.  A seed state whose fault-free row passes
+``lane_cap`` lanes is seeded with the all-X cube alone.
 
 **Order.**  A leaf's *index* is that of its lowest minterm (unassigned
 inputs at 0) in :func:`~repro.equivalence.explicit.all_vectors` order.
@@ -38,19 +44,22 @@ Rows are finalized in pair order; a row's distinct successors are interned
 in order of their lowest index, the detecting leaf of lowest index is the
 row's hit, and the first row with a hit ends the search.  That is exactly
 the search that enumerates every vector of every row in order, so
-outcomes depend on neither the split order, the batching nor the leg.
+outcomes depend on neither the seeds, the split order, the batching nor
+the leg: any partition of the alphabet into leaves gives the same
+successors and hit.
 
 **Keys.**  A pair is four rails per register (good ones, good zeros,
 faulty ones, faulty zeros); its key is the ``4r``-bit Python int whose
 bit ``p`` is rail plane ``p``, so keys never wrap.  Lanes and planes
 convert with the bit transposes :func:`lane_keys` and :func:`key_planes`.
 
-**Cap.**  A fault may simulate at most ``lane_cap`` lanes (lane-steps),
-checked row by row in pair order: the row whose lanes would pass the cap
-hands the fault back undecided.  The search reads no clock of its own: a
-caller's ``out_of_time`` check, consulted between steps, only stops it
-early.  Unless that fires, a fault's outcome is a function of the
-circuit, the fault and the cap alone.
+**Cap.**  A fault may simulate at most ``lane_cap`` lanes (lane-steps:
+a row's seed lanes and their descendants), checked row by row in pair
+order: the row whose lanes would pass the cap hands the fault back
+undecided.  The search reads no clock of its own: a caller's
+``out_of_time`` check, consulted between steps (seed expansion's
+included), only stops it early.  Unless that fires, a fault's outcome is
+a function of the circuit, the fault and the cap alone.
 
 **Legs.**  The bookkeeping around the bigint kernel -- plane/lane
 transposes, leaf dedup, child generation -- runs in pure Python
@@ -66,7 +75,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.equivalence.bitset import REACH_LANE_BLOCK
@@ -85,7 +94,7 @@ EXACT_BATCH_PAIRS = 1 << 17
 
 #: Generation of the search semantics, folded into every budget
 #: fingerprint: bump it when the same budget can give different results.
-EXACT_SEARCH_GENERATION = 2
+EXACT_SEARCH_GENERATION = 3
 
 
 @dataclass
@@ -95,7 +104,8 @@ class ExactOutcome:
     ``status`` is ``"det"`` (``sequence`` detects the fault), ``"proved"``
     (no sequence does), ``"cap"`` (undecided within the cap) or
     ``"time"`` (undecided when the caller ran out of time).
-    ``lane_steps`` is the cube lanes simulated for the rows finalized.
+    ``lane_steps`` is the cube lanes simulated for the rows finalized,
+    seed lanes included.
     """
 
     status: str
@@ -305,6 +315,11 @@ class ProductSearch:
             )
         ]
         self.backend = resolve_backend(backend)
+        # A key's low 2r bits are its good half.
+        self.good_mask = (1 << 2 * self.num_registers) - 1
+        # Good half -> seed cubes (``assigned << n | value`` each), kept
+        # for every batch of the run.
+        self.seeds: Dict[int, List[int]] = {}
 
     # -- one step ------------------------------------------------------------
 
@@ -313,7 +328,7 @@ class ProductSearch:
         state: Sequence[int],
         assigned: Sequence[int],
         values: Sequence[int],
-        injections: Sequence[Tuple[StuckAtFault, int]],
+        injections: Optional[Sequence[Tuple[StuckAtFault, int]]],
         lanes: int,
     ) -> Tuple[List[int], int, int, List[int]]:
         """One compiled step of ``lanes`` cube lanes.
@@ -321,29 +336,34 @@ class ProductSearch:
         ``state`` holds the ``4r`` key planes of each lane's pair,
         ``assigned``/``values`` the cube planes per input bit (bit ``b`` is
         input ``n - 1 - b``), ``injections`` one ``(fault, lane mask)``
-        per fault present.  Returns ``(next_planes, leaf, detect, picks)``:
-        the ``4r`` key planes of the successors, the leaf and detect lanes,
-        and per input bit the non-leaf lanes that split on it.
+        per fault present, or ``None`` for fault-free rows ``(g, g)``,
+        whose faulty half is then not simulated.  Returns
+        ``(next_planes, leaf, detect, picks)``: the ``4r`` key planes of
+        the successors, the leaf and detect lanes, and per input bit the
+        non-leaf lanes that split on it.
         """
         mask = (1 << lanes) - 1
         r = self.num_registers
         good = tuple(zip(state[:r], state[r : 2 * r]))
-        faulty = tuple(zip(state[2 * r : 3 * r], state[3 * r :]))
         top = self.num_inputs - 1
         inputs = tuple(
             (values[top - i], assigned[top - i] & ~values[top - i])
             for i in range(self.num_inputs)
         )
         stepper = self.stepper
-        sa1, sa0 = stepper.blank_injection_masks()
-        for fault, lane_mask in injections:
-            line = stepper.line_slot[fault.line]
-            if fault.value:
-                sa1[line] |= lane_mask
-            else:
-                sa0[line] |= lane_mask
         good_out, good_next = stepper.step_clean(good, inputs, mask)
-        faulty_out, faulty_next = stepper.step_inject(faulty, inputs, mask, sa1, sa0)
+        if injections is None:
+            faulty_out, faulty_next = good_out, good_next
+        else:
+            faulty = tuple(zip(state[2 * r : 3 * r], state[3 * r :]))
+            sa1, sa0 = stepper.blank_injection_masks()
+            for fault, lane_mask in injections:
+                line = stepper.line_slot[fault.line]
+                if fault.value:
+                    sa1[line] |= lane_mask
+                else:
+                    sa0[line] |= lane_mask
+            faulty_out, faulty_next = stepper.step_inject(faulty, inputs, mask, sa1, sa0)
         detect = 0
         for (good_one, good_zero), (faulty_one, faulty_zero) in zip(good_out, faulty_out):
             detect |= (good_one & faulty_zero) | (good_zero & faulty_one)
@@ -381,6 +401,59 @@ class ProductSearch:
         )
         return next_planes, leaf, detect, picks
 
+    def _seed(self, goods: Iterable[int], out_of_time: Callable[[], bool]) -> bool:
+        """Expand the fault-free row ``(g, g)`` of each good half ``g`` of
+        ``goods`` not yet seeded, all of them in shared steps, and keep
+        its leaves in :attr:`seeds`.  A state whose row passes
+        ``lane_cap`` lanes gets the all-X cube alone.  Returns ``False``,
+        leaving the unfinished states unseeded, once ``out_of_time()``
+        holds before a step."""
+        new = [good for good in dict.fromkeys(goods) if good not in self.seeds]
+        if not new:
+            return True
+        n = self.num_inputs
+        shift = 2 * n
+        cube_mask = (1 << shift) - 1
+        leaf_flag = 1 << n
+        bits = shift + 2 * self.num_registers
+        size = (bits + 7) // 8
+        # Leaves so far per state; None once its row passed the cap.
+        leaves: Dict[int, Optional[List[int]]] = {good: [] for good in new}
+        lanes = dict.fromkeys(new, 0)
+        # A lane is its good half over its cube, on a stack like the legs'.
+        stack = [good << shift for good in new]
+        while stack:
+            if out_of_time():
+                return False
+            batch = stack[-REACH_LANE_BLOCK:]
+            del stack[-REACH_LANE_BLOCK:]
+            batch = [lane for lane in batch if leaves[lane >> shift] is not None]
+            if not batch:
+                continue
+            planes = _byte_planes(
+                b"".join([lane.to_bytes(size, "little") for lane in batch]), size, bits
+            )
+            good = planes[shift:]
+            _next, leaf, _detect, picks = self.evaluate(
+                good + good, planes[n:shift], planes[:n], None, len(batch)
+            )
+            codes = lane_keys(picks + [leaf], len(batch))
+            if n + 1 > 64:
+                codes = list(map(_as_int, codes))
+            for lane, code in zip(batch, codes):
+                state = lane >> shift
+                lanes[state] += 1
+                if code == leaf_flag:
+                    leaves[state].append(lane & cube_mask)
+                else:
+                    stack += [lane | code << n, lane | code << n | code]
+            for state in {lane >> shift for lane in batch}:
+                if lanes[state] > self.lane_cap:
+                    leaves[state] = None
+        for good in new:
+            self.seeds[good] = leaves[good] if leaves[good] is not None else [0]
+        return True
+
     # -- the loop ------------------------------------------------------------
 
     def run(
@@ -401,16 +474,11 @@ class ProductSearch:
         leg = (_NumpyLeg if self.backend == "numpy" else _BigintLeg)(self)
         live = list(searches)
         while live:
-            if out_of_time():
+            if out_of_time() or not self._launch(live, leg, out_of_time):
                 for search in live:
                     search.status = "time"
                     self._decide(search)
                 break
-            held = sum(len(search.keys) for search in live)
-            for position, search in enumerate(live):
-                if position and held > EXACT_BATCH_PAIRS:
-                    break  # the rest wait, their pairs kept
-                self._launch(search, leg)
             finished, successors, detections, lanes_by_slot = leg.step()
             if not lanes_by_slot:
                 raise RuntimeError("exact search stalled with undecided faults")
@@ -442,13 +510,35 @@ class ProductSearch:
             live = [search for search in live if search.status is None]
         return [search.outcome for search in searches]
 
-    def _launch(self, search: _FaultSearch, leg) -> None:
-        """Put the rows of ``search``'s pairs not yet launched on the stack."""
-        end = min(len(search.keys), search.horizon)
-        if search.launched < end:
-            first = leg.launch(search.slot, search.launched, search.keys[search.launched : end])
-            search.rows.extend(range(first, first + end - search.launched))
-            search.launched = end
+    def _launch(self, live: List[_FaultSearch], leg, out_of_time: Callable[[], bool]) -> bool:
+        """Put the rows of the live searches' pairs not yet launched on
+        the stack, in one leg call, once their good states are seeded.
+        While the live searches hold more than :data:`EXACT_BATCH_PAIRS`
+        pairs, only the first of them launches.  Returns ``False`` when
+        the clock stopped the seeding."""
+        held = sum(len(search.keys) for search in live)
+        spans = []
+        for position, search in enumerate(live):
+            if position and held > EXACT_BATCH_PAIRS:
+                break  # the rest wait, their pairs kept
+            end = min(len(search.keys), search.horizon)
+            if search.launched < end:
+                spans.append((search, range(search.launched, end)))
+        if not spans:
+            return True
+        keys = [key for search, pairs in spans for key in search.keys[pairs.start : pairs.stop]]
+        if not self._seed([key & self.good_mask for key in keys], out_of_time):
+            return False
+        first = leg.launch(
+            [search.slot for search, pairs in spans for _ in pairs],
+            [pair for _search, pairs in spans for pair in pairs],
+            keys,
+        )
+        for search, pairs in spans:
+            search.rows.extend(range(first, first + len(pairs)))
+            first += len(pairs)
+            search.launched = pairs.stop
+        return True
 
     def _cut(self, search: _FaultSearch, pair: int, leg) -> None:
         """Never expand ``search``'s rows from ``pair`` on (all unfinalized)."""
@@ -554,7 +644,9 @@ class _BigintLeg:
         self.value_mask = (1 << n) - 1
         self.size = max(1, (self.row_shift + 7) // 8)
         self.stack: List[int] = []
-        # Root lanes of launched rows not yet taken: [lanes, next index].
+        # Launched rows not yet fully taken: [[(row lane bits, seed
+        # cubes)], next row, next seed], unrolled into lanes as steps take
+        # them.
         self.fresh: deque = deque()
         self.row_slot = array("h")
         self.row_pair = array("q")
@@ -563,17 +655,29 @@ class _BigintLeg:
         self.alive = bytearray()
         self.dead = False
 
-    def launch(self, slot: int, first_pair: int, keys: Sequence[int]) -> int:
+    def launch(self, slots: Sequence[int], pairs: Sequence[int], keys: Sequence[int]) -> int:
+        """Rows for ``(slots[k], pairs[k])`` with pair keys ``keys[k]``,
+        numbered from the returned id on, each pending its seeds."""
         first = len(self.row_slot)
         count = len(keys)
-        self.row_slot.extend([slot] * count)
-        self.row_pair.extend(range(first_pair, first_pair + count))
+        seeds = self.search.seeds
+        good = self.search.good_mask
+        cubes = [seeds[key & good] for key in keys]
+        self.row_slot.extend(slots)
+        self.row_pair.extend(pairs)
         self.row_lanes.extend([0] * count)
-        self.row_pending.extend([1] * count)
+        self.row_pending.extend(map(len, cubes))
         self.alive.extend(b"\x01" * count)
         planes = self.search.num_planes
         self.fresh.append(
-            [[(first + k << planes | key) << self.key_shift for k, key in enumerate(keys)], 0]
+            [
+                [
+                    ((first + k << planes | key) << self.key_shift, row_cubes)
+                    for k, (key, row_cubes) in enumerate(zip(keys, cubes))
+                ],
+                0,
+                0,
+            ]
         )
         return first
 
@@ -588,18 +692,26 @@ class _BigintLeg:
     def _take(self, width: int) -> List[int]:
         batch = self.stack[-width:]
         del self.stack[-width:]
+        alive = self.alive
+        shift = self.row_shift
+        if self.dead:
+            batch = [lane for lane in batch if alive[lane >> shift]]
         while len(batch) < width and self.fresh:
-            roots, start = entry = self.fresh[0]
-            end = start + width - len(batch)
-            batch += roots[start:end]
-            if end >= len(roots):
+            entry = self.fresh[0]
+            roots, row, seed = entry
+            while row < len(roots) and len(batch) < width:
+                base, cubes = roots[row]
+                if alive[base >> shift]:
+                    end = seed + width - len(batch)
+                    batch += [base | cube for cube in cubes[seed:end]]
+                    if end < len(cubes):
+                        seed = end
+                        continue
+                row, seed = row + 1, 0
+            if row == len(roots):
                 self.fresh.popleft()
             else:
-                entry[1] = end
-        if self.dead:
-            alive = self.alive
-            shift = self.row_shift
-            batch = [lane for lane in batch if alive[lane >> shift]]
+                entry[1:] = row, seed
         return batch
 
     def step(self):
@@ -679,9 +791,10 @@ class _BigintLeg:
 class _NumpyLeg:
     """numpy bookkeeping: the lane stack (row, key bytes, cube words) and
     the per-row counters are arrays; the plane/lane transposes
-    (``packbits``/``unpackbits``), leaf dedup and child generation are
-    array operations; the kernel is the same bigint step.  Keys and cubes
-    of more than 64 bits span several words."""
+    (:func:`_bit_transpose`), leaf dedup and child generation are array
+    operations; the kernel is the same bigint step.  A step's lanes are
+    ordered by fault, so each injection mask is one run of lanes.  Keys
+    and cubes of more than 64 bits span several words."""
 
     def __init__(self, search: ProductSearch):
         import numpy as np
@@ -700,8 +813,14 @@ class _NumpyLeg:
             "values": np.zeros(cube, dtype="<u8"),
         }
         self.size = 0
-        # Launched rows not yet taken: [rows, keys, next index].
+        # The seeds of every good state launched so far, one cube a row,
+        # and each state's (first, count) in them.
+        self.seeds = {"assigned": np.zeros(cube, dtype="<u8"), "values": np.zeros(cube, dtype="<u8")}
+        self.seed_span: Dict[int, Tuple[int, int]] = {}
+        # Launched rows not yet fully taken, unrolled into lanes as steps
+        # take them (see :meth:`_unroll`).
         self.fresh: deque = deque()
+        self.kills = 0
         self.rows = 0
         self.table = {
             "slot": np.zeros(0, dtype=np.int16),
@@ -711,7 +830,29 @@ class _NumpyLeg:
             "alive": np.zeros(0, dtype=bool),
         }
 
-    def launch(self, slot: int, first_pair: int, keys: Sequence[int]) -> int:
+    def _spans(self, keys: Sequence[int]):
+        """Per key, the (first, count) of its good state's seeds."""
+        np = self.np
+        good = self.search.good_mask
+        spans = self.seed_span
+        new = [state for state in dict.fromkeys(key & good for key in keys) if state not in spans]
+        if new:
+            first = len(self.seeds["assigned"])
+            for state in new:
+                spans[state] = (first, len(self.search.seeds[state]))
+                first += spans[state][1]
+            cubes = [cube for state in new for cube in self.search.seeds[state]]
+            n = self.search.num_inputs
+            size = 8 * self.cube_words
+            for name, half in (("assigned", [cube >> n for cube in cubes]),
+                               ("values", [cube & ((1 << n) - 1) for cube in cubes])):
+                words = _int_rows(np, half, size).view("<u8")
+                self.seeds[name] = np.concatenate([self.seeds[name], words])
+        return np.array([spans[key & good] for key in keys], dtype=np.int64).reshape(-1, 2)
+
+    def launch(self, slots: Sequence[int], pairs: Sequence[int], keys: Sequence[int]) -> int:
+        """Rows for ``(slots[k], pairs[k])`` with pair keys ``keys[k]``,
+        numbered from the returned id on, each pending its seeds."""
         np = self.np
         first = self.rows
         count = len(keys)
@@ -722,24 +863,70 @@ class _NumpyLeg:
             for name, old in table.items():
                 table[name] = np.zeros(capacity, dtype=old.dtype)
                 table[name][:first] = old[:first]
-        table["slot"][first:end] = slot
-        table["pair"][first:end] = np.arange(first_pair, first_pair + count)
-        table["pending"][first:end] = 1
+        spans = self._spans(keys)
+        table["slot"][first:end] = slots
+        table["pair"][first:end] = pairs
+        table["pending"][first:end] = spans[:, 1]
         table["alive"][first:end] = True
         self.rows = end
-        data = b"".join([key.to_bytes(self.key_bytes, "little") for key in keys])
         self.fresh.append(
-            [
+            self._entry(
                 np.arange(first, end, dtype=np.int64),
-                np.frombuffer(data, dtype=np.uint8).reshape(count, self.key_bytes),
-                0,
-            ]
+                _int_rows(np, keys, self.key_bytes),
+                spans[:, 0],
+                spans[:, 1],
+            )
         )
         return first
+
+    def _entry(self, rows, keys, starts, counts) -> Dict:
+        """A fresh entry: rows whose lanes are their seed cubes
+        ``starts[k] : starts[k] + counts[k]``, the first ``taken`` of
+        them (in row order) already taken."""
+        ends = self.np.cumsum(counts)
+        return {
+            "rows": rows, "keys": keys, "starts": starts, "counts": counts,
+            "ends": ends, "base": starts - ends + counts, "taken": 0, "kills": self.kills,
+        }
+
+    def _unroll(self, entry, width: int):
+        """Up to ``width`` lanes of the live rows of a fresh entry, or
+        ``None`` once it has no more."""
+        np = self.np
+        if entry["kills"] != self.kills:
+            # Drop rows killed since: restart the entry at its next lane.
+            taken = entry["taken"]
+            skip = int(np.searchsorted(entry["ends"], taken, side="right"))
+            starts = entry["starts"][skip:].copy()
+            counts = entry["counts"][skip:].copy()
+            if len(counts):
+                done = taken - int(entry["ends"][skip] - entry["counts"][skip])
+                starts[0] += done
+                counts[0] -= done
+            rows = entry["rows"][skip:]
+            keep = self.table["alive"][rows]
+            entry.update(
+                self._entry(rows[keep], entry["keys"][skip:][keep], starts[keep], counts[keep])
+            )
+        ends = entry["ends"]
+        taken = entry["taken"]
+        if not len(ends) or taken == ends[-1]:
+            return None
+        lane = np.arange(taken, min(taken + width, int(ends[-1])))
+        entry["taken"] = taken + len(lane)
+        row = np.searchsorted(ends, lane, side="right")
+        cube = entry["base"][row] + lane
+        return {
+            "rows": entry["rows"][row],
+            "keys": entry["keys"][row],
+            "assigned": self.seeds["assigned"][cube],
+            "values": self.seeds["values"][cube],
+        }
 
     def kill(self, rows: Sequence[int]) -> None:
         if rows:
             self.table["alive"][rows] = False
+            self.kills += 1
 
     def lanes(self, row: int) -> int:
         return int(self.table["lanes"][row])
@@ -760,27 +947,23 @@ class _NumpyLeg:
     def _take(self, width: int):
         np = self.np
         low = max(0, self.size - width)
-        parts = {name: [column[low : self.size]] for name, column in self.stack.items()}
-        taken = self.size - low
+        lanes = {name: column[low : self.size] for name, column in self.stack.items()}
         self.size = low
-        while taken < width and self.fresh:
-            rows, keys, start = entry = self.fresh[0]
-            end = min(len(rows), start + width - taken)
-            parts["rows"].append(rows[start:end])
-            parts["keys"].append(keys[start:end])
-            zeros = np.zeros((end - start, self.cube_words), dtype="<u8")
-            parts["assigned"].append(zeros)
-            parts["values"].append(zeros)
-            taken += end - start
-            if end == len(rows):
-                self.fresh.popleft()
-            else:
-                entry[2] = end
-        lanes = {name: np.concatenate(part) for name, part in parts.items()}
         keep = self.table["alive"][lanes["rows"]]
         if not keep.all():
             lanes = {name: column[keep] for name, column in lanes.items()}
-        return lanes
+        parts = [lanes]
+        taken = len(lanes["rows"])
+        while taken < width and self.fresh:
+            part = self._unroll(self.fresh[0], width - taken)
+            if part is None:
+                self.fresh.popleft()
+            else:
+                parts.append(part)
+                taken += len(part["rows"])
+        if len(parts) == 1:
+            return lanes
+        return {name: np.concatenate([part[name] for part in parts]) for name in lanes}
 
     def step(self):
         np = self.np
@@ -790,58 +973,58 @@ class _NumpyLeg:
         lanes = self._take(REACH_LANE_BLOCK)
         while not len(lanes["rows"]) and (self.size or self.fresh):
             lanes = self._take(REACH_LANE_BLOCK)
-        rows, assigned, values = lanes["rows"], lanes["assigned"], lanes["values"]
-        count = len(rows)
+        count = len(lanes["rows"])
         if not count:
             return [], [], [], {}
+        table = self.table
+        # Lanes of one fault side by side: each injection mask is one run.
+        slots = table["slot"][lanes["rows"]]
+        order = np.argsort(slots, kind="stable")
+        slots = slots[order]
+        lanes = {name: column[order] for name, column in lanes.items()}
+        rows, assigned, values = lanes["rows"], lanes["assigned"], lanes["values"]
         nbytes = (count + 7) // 8
-        # Lane records (key bytes, assigned bytes, value bytes) to planes:
-        # unpack to one bit per byte, transpose, pack along the lanes.
+        key_bytes = self.key_bytes
         cube_bytes = (n + 7) // 8
-        records = np.concatenate(
-            [
-                lanes["keys"],
-                assigned.view(np.uint8)[:, :cube_bytes],
-                values.view(np.uint8)[:, :cube_bytes],
-            ],
-            axis=1,
-        )
-        bits = np.ascontiguousarray(np.unpackbits(records, axis=1, bitorder="little").T)
-        data = np.packbits(bits, axis=1, bitorder="little").tobytes()
-        first_cube = 8 * self.key_bytes
+        # Lane records (key bytes, assigned bytes, value bytes), padded to
+        # whole bytes of lanes, transpose to planes.
+        records = np.zeros((8 * nbytes, key_bytes + 2 * cube_bytes), dtype=np.uint8)
+        records[:count, :key_bytes] = lanes["keys"]
+        records[:count, key_bytes : key_bytes + cube_bytes] = assigned.view(np.uint8)[:, :cube_bytes]
+        records[:count, key_bytes + cube_bytes :] = values.view(np.uint8)[:, :cube_bytes]
+        data = _bit_transpose(np, records).tobytes()
+        first_cube = 8 * key_bytes
         used = list(range(r4)) + [
             first_cube + 8 * cube_bytes * half + bit for half in (0, 1) for bit in range(n)
         ]
         planes = [int.from_bytes(data[k * nbytes : (k + 1) * nbytes], "little") for k in used]
-        table = self.table
-        slots = table["slot"][rows]
         per_slot = np.bincount(slots)
         present = np.flatnonzero(per_slot)
-        onehot = np.packbits(slots[None, :] == present[:, None], axis=1, bitorder="little")
+        sizes = per_slot[present]
+        offsets = np.cumsum(sizes) - sizes
         injections = [
-            (search.faults[slot], int.from_bytes(onehot[k].tobytes(), "little"))
-            for k, slot in enumerate(present.tolist())
+            (search.faults[slot], ((1 << size) - 1) << offset)
+            for slot, size, offset in zip(present.tolist(), sizes.tolist(), offsets.tolist())
         ]
         next_planes, leaf, detect, picks = search.evaluate(
             planes[:r4], planes[r4 : r4 + n], planes[r4 + n :], injections, count
         )
+        # Back to lane records: next key bytes, a flag byte (leaf, detect),
+        # and the split bit as cube bytes.
+        blank = [0] * 8
         out = b"".join(
             plane.to_bytes(nbytes, "little")
-            for plane in next_planes + [leaf, detect] + picks
+            for plane in next_planes + blank[: 8 * key_bytes - r4] + [leaf, detect] + blank[:6]
+            + picks + blank[: 8 * cube_bytes - n]
         )
-        flat = np.frombuffer(out, dtype=np.uint8).reshape(-1, nbytes)
-        unpacked = np.unpackbits(flat, axis=1, count=count, bitorder="little").view(bool)
-        is_leaf = unpacked[r4]
-        is_det = unpacked[r4 + 1]
+        out = _bit_transpose(np, np.frombuffer(out, dtype=np.uint8).reshape(-1, nbytes))[:count]
+        flags = out[:, key_bytes]
+        is_leaf = (flags & 1).astype(bool)
+        is_det = (flags & 2).astype(bool)
         # Children: each split lane twice, with its pick bit assigned.
         split = ~is_leaf
         split_rows = rows[split]
-        chosen = np.zeros((len(split_rows), self.cube_words), dtype="<u8")
-        if len(split_rows):
-            bit = unpacked[r4 + 2 :, split].argmax(axis=0)
-            chosen[np.arange(len(bit)), bit >> 6] = np.left_shift(
-                np.uint64(1), (bit & 63).astype(np.uint64)
-            )
+        chosen = _words(np, out[split, key_bytes + 1 :], self.cube_words)
         split_keys = lanes["keys"][split]
         child_assigned = assigned[split] | chosen
         child_values = values[split]
@@ -853,29 +1036,44 @@ class _NumpyLeg:
         )
         detections = self._owners(rows[is_det], _word_ints(values[is_det]))
         keep = is_leaf & ~is_det
-        successors = self._successors(rows[keep], values[keep], unpacked[:r4, keep])
-        np.add.at(table["lanes"], rows, 1)
-        np.add.at(table["pending"], rows, -1)
+        successors = self._successors(
+            rows[keep], values[keep], _words(np, out[keep, :key_bytes], self.key_words)
+        )
+        touched, counts = np.unique(rows, return_counts=True)
+        table["lanes"][touched] += counts
+        table["pending"][touched] -= counts
         np.add.at(table["pending"], split_rows, 2)
-        done = rows[table["pending"][rows] == 0]
-        finished = self._owners(np.unique(done)) if len(done) else []
-        return finished, successors, detections, dict(zip(present.tolist(), per_slot[present].tolist()))
+        finished = self._owners(touched[table["pending"][touched] == 0])
+        return finished, successors, detections, dict(zip(present.tolist(), sizes.tolist()))
 
     def _owners(self, rows, *columns) -> List[Tuple]:
         """``(slot, pair, *column values)`` per row of ``rows``."""
         table = self.table
         return list(zip(table["slot"][rows].tolist(), table["pair"][rows].tolist(), *columns))
 
-    def _successors(self, rows, values, next_bits):
+    def _successors(self, rows, values, keys):
         """``(slot, pair, key, lowest index)`` per distinct (row, key) of
         the leaves."""
         np = self.np
         if not len(rows):
             return []
-        packed = np.packbits(np.ascontiguousarray(next_bits.T), axis=1, bitorder="little")
-        words = np.zeros((len(rows), 8 * self.key_words), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        keys = words.view("<u8")
+        r4, n = self.search.num_planes, self.search.num_inputs
+        low = rows.min()
+        if int(rows.max() - low).bit_length() + r4 + n <= 64:
+            # One sort of (row, key, value) words: the first of each
+            # (row, key) run holds its lowest value.
+            key_shift, value_shift = np.uint64(r4), np.uint64(n)
+            words = (rows - low).astype(np.uint64) << key_shift | keys[:, 0]
+            words = np.sort(words << value_shift | values[:, 0])
+            heads = words >> value_shift
+            first = np.ones(len(words), dtype=bool)
+            first[1:] = heads[1:] != heads[:-1]
+            words, heads = words[first], heads[first]
+            return self._owners(
+                (heads >> key_shift).astype(np.int64) + low,
+                (heads & np.uint64((1 << r4) - 1)).tolist(),
+                (words & np.uint64((1 << n) - 1)).tolist(),
+            )
         # Rows, then keys, then values, the low value word least significant.
         order = np.lexsort(tuple(values.T) + tuple(keys.T) + (rows,))
         rows = rows[order]
@@ -884,6 +1082,35 @@ class _NumpyLeg:
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
         return self._owners(rows[first], _word_ints(keys[first]), _word_ints(values[first]))
+
+
+def _bit_transpose(np, matrix):
+    """The bit transpose of a uint8 matrix of ``8R`` rows and ``C`` byte
+    columns (bit ``b`` of byte ``c`` is bit column ``8c + b``): ``8C``
+    rows of ``R`` bytes, bit ``b`` of byte ``j`` of row ``k`` being bit
+    column ``k`` of row ``8j + b``.  Each 8x8 bit block is one word,
+    transposed by three delta swaps."""
+    groups, columns = matrix.shape[0] // 8, matrix.shape[1]
+    words = np.ascontiguousarray(matrix.reshape(groups, 8, columns).transpose(0, 2, 1))
+    words = words.view("<u8")
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+        swap = (words ^ words >> np.uint64(shift)) & np.uint64(mask)
+        words = words ^ swap ^ swap << np.uint64(shift)
+    blocks = words.astype("<u8", copy=False).view(np.uint8).reshape(groups, columns, 8)
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(8 * columns, groups)
+
+
+def _int_rows(np, values: Sequence[int], size: int):
+    """Python ints as rows of ``size`` little-endian bytes."""
+    data = b"".join([value.to_bytes(size, "little") for value in values])
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(values), size)
+
+
+def _words(np, data, count: int):
+    """Rows of little-endian bytes as rows of ``count`` 64-bit words."""
+    words = np.zeros((len(data), 8 * count), dtype=np.uint8)
+    words[:, : data.shape[1]] = data
+    return words.view("<u8")
 
 
 def _word_ints(words) -> List[int]:

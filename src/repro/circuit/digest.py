@@ -178,8 +178,12 @@ def structural_identity(circuit: Circuit) -> str:
     names change, even behaviour-preservingly.  Store artifacts that carry
     edge-indexed coordinates (fault lists, test-set detections, stepper
     source with baked-in slot numbers) record it and are only loaded into a
-    circuit whose raw structure matches exactly.
+    circuit whose raw structure matches exactly.  Cached on the instance
+    like :func:`circuit_digest`.
     """
+    cached = getattr(circuit, "_structural_identity", None)
+    if cached is not None:
+        return cached
     parts: List[str] = []
     for name in sorted(circuit.nodes):
         node = circuit.nodes[name]
@@ -189,7 +193,9 @@ def structural_identity(circuit: Circuit) -> str:
         )
     for edge in circuit.edges:
         parts.append(f"e {edge.index} {edge.source} {edge.sink} {edge.sink_pin} {edge.weight}")
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    identity = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    circuit._structural_identity = identity
+    return identity
 
 
 __all__ = [

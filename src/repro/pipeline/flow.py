@@ -311,8 +311,7 @@ class FlowPipeline:
             cache,
             key,
             circuit=hard_circuit.name,
-            registers_saved=hard_circuit.num_registers()
-            - retiming.apply("scratch").num_registers(),
+            registers_saved=-retiming.register_delta(),
         )
         return retiming
 

@@ -247,6 +247,70 @@ class TestLeaves:
             assert cover == [1] * len(alphabet)
 
 
+def _never():
+    return False
+
+
+class TestSeeds:
+    """A row starts from its good state's seeds: the leaves of the
+    fault-free row, expanded once per good state."""
+
+    @pytest.mark.parametrize("seed", [860, 861, 862, 863])
+    def test_seeds_partition_the_alphabet_into_fault_free_leaves(self, seed):
+        rng = random.Random(seed)
+        circuit = random_circuit(
+            seed, num_inputs=rng.randint(4, 8), num_gates=22, num_dffs=rng.randint(3, 5)
+        )
+        r, n = circuit.num_registers(), len(circuit.input_names)
+        search = ProductSearch(circuit, 1 << 20)
+        for trial in range(8):
+            # X-heavy good states on some trials, binary ones on others.
+            x_share = (0.8, 0.0, 0.4, 1.0)[trial % 4]
+            state = tuple(X if rng.random() < x_share else rng.randint(0, 1) for _ in range(r))
+            key = _pair_key(state, state)
+            good = key & search.good_mask
+            assert search._seed([good], _never)
+            cubes = [(cube >> n, cube & ((1 << n) - 1)) for cube in search.seeds[good]]
+            cover = [0] * (1 << n)
+            for assigned, value in cubes:
+                for index in range(1 << n):
+                    cover[index] += index & assigned == value
+            assert cover == [1] * (1 << n), trial  # disjoint, and all of the alphabet
+            leaves = [(assigned, value) for assigned, value, _key, _det in _leaves(search, None, key)]
+            assert sorted(cubes) == sorted(leaves), trial
+
+    def test_state_past_the_cap_is_seeded_with_the_all_x_cube(self):
+        """Good states whose fault-free row passes the cap start their rows
+        from the all-X cube; every leg gives the same outcomes and lane
+        counts, and every decided fault decides as without the cap."""
+        circuit = random_circuit(900, num_inputs=8, num_gates=22, num_dffs=4)
+        faults = _targets(circuit)
+        cap = 200
+        full = ProductSearch(circuit, 1 << 20)
+        reference = full.run(faults)
+        runs = {}
+        for backend in LEGS:
+            search = ProductSearch(circuit, cap, backend)
+            runs[backend] = search.run(faults)
+            assert full._seed(list(search.seeds), _never)
+            over = set()
+            for good, cubes in search.seeds.items():
+                if 2 * len(full.seeds[good]) - 1 > cap:  # lanes of the fault-free row
+                    assert cubes == [0]
+                    over.add(good)
+                else:
+                    assert cubes == full.seeds[good]
+            assert over and 0 not in over  # the all-X root itself fits
+        outcomes = runs["bigint"]
+        assert all(run == outcomes for run in runs.values())
+        assert {o.status for o in outcomes} == {"det", "cap"}
+        for outcome, expected in zip(outcomes, reference):
+            assert outcome.status == "cap" or (outcome.status, outcome.sequence) == (
+                expected.status,
+                expected.sequence,
+            )
+
+
 class TestOracles:
     @pytest.mark.parametrize("circuit", CIRCUITS, ids=IDS)
     def test_every_test_detects_its_target_serially(self, circuit):
@@ -426,12 +490,22 @@ class TestClock:
 
     def test_out_of_time_leaves_the_rest_undecided(self):
         circuit = WIDE[0]
-        reference = _searched(circuit)
         checks = []
+
+        def never():
+            checks.append(None)
+            return False
+
+        reference = list(iter_exact(circuit, _targets(circuit), 1 << 20, out_of_time=never))
+        assert reference == _searched(circuit)
+        # Two-thirds of the way: seed expansion reads the clock in the
+        # first steps, so half of the reads falls before the first proof.
+        stop = 2 * len(checks) // 3
+        checks.clear()
 
         def out_of_time():
             checks.append(None)
-            return len(checks) > 60  # about half of the search's steps
+            return len(checks) > stop
 
         stopped = list(iter_exact(circuit, _targets(circuit), 1 << 20, out_of_time=out_of_time))
         assert [f for f, _o in stopped] == [f for f, _o in reference]

@@ -133,6 +133,25 @@ class TestPickling:
         clone = pickle.loads(payload)
         assert not hasattr(clone, "_simulation_compile_cache")
 
+    def test_identity_memos_not_pickled(self):
+        """``circuit_digest`` and ``structural_identity`` are cached on the
+        instance; the cache equals a fresh computation and stays behind."""
+        import pickle
+
+        from repro.circuit.digest import circuit_digest, structural_identity
+
+        circuit = pipelined_logic()
+        identity = structural_identity(circuit)
+        digest = circuit_digest(circuit)
+        assert circuit._structural_identity == identity
+        assert structural_identity(circuit) == identity
+        assert structural_identity(circuit.copy()) == identity
+        clone = pickle.loads(pickle.dumps(circuit))
+        assert not hasattr(clone, "_structural_identity")
+        assert not hasattr(clone, "_circuit_digest")
+        assert structural_identity(clone) == identity
+        assert circuit_digest(clone) == digest
+
     def test_unpickled_circuit_simulates(self):
         import pickle
 

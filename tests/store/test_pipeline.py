@@ -96,3 +96,20 @@ class TestWarmFlow:
             "faultsim",
         ]
         assert all("seconds" in s and "cache" in s for s in stages)
+
+
+class TestEasyRetimingStage:
+    @pytest.mark.parametrize("name", ["dk16.ji.sd", "pma.jo.sd", "s510.jo.sr", "s832.jo.sr"])
+    def test_registers_saved_is_the_register_drop(self, name):
+        """The stage reports how many registers the easy retiming removes
+        from the flow's hard circuit."""
+        from repro.core.experiments import TABLE2_CIRCUITS, build_pair
+
+        spec = next(s for s in TABLE2_CIRCUITS if s.name == name)
+        hard = build_pair(spec, store=None).retimed
+        pipe = FlowPipeline(store=None)
+        easy = pipe.stage_easy_retiming(hard).apply(f"{hard.name}.easy")
+        (record,) = [record for record in pipe.stages if record.name == "retime"]
+        saved = record.detail["registers_saved"]
+        assert saved == hard.num_registers() - easy.num_registers()
+        assert saved > 0
