@@ -16,21 +16,26 @@ pairs, so a breadth-first search over the pairs reachable from
   exactly as the fault simulator grades it.
 
 **Cube lanes.**  A *row* -- one (fault, pair) -- is expanded over input
-cubes, not over the alphabet.  After a step a lane is a *leaf* when every
-observed line (an output or a next-state rail, good or faulty half) is
-binary, or X with its whole structural input support assigned; every
-minterm of a leaf then gives the same successor pair and the same detect
-bit, because ternary simulation is monotone and a line reads nothing
-outside its support (a stuck-at only removes dependencies, so the
-fault-free supports bound the faulty half too).  A lane that detects is a
-leaf as well: its lowest minterm detects, and the row ends the search.
-Any other lane splits on one unassigned input from the support of an
-unresolved X line, giving two lanes for a later step.  Lanes of many rows
-and faults share one compiled step of at most
+cubes, not over the alphabet.  Each step also simulates every cube's *top
+extension*, in which each unassigned input carries both rails.  The
+kernels compute every rail as an AND/OR of input rails, state rails and
+per-call constants (NOT swaps rails), so a rail clear on the top extension
+is clear under every minterm of the cube.  After a step a lane is a *leaf*
+when every observed line (an output or a next-state rail, good or faulty
+half) is binary on the cube, or X on its top extension and so X under
+every minterm; every minterm of a leaf then gives the same successor pair
+and the same detect bit, because ternary simulation is monotone.  A lane
+that detects is a leaf as well: its lowest minterm detects, and the row
+ends the search.  Any other lane splits on the first unassigned input of
+its first group of lines (grouped by structural input support) that is
+neither binary nor support-assigned, giving two lanes for a later step.
+Lanes of many rows and faults share one compiled step of at most
 :data:`~repro.equivalence.bitset.REACH_LANE_BLOCK` lanes: the good half
-steps through ``step_clean``, the faulty half through ``step_inject`` with
-each fault's stuck-at set in the runtime masks of its own lanes, so no
-code is generated per fault.
+steps through ``step_clean``, the faulty half through one
+:meth:`~repro.simulation.vector_codegen.VectorFastStepper.inject_step`
+kernel per search, injecting at the lines of the faults searched only,
+with each fault's stuck-at set in the runtime masks of its own lanes, so
+no code is generated per fault or per step.
 
 **Seeds.**  A row does not start from the all-X cube: it starts from the
 *seeds* of its good state ``g`` -- the leaves of the fault-free row
@@ -94,7 +99,7 @@ EXACT_BATCH_PAIRS = 1 << 17
 
 #: Generation of the search semantics, folded into every budget
 #: fingerprint: bump it when the same budget can give different results.
-EXACT_SEARCH_GENERATION = 3
+EXACT_SEARCH_GENERATION = 4
 
 
 @dataclass
@@ -288,20 +293,34 @@ def _supports(compiled, output_names: Sequence[str]) -> Tuple[List[int], List[in
 
 
 class ProductSearch:
-    """The cube-lane (good, faulty) pair search on one circuit."""
+    """The cube-lane (good, faulty) pair search on one circuit.
 
-    def __init__(self, circuit: Circuit, lane_cap: int, backend: str = "auto"):
+    ``faults`` are the faults it will search: the faulty half's kernel
+    injects at their lines and is compiled once, on the first faulty step.
+    A fault on another line widens it (compiling it again).
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        lane_cap: int,
+        backend: str = "auto",
+        faults: Iterable[StuckAtFault] = (),
+    ):
         from repro.simulation.backends import resolve_backend
 
         self.stepper = vector_fast_stepper(circuit)
+        self._inject_slots = {self.stepper.line_slot[fault.line] for fault in faults}
+        self._step_inject: Optional[Callable] = None
         compiled = self.stepper.compiled
         self.num_registers = compiled.num_registers
         self.num_inputs = compiled.num_inputs
         self.num_planes = 4 * self.num_registers
         self.lane_cap = lane_cap
         # Observed lines (outputs, then next-state lines) grouped by
-        # support, smallest support first: a lane splits on an input of its
-        # first unresolved group.  Lines with no input support never split.
+        # support, smallest support first: an open lane splits on an input
+        # of its first group neither binary nor support-assigned.  Lines
+        # with no input support never split.
         outputs, nexts = _supports(compiled, circuit.output_names)
         groups: Dict[int, List[int]] = {}
         for line, bits in enumerate(outputs + nexts):
@@ -341,41 +360,74 @@ class ProductSearch:
         ``(next_planes, leaf, detect, picks)``: the ``4r`` key planes of
         the successors, the leaf and detect lanes, and per input bit the
         non-leaf lanes that split on it.
+
+        The kernels run on ``2 * lanes`` lanes: lane ``lanes + l`` is lane
+        ``l``'s top extension, the same state with both rails set on every
+        input the cube leaves free.
         """
         mask = (1 << lanes) - 1
+        wide = mask << lanes | mask
         r = self.num_registers
-        good = tuple(zip(state[:r], state[r : 2 * r]))
+
+        def twice(ones, zeros):
+            return tuple(
+                (one | one << lanes, zero | zero << lanes) for one, zero in zip(ones, zeros)
+            )
+
+        good = twice(state[:r], state[r : 2 * r])
         top = self.num_inputs - 1
-        inputs = tuple(
-            (values[top - i], assigned[top - i] & ~values[top - i])
-            for i in range(self.num_inputs)
-        )
+        inputs = []
+        for i in range(self.num_inputs):
+            one = values[top - i]
+            zero = assigned[top - i] & ~one
+            free = mask & ~assigned[top - i]
+            inputs.append((one | (one | free) << lanes, zero | (zero | free) << lanes))
+        inputs = tuple(inputs)
         stepper = self.stepper
-        good_out, good_next = stepper.step_clean(good, inputs, mask)
+        good_out, good_next = stepper.step_clean(good, inputs, wide)
         if injections is None:
             faulty_out, faulty_next = good_out, good_next
         else:
-            faulty = tuple(zip(state[2 * r : 3 * r], state[3 * r :]))
+            faulty = twice(state[2 * r : 3 * r], state[3 * r :])
+            slots = [stepper.line_slot[fault.line] for fault, _lanes in injections]
+            if self._step_inject is None or not self._inject_slots.issuperset(slots):
+                self._inject_slots.update(slots)
+                self._step_inject = stepper.inject_step(self._inject_slots)
             sa1, sa0 = stepper.blank_injection_masks()
-            for fault, lane_mask in injections:
-                line = stepper.line_slot[fault.line]
+            for slot, (fault, lane_mask) in zip(slots, injections):
                 if fault.value:
-                    sa1[line] |= lane_mask
+                    sa1[slot] |= lane_mask | lane_mask << lanes
                 else:
-                    sa0[line] |= lane_mask
-            faulty_out, faulty_next = stepper.step_inject(faulty, inputs, mask, sa1, sa0)
+                    sa0[slot] |= lane_mask | lane_mask << lanes
+            faulty_out, faulty_next = self._step_inject(faulty, inputs, wide, sa1, sa0)
         detect = 0
         for (good_one, good_zero), (faulty_one, faulty_zero) in zip(good_out, faulty_out):
             detect |= (good_one & faulty_zero) | (good_zero & faulty_one)
-        observed = [*zip(good_out, faulty_out), *zip(good_next, faulty_next)]
-        open_lanes = mask & ~detect
+        detect &= mask
+        # Per observed line, the lanes binary in both halves; a lane is
+        # settled when each half of each line is binary on the cube or X
+        # on the top extension.
+        known = []
+        settled = mask
+        for (good_one, good_zero), (faulty_one, faulty_zero) in [
+            *zip(good_out, faulty_out),
+            *zip(good_next, faulty_next),
+        ]:
+            good_rails = good_one | good_zero
+            faulty_rails = faulty_one | faulty_zero
+            known.append(good_rails & faulty_rails)
+            settled &= good_rails | ~(good_rails >> lanes)
+            settled &= faulty_rails | ~(faulty_rails >> lanes)
+        open_lanes = mask & ~(detect | settled)
         split = 0
         picks = [0] * self.num_inputs
         for bits, lines in self._groups:
-            known = mask
-            for (good_one, good_zero), (faulty_one, faulty_zero) in map(observed.__getitem__, lines):
-                known &= (good_one | good_zero) & (faulty_one | faulty_zero)
-            unknown = open_lanes & ~known
+            if not open_lanes:
+                break
+            resolved = mask
+            for line in lines:
+                resolved &= known[line]
+            unknown = open_lanes & ~resolved
             if not unknown:
                 continue
             covered = unknown
@@ -394,10 +446,10 @@ class ProductSearch:
                 pending ^= pick
         leaf = mask ^ split
         next_planes = (
-            [one for one, _ in good_next]
-            + [zero for _, zero in good_next]
-            + [one for one, _ in faulty_next]
-            + [zero for _, zero in faulty_next]
+            [one & mask for one, _ in good_next]
+            + [zero & mask for _, zero in good_next]
+            + [one & mask for one, _ in faulty_next]
+            + [zero & mask for _, zero in faulty_next]
         )
         return next_planes, leaf, detect, picks
 
@@ -724,20 +776,23 @@ class _BigintLeg:
             return [], [], [], {}
         lanes = len(batch)
         shift = self.row_shift
+        row_slot, row_pair = self.row_slot, self.row_pair
+        # Lanes of one fault side by side: each injection mask is one run.
+        slots = [row_slot[lane >> shift] for lane in batch]
+        batch = [batch[k] for k in sorted(range(lanes), key=slots.__getitem__)]
         rows = [lane >> shift for lane in batch]
         low = self.low_mask
         size = self.size
         planes = _byte_planes(
             b"".join([(lane & low).to_bytes(size, "little") for lane in batch]), size, shift
         )
-        row_slot, row_pair = self.row_slot, self.row_pair
-        # One injection mask per fault, over its rows' lanes.
-        slots = [row_slot[row] for row in rows]
-        masks: Dict[int, int] = {}
-        for position, slot in enumerate(slots):
-            masks[slot] = masks.get(slot, 0) | 1 << position
+        per_slot = Counter(slots)
         faults = search.faults
-        injections = [(faults[slot], mask) for slot, mask in masks.items()]
+        injections = []
+        offset = 0
+        for slot, count in sorted(per_slot.items()):
+            injections.append((faults[slot], ((1 << count) - 1) << offset))
+            offset += count
         next_planes, leaf, detect, picks = search.evaluate(
             planes[2 * n :], planes[n : 2 * n], planes[:n], injections, lanes
         )
@@ -785,16 +840,17 @@ class _BigintLeg:
             self.row_pending[row] -= count
             if not self.row_pending[row]:
                 finished.append((row_slot[row], row_pair[row]))
-        return finished, successors, detections, Counter(slots)
+        return finished, successors, detections, per_slot
 
 
 class _NumpyLeg:
     """numpy bookkeeping: the lane stack (row, key bytes, cube words) and
     the per-row counters are arrays; the plane/lane transposes
     (:func:`_bit_transpose`), leaf dedup and child generation are array
-    operations; the kernel is the same bigint step.  A step's lanes are
-    ordered by fault, so each injection mask is one run of lanes.  Keys
-    and cubes of more than 64 bits span several words."""
+    operations; the kernel is the same bigint step.  As in the
+    pure-Python leg, a step's lanes are ordered by fault, so each
+    injection mask is one run of lanes.  Keys and cubes of more than 64
+    bits span several words."""
 
     def __init__(self, search: ProductSearch):
         import numpy as np
@@ -1138,7 +1194,7 @@ def iter_exact(
     the same on both.  Once ``out_of_time()`` holds, every fault not yet
     decided comes back with status ``"time"``.
     """
-    search = ProductSearch(circuit, lane_cap, backend)
+    search = ProductSearch(circuit, lane_cap, backend, faults)
     position = 0
     while position < len(faults):
         batch: List[StuckAtFault] = []

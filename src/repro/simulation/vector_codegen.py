@@ -24,6 +24,12 @@ Two entry points are generated per circuit:
   read.  Because the masks are runtime parameters, **one compiled function
   serves every fault group** -- the PROOFS-style engine never recompiles.
 
+:meth:`VectorFastStepper.inject_step` generates the same entry point with
+injection code at a given set of slots only, every other read compiled as
+in ``step_clean``: the exact ATPG search (:mod:`repro.atpg.exact`) builds
+one per search, over the lines of the faults it will search, and never
+execs the dense ``step_inject``.  It is not persisted.
+
 ``state``/``vector``/``outputs``/``next_state`` are tuples of
 ``(ones, zeros)`` integer pairs in the same canonical orders as the
 interpreted simulators.  Semantics are cross-checked against both the
@@ -34,7 +40,7 @@ test suite.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit, LineRef
 from repro.circuit.types import NodeKind
@@ -101,6 +107,13 @@ class VectorFastStepper:
     def step_inject(self) -> Callable:
         return self._exec(self._source_inject, "step_inject", "vectorstep+inject")
 
+    def inject_step(self, slots: Iterable[int]) -> Callable:
+        """``step_inject`` with injection code at ``slots`` only: the same
+        results wherever ``sa1``/``sa0`` are zero at every other slot."""
+        slots = frozenset(slots)
+        source = self._generate(inject=True, slots=slots)
+        return self._exec(source, "step_inject", f"vectorstep+inject[{len(slots)}]")
+
     def _exec(self, source: str, name: str, tag: str) -> Callable:
         namespace: Dict[str, object] = {}
         exec(compile(source, f"<{tag} {self.circuit.name}>", "exec"), namespace)
@@ -109,25 +122,31 @@ class VectorFastStepper:
     # -- code generation ----------------------------------------------------
 
     def _read_exprs(
-        self, read: Read, inject: bool, prelude: List[str]
+        self, read: Read, inject: Optional[Container[int]], prelude: List[str]
     ) -> Tuple[str, str]:
-        """Rail expressions for one read, emitting injection code if needed."""
+        """Rail expressions for one read, emitting injection code if its
+        slot is in ``inject``."""
         if read.from_register:
             base = (f"s{read.index}_1", f"s{read.index}_0")
         else:
             base = (f"v{read.index}_1", f"v{read.index}_0")
-        if not inject:
-            return base
         slot = self.line_slot[read.line]
+        if inject is None or slot not in inject:
+            return base
         one, zero = base
         prelude.append(f"    r{slot}_1 = ({one} | sa1[{slot}]) & ~sa0[{slot}]")
         prelude.append(f"    r{slot}_0 = ({zero} | sa0[{slot}]) & ~sa1[{slot}]")
         return f"r{slot}_1", f"r{slot}_0"
 
-    def _generate(self, inject: bool) -> str:
+    def _generate(self, inject: bool, slots: Optional[Container[int]] = None) -> str:
+        """``step_inject`` source, injecting at ``slots`` (default: every
+        slot), or ``step_clean`` source."""
         compiled = self.compiled
         name = "step_inject" if inject else "step_clean"
         params = "state, vector, mask, sa1, sa0" if inject else "state, vector, mask"
+        injected = None
+        if inject:
+            injected = range(self.num_injection_slots) if slots is None else slots
         lines: List[str] = [f"def {name}({params}):"]
         for k in range(compiled.num_registers):
             lines.append(f"    s{k}_1, s{k}_0 = state[{k}]")
@@ -143,7 +162,7 @@ class VectorFastStepper:
                 lines.append(f"    v{slot}_1, v{slot}_0 = mask, 0")
                 continue
             prelude: List[str] = []
-            reads = [self._read_exprs(r, inject, prelude) for r in op.reads]
+            reads = [self._read_exprs(r, injected, prelude) for r in op.reads]
             lines.extend(prelude)
             if op.kind in (NodeKind.FANOUT, NodeKind.OUTPUT):
                 one, zero = reads[0]
@@ -156,7 +175,7 @@ class VectorFastStepper:
         next_state = []
         for read in compiled.register_loads:
             prelude = []
-            one, zero = self._read_exprs(read, inject, prelude)
+            one, zero = self._read_exprs(read, injected, prelude)
             lines.extend(prelude)
             next_state.append(f"({one}, {zero})")
         outputs = []

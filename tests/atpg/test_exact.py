@@ -9,17 +9,20 @@ share steps or on the bookkeeping leg; and with the search off,
 ``run_atpg`` must be the PODEM engine byte for byte.
 """
 
+import functools
 import hashlib
 import json
 import random
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
 from repro.atpg import AtpgBudget, run_atpg, structurally_untestable
 from repro.atpg import exact
 from repro.atpg.exact import ProductSearch, StepKeys, iter_exact, key_planes, lane_keys
+from repro.circuit import CircuitBuilder, GateType
 from repro.equivalence.explicit import all_vectors
 from repro.faults import collapse_faults
 from repro.faultsim import fault_simulate
@@ -202,22 +205,45 @@ class TestLaneKeys:
         assert [step.full(key) for key in step.lanes] == expected
 
 
+#: TestLeaves' circuits: seed -> registers that never leave X.
+LEAF_SEEDS = {860: 0, 861: 0, 862: 0, 863: 0, 865: 1, 866: 2, 867: 1}
+
+
+def _x_xor(k):
+    """``z = XOR(u, i0, ..., i(k-1))`` with ``u = DFF(XOR(u, i0))``: from
+    the all-X state ``u`` never leaves X, so neither does ``z``."""
+    builder = CircuitBuilder(f"xxor{k}")
+    inputs = [builder.input(f"i{j}") for j in range(k)]
+    builder.dff("u", builder.xor("u_d", "u", "i0"))
+    builder.gate("z_g", GateType.XOR, ["u"] + inputs)
+    builder.output("z", "z_g")
+    return builder.build()
+
+
 class TestLeaves:
     """A leaf stands for every one of its minterms: the leaves of a row
     partition the alphabet, and each minterm's own scalar step gives its
     leaf's successor and detect bit."""
 
-    @pytest.mark.parametrize("seed", [860, 861, 862, 863])
+    @pytest.mark.parametrize("seed", list(LEAF_SEEDS))
     def test_leaves_are_exact(self, seed):
         rng = random.Random(seed)
         circuit = random_circuit(
-            seed, num_inputs=rng.randint(4, 8), num_gates=22, num_dffs=rng.randint(3, 5)
+            seed,
+            num_inputs=rng.randint(4, 8),
+            num_gates=22,
+            num_dffs=rng.randint(3, 5),
+            x_registers=LEAF_SEEDS[seed],
         )
         r, n = circuit.num_registers(), len(circuit.input_names)
         search = ProductSearch(circuit, 1)
         faults = _targets(circuit)
         alphabet = all_vectors(n)
         good = FastStepper(circuit).step
+        supports = sum(exact._supports(search.stepper.compiled, circuit.output_names), [])
+        # Leaves with an observed line X on the cube and its support not
+        # all assigned: only the top extension settles those.
+        settled_by_top = 0
         for trial in range(8):
             fault = None if trial % 2 else rng.choice(faults)
             # X-heavy states on some rows, binary ones on others.
@@ -244,7 +270,36 @@ class TestLeaves:
                     assert detects == bool(detect), (trial, index)
                     if not detect:
                         assert _pair_key(good_next, faulty_next) == key, (trial, index)
+                cube = tuple(
+                    value >> (n - 1 - i) & 1 if assigned >> (n - 1 - i) & 1 else X
+                    for i in range(n)
+                )
+                lines = [
+                    (*out, *nxt)
+                    for out, nxt, _ in (good(states[0], cube), faulty(states[1], cube))
+                ]
+                settled_by_top += not detect and any(
+                    line[k] == X and supports[k] & ~assigned
+                    for line in lines
+                    for k in range(len(supports))
+                )
             assert cover == [1] * len(alphabet)
+        if LEAF_SEEDS[seed]:
+            assert settled_by_top
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_line_x_under_every_minterm_is_one_leaf(self, k):
+        """From the X state the row of :func:`_x_xor` is one leaf, where
+        splitting on the support of ``z`` would give ``2^k``; from a
+        binary state ``z`` resolves on minterms only."""
+        circuit = _x_xor(k)
+        search = ProductSearch(circuit, 1 << 20)
+        assert _leaves(search, None, 0) == [(0, 0, 0, 0)]
+        assert search._seed([0], _never) and search.seeds[0] == [0]
+        assert len(_leaves(search, None, _pair_key((ZERO,), (ZERO,)))) == 2**k
+        outcomes = search.run(_targets(circuit))
+        assert {o.status for o in outcomes} == {"proved"}
+        assert min(o.lane_steps for o in outcomes) == 1
 
 
 def _never():
@@ -560,6 +615,37 @@ HARD_DETECTED = {
     "s832.jo.sr": (704, 731),
 }
 
+#: Per flow circuit, the lane-steps of every fault the search decided
+#: under generation 3 (the support leaf rule), keyed ``edge,segment,value``.
+GEN3_LANE_STEPS = json.loads(
+    Path(__file__).with_name("flow_lane_steps_gen3.json").read_text(encoding="utf-8")
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _flow(name):
+    """The Fig. 6 flow on one Table II circuit at the e2e budget, and every
+    ``(fault, outcome)`` its search gave, skipped ones included."""
+    from repro.atpg import engine
+    from repro.core.experiments import TABLE2_CIRCUITS
+    from repro.pipeline import FlowPipeline
+
+    spec = next(s for s in TABLE2_CIRCUITS if s.name == name)
+    searched = []
+    real = engine.iter_exact
+
+    def recording(*args, **kwargs):
+        for fault, outcome in real(*args, **kwargs):
+            searched.append((fault, outcome))
+            yield fault, outcome
+
+    engine.iter_exact = recording
+    try:
+        flow = FlowPipeline(store=None).run_spec(spec, FLOW).flow
+    finally:
+        engine.iter_exact = real
+    return flow, searched
+
 
 class TestPins:
     @pytest.mark.parametrize(
@@ -574,15 +660,24 @@ class TestPins:
         ],
     )
     def test_flow_test_sets_unchanged(self, name, digest):
-        from repro.core.experiments import TABLE2_CIRCUITS
-        from repro.pipeline import FlowPipeline
-
-        spec = next(s for s in TABLE2_CIRCUITS if s.name == name)
-        flow = FlowPipeline(store=None).run_spec(spec, FLOW).flow
+        flow, _searched = _flow(name)
         assert _digest(flow.atpg_result.test_set, flow.derived_test_set) == digest
         assert flow.atpg_result.fault_efficiency == 100.0
         graded = flow.hard_fault_sim
         assert (graded.num_detected, graded.num_faults) == HARD_DETECTED[name]
+
+    @pytest.mark.parametrize("name", sorted(GEN3_LANE_STEPS))
+    def test_no_searched_fault_takes_more_lanes(self, name):
+        """Settling lines that are X under every minterm only prunes the
+        generation-3 trees: no fault the flow searches takes more lanes."""
+        _flow_result, searched = _flow(name)
+        before = GEN3_LANE_STEPS[name]
+        after = {
+            f"{f.line.edge_index},{f.line.segment},{f.value}": o.lane_steps for f, o in searched
+        }
+        assert after.keys() == before.keys()
+        assert all(after[key] <= before[key] for key in before)
+        assert sum(after.values()) < sum(before.values())
 
     def test_eighteen_inputs_reach_full_efficiency(self):
         """s820.ji.sr (18 inputs) at the served-job budget: every fault
@@ -627,6 +722,45 @@ class TestResume:
         assert resumed.detected == reference.detected
         assert resumed.untestable == reference.untestable
         assert resumed.aborted == reference.aborted
+
+
+class TestInjectKernel:
+    """The faulty half steps on one kernel per search, injecting at the
+    searched faults' lines only."""
+
+    def test_one_search_compiles_one_inject_kernel(self, monkeypatch):
+        from repro.simulation.cache import clear_compile_cache, vector_fast_stepper
+        from repro.simulation.vector_codegen import VectorFastStepper
+
+        circuit = WIDE[0]
+        faults = _targets(circuit)
+        reference = _searched(circuit)
+        clear_compile_cache()
+        compiled = []
+        real = VectorFastStepper._exec
+
+        def counting(self, source, name, tag):
+            compiled.append(tag)
+            return real(self, source, name, tag)
+
+        monkeypatch.setattr(VectorFastStepper, "_exec", counting)
+        monkeypatch.setattr(exact, "EXACT_FAULT_BATCH", 5)  # many batches, one kernel
+        assert list(iter_exact(circuit, faults, 1 << 20)) == reference
+        stepper = vector_fast_stepper(circuit)
+        slots = {stepper.line_slot[fault.line] for fault in faults}
+        assert compiled.count(f"vectorstep+inject[{len(slots)}]") == 1
+        assert len(slots) < stepper.num_injection_slots
+        assert "vectorstep+inject" not in compiled
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs the numpy extra")
+    def test_numpy_run_never_execs_the_dense_inject_kernel(self):
+        from repro.simulation.cache import clear_compile_cache, vector_fast_stepper
+
+        circuit = random_circuit(871, num_inputs=4, num_gates=18, num_dffs=4)
+        clear_compile_cache()
+        result = run_atpg(circuit, budget=PODEM, backend="numpy")
+        assert result.fault_efficiency == 100.0 and not result.backtracks
+        assert "step_inject" not in vars(vector_fast_stepper(circuit))
 
 
 class TestCompileOnUse:

@@ -106,6 +106,7 @@ def random_circuit(
     num_dffs: int = 3,
     num_outputs: int = 2,
     idle_inputs: int = 0,
+    x_registers: int = 0,
 ) -> Circuit:
     """A random valid sequential circuit (deterministic in ``seed``).
 
@@ -113,7 +114,9 @@ def random_circuit(
     the register outputs are fed back as additional gate operands, so the
     result is sequential with feedback but never has combinational cycles.
     ``idle_inputs`` more inputs, read by no gate, are named to sort (as
-    inputs are ordered) into the middle of the read ones.
+    inputs are ordered) into the middle of the read ones.  ``x_registers``
+    more registers never leave X from the all-X state: each loads the XOR
+    of itself and an input, and gates read it like the others.
     """
     rng = random.Random(seed)
     builder = CircuitBuilder(f"rand{seed}")
@@ -122,7 +125,8 @@ def random_circuit(
         builder.input(f"i{num_inputs // 2 - 1}_{k}")
     # Pre-declare flip-flop output names so gates can reference them.
     dff_names = [f"q{k}" for k in range(num_dffs)]
-    available = inputs + dff_names
+    x_names = [f"u{k}" for k in range(x_registers)]
+    available = inputs + dff_names + x_names
     gate_types = [
         GateType.AND,
         GateType.OR,
@@ -145,6 +149,8 @@ def random_circuit(
     sources = rng.sample(gates, num_dffs)
     for name, source in zip(dff_names, sources):
         builder.dff(name, source)
+    for k, name in enumerate(x_names):
+        builder.dff(name, builder.xor(f"{name}_d", name, inputs[k % num_inputs]))
     observed = set()
     for k in range(num_outputs):
         choice = rng.choice(gates)
@@ -156,7 +162,7 @@ def random_circuit(
     for definition in builder._signals.values():
         feeding.update(definition.operands)
     extra = 0
-    for signal in gates + dff_names:
+    for signal in gates + dff_names + x_names:
         if signal not in feeding and signal not in observed:
             builder.output(f"zx{extra}", signal)
             observed.add(signal)

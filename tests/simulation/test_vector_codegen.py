@@ -83,6 +83,33 @@ class TestInjectKernel:
             assert out_c == out_i
             assert state_c == state_i
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slot_subset_matches_dense_kernel(self, seed):
+        """A kernel injecting at a subset of slots equals the dense one bit
+        for bit whenever the masks are zero outside the subset."""
+        rng = random.Random(seed)
+        circuit = random_circuit(seed, num_inputs=4, num_gates=18, num_dffs=4)
+        stepper = VectorFastStepper(circuit)
+        slots = range(stepper.num_injection_slots)
+        width = 67
+        mask = (1 << width) - 1
+
+        def rails():
+            ones = rng.getrandbits(width)
+            return ones, rng.getrandbits(width) & ~ones
+
+        for subset in ([], rng.sample(slots, 5), list(slots)):
+            step = stepper.inject_step(subset)
+            for _ in range(6):
+                sa1, sa0 = stepper.blank_injection_masks()
+                for slot in subset:
+                    sa1[slot], sa0[slot] = rails()
+                state = tuple(rails() for _ in range(circuit.num_registers()))
+                vector = tuple(rails() for _ in circuit.input_names)
+                assert step(state, vector, mask, sa1, sa0) == stepper.step_inject(
+                    state, vector, mask, sa1, sa0
+                )
+
     def test_width_agnostic(self):
         """One compiled stepper serves any word width via the mask argument."""
         circuit = resettable_counter()
