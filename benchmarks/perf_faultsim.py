@@ -5,9 +5,9 @@ Times the fault-simulation engines -- scalar serial and the PROOFS-style
 (``VectorFastStepper``) -- on the paper's Table II circuit pairs, sweeps
 the fault-group width on the largest circuit of the run, and writes the
 results to ``BENCH_faultsim.json``.  The lane engine is timed on **both
-word backends** (bigint reference and, when installed, the numpy
-word-plane; see :mod:`repro.simulation.backends`), with a bit-for-bit
-cross-check between them on every row.
+word legs** (the bigint reference, run with numpy hidden, and, when
+installed, the numpy word-plane; see :mod:`repro.simulation.backends`),
+with a bit-for-bit cross-check between them on every row.
 
 Run from the repository root::
 
@@ -24,6 +24,7 @@ also an end-to-end equivalence check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import random
@@ -31,6 +32,7 @@ import statistics
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from benchmarks.provenance import numpy_hidden
 from repro.core.experiments import TABLE2_CIRCUITS, build_pair
 from repro.faults.collapse import collapse_faults
 from repro.faultsim import DEFAULT_GROUP_SIZE, parallel_fault_simulate
@@ -83,15 +85,13 @@ def bench_circuit(
     faults = collapse_faults(circuit).representatives
     sequences = _random_sequences(circuit, seed, count, length)
 
-    # The bigint backend is the reference: always available, so its
-    # column ("compiled_s") stays comparable across hosts with and without
-    # the numpy extra.
-    compiled_s, compiled = _time(
-        lambda: parallel_fault_simulate(
-            circuit, sequences, faults, backend="bigint"
-        ),
-        repeats,
-    )
+    # The bigint leg is the reference: always available, so its column
+    # ("compiled_s") stays comparable across hosts with and without the
+    # numpy extra.
+    with numpy_hidden():
+        compiled_s, compiled = _time(
+            lambda: parallel_fault_simulate(circuit, sequences, faults), repeats
+        )
     row: Dict[str, object] = {
         "circuit": name,
         "num_gates": circuit.num_gates(),
@@ -103,10 +103,7 @@ def bench_circuit(
     }
     if numpy_available():
         numpy_s, numpy_result = _time(
-            lambda: parallel_fault_simulate(
-                circuit, sequences, faults, backend="numpy"
-            ),
-            repeats,
+            lambda: parallel_fault_simulate(circuit, sequences, faults), repeats
         )
         row["numpy_s"] = round(numpy_s, 4)
         row["speedup_numpy_vs_bigint"] = round(compiled_s / numpy_s, 2)
@@ -157,16 +154,14 @@ def sweep_group_size(
         }
         detections = {}
         for backend in backends:
-            elapsed, result = _time(
-                lambda: parallel_fault_simulate(
-                    circuit,
-                    sequences,
-                    faults,
-                    group_size=group_size,
-                    backend=backend,
-                ),
-                repeats,
-            )
+            hide = numpy_hidden() if backend == "bigint" else contextlib.nullcontext()
+            with hide:
+                elapsed, result = _time(
+                    lambda: parallel_fault_simulate(
+                        circuit, sequences, faults, group_size=group_size
+                    ),
+                    repeats,
+                )
             row[f"{backend}_s"] = round(elapsed, 4)
             row["detected"] = result.num_detected
             detections[backend] = result.detections
@@ -232,7 +227,7 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
                 "repeats": args.repeats,
             },
             "default_group_size": DEFAULT_GROUP_SIZE,
-            **provenance_meta(journal, backend="auto"),
+            **provenance_meta(journal, with_backend=True),
         },
         "circuits": rows,
         "group_size_sweep": sweep,

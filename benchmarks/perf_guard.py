@@ -21,12 +21,13 @@ are also re-checked, so a semantic regression of either engine fails
 the guard even when it got faster.
 
 With ``--faultsim-baseline BENCH_faultsim.json`` it re-times the
-compiled fault-simulation kernel **per word backend** (bigint always;
-numpy when installed) under the baseline's recorded workload and guards
-each backend's geomean baseline-time / current-time ratio separately
-against ``--faultsim-min-ratio`` (default 0.5) -- a regression in one
-backend cannot hide behind the other's headroom.  The run also
-cross-checks that both backends still detect the identical fault set.
+compiled fault-simulation kernel **per word backend** (bigint always,
+with numpy hidden; numpy when installed) under the baseline's recorded
+workload and guards each backend's geomean baseline-time / current-time
+ratio separately against ``--faultsim-min-ratio`` (default 0.5) -- a
+regression in one backend cannot hide behind the other's headroom.  The
+run also cross-checks that both backends still detect the identical
+fault set.
 
 With ``--service-baseline BENCH_service.json`` it boots the ATPG job
 service in-process, re-measures the cached-request keep-alive-vs-close
@@ -62,11 +63,13 @@ speed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import sys
 from typing import Dict, Optional, Sequence
 
+from benchmarks.provenance import numpy_hidden
 from repro.atpg import AtpgBudget, run_atpg
 from repro.core.experiments import TABLE2_CIRCUITS, build_pair
 from repro.faults.collapse import collapse_faults
@@ -282,11 +285,12 @@ def run_equiv_guard(baseline_path: str, min_ratio: float) -> int:
                 flush=True,
             )
         if "reach" in row:
-            # The baseline's ``reach`` timings are the bigint leg; pin the
-            # backend so the ratio compares like with like.
-            timings, stg, classification, sequence = time_engine_leg(
-                circuit, "reach", repeats, backend="bigint"
-            )
+            # The baseline's ``reach`` timings are the bigint leg; hide
+            # numpy so the ratio compares like with like.
+            with numpy_hidden():
+                timings, stg, classification, sequence = time_engine_leg(
+                    circuit, "reach", repeats
+                )
             sync_length = None if sequence is None else len(sequence)
             current = (
                 stg.visited_states,
@@ -384,12 +388,12 @@ def run_faultsim_guard(baseline_path: str, min_ratio: float) -> int:
             field = baseline_field[backend]
             if field not in baseline_rows[name]:
                 continue  # baseline predates this backend's rows
-            elapsed, result = _time(
-                lambda: parallel_fault_simulate(
-                    circuit, sequences, faults, backend=backend
-                ),
-                repeats,
-            )
+            hide = numpy_hidden() if backend == "bigint" else contextlib.nullcontext()
+            with hide:
+                elapsed, result = _time(
+                    lambda: parallel_fault_simulate(circuit, sequences, faults),
+                    repeats,
+                )
             detections[backend] = result.detections
             base = float(baseline_rows[name][field])
             ratio = base / max(elapsed, 1e-9)

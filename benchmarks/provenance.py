@@ -9,9 +9,10 @@ fold :func:`provenance_meta` into their ``meta`` block so every
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 
 def git_sha() -> Optional[str]:
@@ -30,22 +31,35 @@ def git_sha() -> Optional[str]:
     return sha if result.returncode == 0 and sha else None
 
 
-def backend_meta(backend: str = "auto", width: Optional[int] = None) -> Dict[str, object]:
-    """What word implementation a measurement actually ran on.
+@contextlib.contextmanager
+def numpy_hidden() -> Iterator[None]:
+    """Run the block as on a host without numpy, so every kernel with a
+    numpy leg times its bigint leg instead."""
+    from repro.simulation import backends
 
-    ``backend`` is the knob as requested; the resolved backend, the numpy
-    version behind it (``None`` on bigint), and -- when ``width`` is given
-    -- the effective uint64 word count per plane at that lane width are
-    recorded so numbers from different backends never get compared as if
+    saved = backends._NUMPY, backends._NUMPY_CHECKED
+    backends._NUMPY, backends._NUMPY_CHECKED = None, True
+    try:
+        yield
+    finally:
+        backends._NUMPY, backends._NUMPY_CHECKED = saved
+
+
+def backend_meta(width: Optional[int] = None) -> Dict[str, object]:
+    """What word implementation a measurement ran on.
+
+    The leg the platform picks (``"numpy"`` when importable, else
+    ``"bigint"``), the numpy version behind it, and -- when ``width`` is
+    given -- the effective uint64 word count per plane at that lane width
+    are recorded so numbers from different legs never get compared as if
     they were the same engine.
     """
-    from repro.simulation.backends import numpy_version, resolve_backend
+    from repro.simulation.backends import numpy_version
 
-    resolved = resolve_backend(backend)
+    version = numpy_version()
     meta: Dict[str, object] = {
-        "backend": resolved,
-        "backend_requested": backend,
-        "numpy_version": numpy_version() if resolved == "numpy" else None,
+        "backend": "bigint" if version is None else "numpy",
+        "numpy_version": version,
     }
     if width is not None:
         meta["lane_width"] = width
@@ -53,13 +67,13 @@ def backend_meta(backend: str = "auto", width: Optional[int] = None) -> Dict[str
     return meta
 
 
-def provenance_meta(journal=None, backend: Optional[str] = None) -> Dict[str, object]:
+def provenance_meta(journal=None, with_backend: bool = False) -> Dict[str, object]:
     """Commit, store-counter and journal fields for a ``meta`` block.
 
     Store counters are this process's session counters (hits/misses/writes
     against the default artifact store plus the persistent stepper-source
     level), captured at call time -- call after the measured work.  Pass
-    ``backend`` to also fold :func:`backend_meta` in.
+    ``with_backend=True`` to also fold :func:`backend_meta` in.
     """
     from repro.simulation.cache import compile_cache_stats
     from repro.store.core import default_store
@@ -76,8 +90,8 @@ def provenance_meta(journal=None, backend: Optional[str] = None) -> Dict[str, ob
         },
         "journal": None if journal is None else journal.path,
     }
-    if backend is not None:
-        meta.update(backend_meta(backend))
+    if with_backend:
+        meta.update(backend_meta())
     return meta
 
 
@@ -93,4 +107,10 @@ def open_bench_journal(label: str):
     return RunJournal.create(store.journal_dir, label)
 
 
-__all__ = ["backend_meta", "git_sha", "open_bench_journal", "provenance_meta"]
+__all__ = [
+    "backend_meta",
+    "git_sha",
+    "numpy_hidden",
+    "open_bench_journal",
+    "provenance_meta",
+]

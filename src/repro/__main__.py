@@ -9,6 +9,7 @@ Commands:
   report the pair's statistics and prefix length;
 * ``atpg <fsm> <style> <script> [seconds]`` — run the ATPG engine on a
   benchmark circuit and print the test set (``testset`` text format);
+  ``seconds`` is the wall-clock budget (default 30), a number ``>= 0``;
 * ``flow <fsm> <style> <script> [seconds]`` — run the Fig. 6
   retime-for-testability flow on the retimed circuit (``--verify`` adds a
   Lemma 2 behavioural check stage and prints its outcome: the bound and
@@ -48,23 +49,22 @@ journal each run under its ``journals/`` directory.  Flags:
   circuit, fault list and budget (e.g. after a kill) instead of restarting
   the deterministic phase from scratch;
 * ``--workers N`` — run the deterministic ATPG phase on N worker processes;
-* ``--backend auto|bigint|numpy`` — select the word implementation of the
-  bit-parallel kernels (``auto``, the default, runs fault simulation's
-  (sequence x fault) lanes on numpy when installed and on bigints
-  otherwise; all backends are bit-identical, so this is purely a speed
-  knob);
 * ``--guidance off|scoap`` — SCOAP testability ranking for ATPG fault
   ordering, pool partitioning and backtrace objectives (``off``, the
   default, is bit-identical to the unguided engine; ``scoap`` may emit a
   *different but equally valid* test set faster — see
   :mod:`repro.atpg.guidance`).
 
-An unknown ``--flag`` or an invalid option value is a usage error (exit
-status 2).
+The compiled kernels run on numpy when it is installed and on Python
+bigints otherwise, with bit-identical results; no flag picks between them.
+
+An unknown ``--flag``, an invalid option value or a bad ``seconds`` is a
+usage error (exit status 2).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -93,8 +93,15 @@ def _spec(fsm: str, style: str, script: str) -> CircuitSpec:
 
 
 def _budget(argv, position) -> AtpgBudget:
-    seconds = float(argv[position]) if len(argv) > position else 30.0
-    return AtpgBudget(total_seconds=seconds)
+    """The ``[seconds]`` argument as a budget (``ValueError`` if bad)."""
+    if len(argv) <= position:
+        return AtpgBudget(total_seconds=30.0)
+    try:
+        return AtpgBudget(total_seconds=float(argv[position]))
+    except ValueError:
+        raise ValueError(
+            f"seconds must be a number >= 0, got {argv[position]!r}"
+        ) from None
 
 
 def _pop_flags(rest):
@@ -103,7 +110,6 @@ def _pop_flags(rest):
         "store": True,
         "resume": False,
         "workers": None,
-        "backend": "auto",
         "guidance": "off",
         "retimed": False,
         "max_length": None,
@@ -127,11 +133,6 @@ def _pop_flags(rest):
             if index >= len(rest):
                 raise ValueError("--workers needs a count")
             options["workers"] = int(rest[index])
-        elif argument == "--backend":
-            index += 1
-            if index >= len(rest):
-                raise ValueError("--backend needs a name (auto, bigint or numpy)")
-            options["backend"] = rest[index]
         elif argument == "--guidance":
             index += 1
             if index >= len(rest) or rest[index] not in ("off", "scoap"):
@@ -184,7 +185,6 @@ def _equiv_usage() -> str:
         "                           reachable from reset\n"
         "  --retimed                analyse the retimed circuit\n"
         "  --max-length N           sync-sequence search bound (default 8)\n"
-        "  --backend auto|bigint|numpy  word backend for compiled kernels\n"
         "  --no-store               bypass the artifact store\n"
         "\n"
         "state-space caps:\n"
@@ -214,7 +214,6 @@ def _equiv_command(spec, options) -> int:
         stg = extract_stg(
             circuit,
             use_store=options["store"],
-            backend=options["backend"],
             initial_states=options["initial"],
         )
     except StateSpaceTooLarge as error:
@@ -511,32 +510,33 @@ def main(argv=None) -> int:
 
         from repro.pipeline import FlowPipeline
 
+        try:
+            budget = _budget(rest, 3)
+        except ValueError as error:
+            print(str(error), file=sys.stderr)
+            return 2
         store, journal = _open_run(options, f"{command}-{spec.name}")
         try:
             pipeline = FlowPipeline(
                 store=store,
                 journal=journal,
                 workers=options["workers"],
-                backend=options["backend"],
                 guidance=options["guidance"],
                 resume=options["resume"],
                 verify=options["verify"],
             )
-        except (ValueError, RuntimeError) as error:
+        except ValueError as error:
             if journal is not None:
                 journal.close(ok=False)
             print(str(error), file=sys.stderr)
             return 2
+        # Closing the journal through its context manager records
+        # ``ok: false`` when a stage raises.
         if command == "atpg":
-            try:
+            with journal or contextlib.nullcontext():
                 pair = build_pair(spec, store=store)
                 faults = pipeline.stage_collapse(pair.original)
-                result = pipeline.stage_atpg(
-                    pair.original, faults, _budget(rest, 3)
-                )
-            finally:
-                if journal is not None:
-                    journal.close(ok=True)
+                result = pipeline.stage_atpg(pair.original, faults, budget)
             print(result.summary(), file=sys.stderr)
             for stage in pipeline.stages:
                 print(
@@ -548,11 +548,8 @@ def main(argv=None) -> int:
             sys.stdout.write(result.test_set.to_text())
             return 0
         if command == "flow":
-            try:
-                result = pipeline.run_spec(spec, budget=_budget(rest, 3))
-            finally:
-                if journal is not None:
-                    journal.close(ok=True)
+            with journal or contextlib.nullcontext():
+                result = pipeline.run_spec(spec, budget=budget)
             print(result.flow.summary())
             verify = result.stage("verify")
             if verify is not None:

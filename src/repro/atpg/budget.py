@@ -15,13 +15,25 @@ the pool as a whole never outspends the budget a serial run would get.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
+
+#: The wall-clock caps, in seconds; every other budget field is a count.
+_CLOCKS = ("total_seconds", "seconds_per_fault")
+
+#: Counts that must be at least 1: a zero random batch never finishes the
+#: random phase, and a walk needs at least one candidate vector per cycle.
+_AT_LEAST_ONE = ("random_batch", "sync_samples")
 
 
 @dataclass(frozen=True)
 class AtpgBudget:
-    """Caps for one ATPG run."""
+    """Caps for one ATPG run.
+
+    Construction rejects (``ValueError``) a clock that is not a number
+    ``>= 0`` (NaN included) and a count that is not an ``int >= 0``
+    (``>= 1`` for ``random_batch`` and ``sync_samples``).
+    """
 
     total_seconds: float = 30.0
     seconds_per_fault: float = 0.25
@@ -38,6 +50,22 @@ class AtpgBudget:
     #: (:mod:`repro.atpg.exact`), in lane-steps: the input-cube lanes the
     #: search simulates for one fault.  ``0`` leaves every fault to PODEM.
     exact_lane_steps: int = 1 << 20
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            clock = spec.name in _CLOCKS
+            least = 1 if spec.name in _AT_LEAST_ONE else 0
+            # ``not value >= least`` also holds for NaN.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float) if clock else int)
+                or not value >= least
+            ):
+                kind = "a number of seconds" if clock else "an integer"
+                raise ValueError(
+                    f"{spec.name} must be {kind} >= {least}, got {value!r}"
+                )
 
     def scaled(self, factor: float) -> "AtpgBudget":
         """A proportionally larger/smaller budget.

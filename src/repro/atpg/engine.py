@@ -54,7 +54,6 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
 from repro.faultsim.parallel import parallel_fault_simulate
 from repro.logic.three_valued import X
-from repro.simulation.backends import resolve_backend
 from repro.simulation.cache import vector_fast_stepper
 from repro.simulation.codegen import FastStepper
 from repro.simulation.vector_codegen import VectorFastStepper, rail_pair_trit
@@ -287,7 +286,6 @@ def _random_phase(
     budget: AtpgBudget,
     meter: EffortMeter,
     rng: random.Random,
-    backend: str = "auto",
 ) -> Tuple[List[StuckAtFault], int]:
     """Batched weighted-random phase; returns (remaining, random_detected).
 
@@ -315,7 +313,7 @@ def _random_phase(
             for _ in range(count)
         ]
         produced += count
-        result = parallel_fault_simulate(circuit, batch, remaining, backend=backend)
+        result = parallel_fault_simulate(circuit, batch, remaining)
         by_walk: Dict[int, Set[StuckAtFault]] = {}
         for fault, detection in result.detections.items():
             by_walk.setdefault(detection.sequence_index, set()).add(fault)
@@ -369,7 +367,6 @@ def run_atpg(
     *,
     workers: Optional[int] = None,
     engine: Optional[str] = None,
-    backend: str = "auto",
     guidance="off",
     checkpoint=None,
     resume: bool = False,
@@ -379,7 +376,7 @@ def run_atpg(
     After the random phase, the exact pair search (:mod:`repro.atpg.exact`)
     decides each remaining fault, up to ``budget.exact_lane_steps``
     lane-steps per fault; only faults over that cap are left to PODEM.
-    The search is deterministic and engine- and backend-independent.
+    The search is deterministic and engine-independent.
 
     ``engine`` selects how PODEM runs: ``"serial"``
     (default) targets faults one at a time in-process; ``"process"``
@@ -390,11 +387,6 @@ def run_atpg(
     is inferred from ``workers`` (a count above 1 selects the process
     pool).  Both engines yield the same partition and test set for a
     given seed whenever the wall-clock budget is not the binding limit.
-
-    ``backend`` selects the word implementation for the bit-parallel
-    kernels (``"bigint"``, ``"numpy"``, or ``"auto"``, see
-    :mod:`repro.simulation.backends`).  All backends produce bit-identical
-    detections and test sets; only the speed differs.
 
     ``guidance`` steers the deterministic phase (see
     :mod:`repro.atpg.guidance`): ``"off"`` (default) keeps every choice
@@ -421,8 +413,6 @@ def run_atpg(
     """
     if budget is None:
         budget = AtpgBudget()
-    # Fail fast on an unknown/unavailable backend, before any phase runs.
-    resolve_backend(backend)
     if engine is None:
         engine = "process" if workers is not None and workers > 1 else "serial"
         engine_reason = f"inferred from workers={workers}"
@@ -474,7 +464,7 @@ def run_atpg(
         if checkpoint is not None:
             checkpoint.start(circuit, faults, budget)
         remaining, random_detected = _random_phase(
-            circuit, remaining, detected, sequences, budget, meter, rng, backend
+            circuit, remaining, detected, sequences, budget, meter, rng
         )
         if checkpoint is not None:
             checkpoint.record_random_phase(sequences, detected, random_detected)
@@ -530,7 +520,6 @@ def run_atpg(
                 circuit,
                 [outcome.sequence],
                 [f for f in queue if f not in detected and f not in untestable],
-                backend=backend,
             )
             newly = set(replay.detections)
             if fault not in newly:
@@ -561,7 +550,6 @@ def run_atpg(
             queue,
             budget.exact_lane_steps,
             skip=detected.__contains__,
-            backend=backend,
             out_of_time=meter.out_of_time,
         ):
             if fault in detected:

@@ -69,8 +69,8 @@ a function of the circuit, the fault and the cap alone.
 **Legs.**  The bookkeeping around the bigint kernel -- plane/lane
 transposes, leaf dedup, child generation -- runs in pure Python
 (:class:`_BigintLeg`, the reference) or on numpy arrays
-(:class:`_NumpyLeg`), picked by the ``backend`` policy.  Both give
-identical outcomes.
+(:class:`_NumpyLeg`) when numpy is importable.  Both give identical
+outcomes.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.circuit.netlist import Circuit
 from repro.equivalence.bitset import REACH_LANE_BLOCK
 from repro.faults.model import StuckAtFault
+from repro.simulation.backends import numpy_or_none
 from repro.simulation.cache import vector_fast_stepper
 
 #: Faults searched side by side, sharing steps.  Outcomes do not depend
@@ -304,11 +305,8 @@ class ProductSearch:
         self,
         circuit: Circuit,
         lane_cap: int,
-        backend: str = "auto",
         faults: Iterable[StuckAtFault] = (),
     ):
-        from repro.simulation.backends import resolve_backend
-
         self.stepper = vector_fast_stepper(circuit)
         self._inject_slots = {self.stepper.line_slot[fault.line] for fault in faults}
         self._step_inject: Optional[Callable] = None
@@ -333,7 +331,6 @@ class ProductSearch:
                 groups.items(), key=lambda item: (bin(item[0]).count("1"), -item[0])
             )
         ]
-        self.backend = resolve_backend(backend)
         # A key's low 2r bits are its good half.
         self.good_mask = (1 << 2 * self.num_registers) - 1
         # Good half -> seed cubes (``assigned << n | value`` each), kept
@@ -523,7 +520,7 @@ class ProductSearch:
                 self._decide(search)
             return [search.outcome for search in searches]
         self.faults = list(faults)
-        leg = (_NumpyLeg if self.backend == "numpy" else _BigintLeg)(self)
+        leg = (_NumpyLeg if numpy_or_none() is not None else _BigintLeg)(self)
         live = list(searches)
         while live:
             if out_of_time() or not self._launch(live, leg, out_of_time):
@@ -1181,7 +1178,6 @@ def iter_exact(
     faults: Sequence[StuckAtFault],
     lane_cap: int,
     skip: Callable[[StuckAtFault], bool] = lambda fault: False,
-    backend: str = "auto",
     out_of_time: Callable[[], bool] = lambda: False,
 ) -> Iterator[Tuple[StuckAtFault, ExactOutcome]]:
     """``(fault, outcome)`` for the faults of ``faults``, in order.
@@ -1189,12 +1185,10 @@ def iter_exact(
     Faults are searched in batches of :data:`EXACT_FAULT_BATCH`; a batch
     is formed only once the caller has consumed the previous one, so
     ``skip`` (consulted per fault at batch formation) can drop faults the
-    caller's earlier tests already detect.  ``backend`` picks the
-    bookkeeping leg (see :mod:`repro.simulation.backends`); outcomes are
-    the same on both.  Once ``out_of_time()`` holds, every fault not yet
-    decided comes back with status ``"time"``.
+    caller's earlier tests already detect.  Once ``out_of_time()`` holds,
+    every fault not yet decided comes back with status ``"time"``.
     """
-    search = ProductSearch(circuit, lane_cap, backend, faults)
+    search = ProductSearch(circuit, lane_cap, faults)
     position = 0
     while position < len(faults):
         batch: List[StuckAtFault] = []

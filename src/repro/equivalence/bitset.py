@@ -30,6 +30,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import StuckAtFault
+from repro.simulation.backends import numpy_or_none
 from repro.simulation.cache import vector_fast_stepper
 
 #: Offsets of the set bits of every byte value -- the work table for
@@ -140,8 +141,8 @@ def decode_plane_into(
 REACH_LANE_BLOCK = 1 << 12
 
 #: Below this step width the bigint step beats the numpy word-plane step,
-#: whose per-gate array-call overhead is width-independent;
-#: ``backend="auto"`` switches per step at this line.
+#: whose per-gate array-call overhead is width-independent; with numpy
+#: installed, a sweep switches per step at this line.
 REACH_NUMPY_MIN_LANES = 512
 
 
@@ -175,7 +176,6 @@ def alphabet_sweep(
     stepper,
     faults: Sequence[StuckAtFault],
     alphabet: Sequence[Tuple[int, ...]],
-    backend: str = "auto",
 ) -> Callable[[Sequence[int]], Iterator[Tuple[List[int], List[int]]]]:
     """``sweep(block)``: every alphabet vector applied to a block of states.
 
@@ -193,12 +193,10 @@ def alphabet_sweep(
     ``B``-lane run per vector.  Stuck-at ``faults`` are forced through the
     stepper's runtime ``sa1``/``sa0`` masks on every lane; the last fault
     per line wins, matching the reference simulator's forced-value dict.
-    Both backends decode identical rows (the parity suite asserts
-    it); ``backend="auto"`` takes numpy for steps of at least
-    :data:`REACH_NUMPY_MIN_LANES` lanes.
+    With numpy installed, steps of at least :data:`REACH_NUMPY_MIN_LANES`
+    lanes run on the word-plane runner and narrower ones on bigints; both
+    decode identical rows (the parity suite asserts it).
     """
-    from repro.simulation.backends import resolve_backend
-
     num_inputs = stepper.compiled.num_inputs
     num_registers = stepper.compiled.num_registers
     num_outputs = len(circuit.output_names)
@@ -253,7 +251,7 @@ def alphabet_sweep(
         ]
 
     numpy_rows = None
-    if resolve_backend(backend) == "numpy":
+    if numpy_or_none() is not None:
         numpy_rows = _numpy_rows(
             circuit, stepper, alphabet, forced, injection_masks
         )
@@ -267,9 +265,7 @@ def alphabet_sweep(
         for start in range(0, len(alphabet), per_step):
             chunk = alphabet[start : start + per_step]
             lanes = width * len(chunk)
-            if numpy_rows is not None and (
-                backend == "numpy" or lanes >= REACH_NUMPY_MIN_LANES
-            ):
+            if numpy_rows is not None and lanes >= REACH_NUMPY_MIN_LANES:
                 if state_bits is None:
                     state_bits = _state_bits(block, num_registers)
                 yield from numpy_rows(state_bits, start, len(chunk))
@@ -392,17 +388,15 @@ def extract_arrays_bitset(
     circuit: Circuit,
     faults: Sequence[StuckAtFault],
     alphabet: Sequence[Tuple[int, ...]],
-    backend: str = "auto",
 ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
     """``(next_index, output_index)`` flat tables for the (faulty) machine.
 
     One :func:`alphabet_sweep` over the block of all ``2^r`` states: lane
     ``s`` of every vector's run is state ``s``, so a packed next-state code
-    is its state index.  ``backend`` picks the word implementation (see
-    :mod:`repro.simulation.backends`); both produce identical tables.
+    is its state index.
     """
     stepper = vector_fast_stepper(circuit)
-    sweep = alphabet_sweep(circuit, stepper, faults, alphabet, backend)
+    sweep = alphabet_sweep(circuit, stepper, faults, alphabet)
     next_index: List[Tuple[int, ...]] = []
     output_index: List[Tuple[int, ...]] = []
     for next_codes, out_codes in sweep(range(1 << stepper.compiled.num_registers)):

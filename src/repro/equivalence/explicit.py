@@ -538,7 +538,6 @@ def extract_stg(
     fault: FaultSpec = None,
     alphabet: Optional[Sequence[Vector]] = None,
     use_store: bool = True,
-    backend: str = "auto",
     initial_states: Union[str, Iterable[State]] = "all",
 ) -> ExplicitSTG:
     """Enumerate the (possibly faulty) machine's STG.
@@ -552,10 +551,6 @@ def extract_stg(
         use_store: memoize the tables in the content-addressed artifact
             store (skipped automatically for oversized machines and when
             the store is disabled).
-        backend: word implementation for the lane-parallel sweeps
-            (``"bigint"``, ``"numpy"``, or ``"auto"``); tables are
-            identical either way, so the store key deliberately ignores
-            it.
         initial_states: the state space.  ``"all"`` (default) enumerates
             every register state; ``"reset"`` (the all-zero state) or an
             iterable of register-state tuples returns the
@@ -594,7 +589,6 @@ def extract_stg(
             alphabet,
             initial_states,
             use_store=use_store,
-            backend=backend,
         )
 
     store = None
@@ -615,9 +609,7 @@ def extract_stg(
                 return _full_stg(circuit, faults, alphabet, *tables)
 
     num_outputs = len(circuit.output_names)
-    next_index, output_index = _bitset.extract_arrays_bitset(
-        circuit, faults, alphabet, backend=backend
-    )
+    next_index, output_index = _bitset.extract_arrays_bitset(circuit, faults, alphabet)
     if store is not None:
         from repro.store.artifacts import stg_payload
 

@@ -199,7 +199,6 @@ def _traverse(
     faults: Sequence[StuckAtFault],
     alphabet: Sequence[Vector],
     initial_codes: Sequence[int],
-    backend: str,
 ) -> Tuple[List[int], List[List[int]], List[List[int]], int, int]:
     """BFS over reachable states, one alphabet sweep per level block.
 
@@ -212,7 +211,7 @@ def _traverse(
     forward-reference states interned later in the same or a deeper level.
     """
     limits = ENGINE_LIMITS["reach"]
-    sweep = alphabet_sweep(reduced, stepper, faults, alphabet, backend)
+    sweep = alphabet_sweep(reduced, stepper, faults, alphabet)
 
     intern: Dict[int, int] = {}
     codes: List[int] = []
@@ -278,7 +277,6 @@ def extract_stg_reach(
     initial_states: InitialStates,
     *,
     use_store: bool = True,
-    backend: str = "auto",
 ) -> ReachableSTG:
     """Reachability-bounded STG of the (possibly faulty) machine.
 
@@ -345,7 +343,7 @@ def extract_stg_reach(
 
     stepper = vector_fast_stepper(reduced)
     codes, next_rows, output_rows, peak_frontier, levels = _traverse(
-        reduced, stepper, kept_faults, alphabet, initial_codes, backend
+        reduced, stepper, kept_faults, alphabet, initial_codes
     )
 
     if store is not None and len(codes) * len(alphabet) <= _STORE_MAX_ENTRIES:

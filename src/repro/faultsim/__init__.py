@@ -24,7 +24,6 @@ def fault_simulate(
     engine: str = "parallel",
     drop: bool = True,
     group_size: int = DEFAULT_GROUP_SIZE,
-    backend: str = "auto",
     workers: Optional[int] = None,
 ) -> FaultSimResult:
     """Fault-simulate a test set (a list of test sequences).
@@ -36,10 +35,6 @@ def fault_simulate(
       code-generated bit-parallel kernel (default);
     * ``"serial"`` -- one scalar faulty machine per fault (the reference
       engine).
-
-    ``backend`` picks the word implementation for the parallel engine
-    (``"bigint"``, ``"numpy"``, or ``"auto"`` to prefer numpy when the
-    optional dependency is installed); the serial engine ignores it.
 
     ``workers`` > 1 shards the fault list of the ``"parallel"`` engine
     across that many worker processes (see
@@ -57,7 +52,6 @@ def fault_simulate(
                 workers=workers,
                 drop=drop,
                 group_size=group_size,
-                backend=backend,
             )
         return parallel_fault_simulate(
             circuit,
@@ -65,7 +59,6 @@ def fault_simulate(
             faults,
             drop=drop,
             group_size=group_size,
-            backend=backend,
         )
     if engine == "serial":
         return serial_fault_simulate(circuit, sequences, faults, drop=drop)

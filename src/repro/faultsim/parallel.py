@@ -44,7 +44,7 @@ from repro.faults.model import StuckAtFault
 from repro.faultsim.result import Detection, FaultSimResult
 from repro.faultsim.serial import TestSequence
 from repro.logic.three_valued import ONE, X, ZERO
-from repro.simulation.backends import resolve_backend
+from repro.simulation.backends import numpy_or_none
 from repro.simulation.cache import vector_fast_stepper
 from repro.simulation.vector_codegen import VectorFastStepper
 
@@ -73,20 +73,17 @@ def parallel_fault_simulate(
     faults: Optional[Sequence[StuckAtFault]] = None,
     drop: bool = True,
     group_size: int = DEFAULT_GROUP_SIZE,
-    backend: str = "auto",
 ) -> FaultSimResult:
     """Fault-simulate ``sequences`` in (sequence x fault) lanes.
 
     Detections and the potential set are identical to
     :func:`repro.faultsim.serial.serial_fault_simulate` (the test suite
-    cross-checks them); only the engine differs.  ``backend`` picks the
-    word implementation -- Python bigints (the reference) or the numpy
-    word-plane runner, with ``"auto"`` preferring numpy when the optional
-    dependency is installed -- and never changes a result.
+    cross-checks them); only the engine differs.  The pass runs on the
+    numpy word-plane runner when numpy is importable and on Python bigints
+    (the reference) otherwise; the leg never changes a result.
     """
     if group_size < 2:
         raise ValueError("group_size must leave room for the fault-free bit")
-    resolved = resolve_backend(backend)
     if faults is None:
         faults = collapse_faults(circuit).representatives
     result = FaultSimResult(circuit.name, "parallel", tuple(faults))
@@ -94,7 +91,7 @@ def parallel_fault_simulate(
     _validate_fault_lines(circuit, faults, stepper)
     slots = [stepper.line_slot[fault.line] for fault in faults]
     stuck = [fault.value for fault in faults]
-    leg = _WordPlaneLeg(stepper) if resolved == "numpy" else _BigintLeg(stepper)
+    leg = (_WordPlaneLeg if numpy_or_none() is not None else _BigintLeg)(stepper)
     num_inputs = len(circuit.input_names)
     rows = [
         (index, _checked_vectors(sequence, num_inputs))

@@ -63,14 +63,12 @@ def _worker_init(
     sequences: Sequence[TestSequence],
     drop: bool,
     group_size: int,
-    backend: str,
 ) -> None:
     warm_compile_cache(circuit)
     _WORKER_STATE["circuit"] = circuit
     _WORKER_STATE["sequences"] = sequences
     _WORKER_STATE["drop"] = drop
     _WORKER_STATE["group_size"] = group_size
-    _WORKER_STATE["backend"] = backend
 
 
 def _worker_shard(
@@ -82,7 +80,6 @@ def _worker_shard(
         shard,
         drop=_WORKER_STATE["drop"],
         group_size=_WORKER_STATE["group_size"],
-        backend=_WORKER_STATE["backend"],
     )
     return list(result.detections.items()), result.potential
 
@@ -94,14 +91,13 @@ def sharded_fault_simulate(
     workers: Optional[int] = None,
     drop: bool = True,
     group_size: int = DEFAULT_GROUP_SIZE,
-    backend: str = "auto",
 ) -> FaultSimResult:
     """Fault-simulate with the fault list sharded across worker processes.
 
     Results are bit-identical to a single
     :func:`~repro.faultsim.parallel.parallel_fault_simulate` call over the
-    whole list (same ``drop``/``group_size``/``backend`` semantics per
-    shard, exact disjoint merge).  Worth it only when the
+    whole list (same ``drop``/``group_size`` semantics per shard, exact
+    disjoint merge).  Worth it only when the
     fault list spans many groups *and* the host has spare cores; a
     one-worker request skips the pool entirely.
     """
@@ -120,7 +116,6 @@ def sharded_fault_simulate(
             faults,
             drop=drop,
             group_size=group_size,
-            backend=backend,
         )
     shard_size = -(-len(faults) // (workers * SHARDS_PER_WORKER))
     shards = [
@@ -134,7 +129,7 @@ def sharded_fault_simulate(
         max_workers=min(workers, len(shards)),
         mp_context=context,
         initializer=_worker_init,
-        initargs=(circuit, sequences, drop, group_size, backend),
+        initargs=(circuit, sequences, drop, group_size),
     ) as pool:
         for detections, potential in pool.map(_worker_shard, shards):
             result.detections.update(detections)

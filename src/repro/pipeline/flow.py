@@ -61,7 +61,6 @@ from repro.faults.model import StuckAtFault
 from repro.faultsim import FaultSimResult, fault_simulate
 from repro.retiming.core import Retiming
 from repro.retiming.minregister import min_register_retiming
-from repro.simulation.backends import resolve_backend
 from repro.store.artifacts import (
     atpg_result_from_payload,
     atpg_result_payload,
@@ -117,16 +116,11 @@ class FlowPipeline:
         journal: run journal receiving stage events and artifact pins.
         workers / engine: forwarded to
             :func:`~repro.atpg.engine.run_atpg`.
-        backend: word implementation for the bit-parallel kernels
-            (``"bigint"``, ``"numpy"``, or ``"auto"``; see
-            :mod:`repro.simulation.backends`), forwarded to ATPG and fault
-            simulation.  Results are bit-identical across backends, so
-            stage memoization keys deliberately ignore it.
         guidance: ATPG search guidance (``"off"``/``"scoap"``, see
-            :mod:`repro.atpg.guidance`).  Unlike ``backend``, guided runs
-            may emit a *different (equally valid) test set*, so the ATPG
-            stage key includes the mode -- guided and unguided results
-            never alias.
+            :mod:`repro.atpg.guidance`).  Unlike ``workers``/``engine``,
+            guided runs may emit a *different (equally valid) test set*,
+            so the ATPG stage key includes the mode -- guided and
+            unguided results never alias.
         resume: let the ATPG stage restore a surviving checkpoint for its
             exact (circuit, faults, budget) key before targeting faults.
         checkpoint_path: override the checkpoint location (defaults to the
@@ -153,7 +147,6 @@ class FlowPipeline:
         *,
         workers: Optional[int] = None,
         engine: Optional[str] = None,
-        backend: str = "auto",
         guidance: str = "off",
         resume: bool = False,
         checkpoint_path: Optional[str] = None,
@@ -164,7 +157,6 @@ class FlowPipeline:
             raise ValueError(
                 f"unknown guidance {guidance!r} (expected one of {GUIDANCE_MODES})"
             )
-        resolve_backend(backend)
         if engine is not None and engine not in ATPG_ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r} (expected one of {ATPG_ENGINES})"
@@ -175,7 +167,6 @@ class FlowPipeline:
         self.journal = journal
         self.workers = workers
         self.engine = engine
-        self.backend = backend
         self.guidance = guidance
         self.resume = resume
         self.checkpoint_path = checkpoint_path
@@ -407,7 +398,6 @@ class FlowPipeline:
                 budget,
                 workers=self.workers,
                 engine=self.engine,
-                backend=self.backend,
                 guidance=policy if policy is not None else "off",
                 checkpoint=checkpoint,
                 resume=self.resume,
@@ -475,9 +465,7 @@ class FlowPipeline:
             "faultsim", key, lambda p: faultsim_from_payload(p, circuit)
         )
         if result is None:
-            result = fault_simulate(
-                circuit, test_set.as_lists(), faults, backend=self.backend
-            )
+            result = fault_simulate(circuit, test_set.as_lists(), faults)
             self._save("faultsim", key, faultsim_payload(circuit, result))
         self._stage_end(
             "faultsim",

@@ -631,7 +631,6 @@ class JobManager:
                 journal=journal,
                 workers=request.workers,
                 engine=request.engine,
-                backend=request.backend,
                 guidance=request.guidance,
                 verify=request.verify,
                 cancel_event=job.cancel_event,

@@ -20,17 +20,18 @@ Circuit formats::
 
 Execution options::
 
-    {"workers": 2, "engine": "serial|process|auto",
-     "backend": "auto|bigint|numpy", "guidance": "off|scoap",
+    {"workers": 2, "engine": "serial|process|auto", "guidance": "off|scoap",
      "verify": false}
 
 Every option is validated here, so a bad value is a 400 whether or not
 the answer is already cached.
 
-The fingerprint deliberately ignores ``workers`` / ``engine`` /
-``backend``: results are bit-identical across those execution knobs (same
-seed, same partition), so two requests differing only there are the *same
-work* and must coalesce.  ``guidance`` is also excluded, on the weaker
+The fingerprint deliberately ignores ``workers`` / ``engine``: results are
+bit-identical across those execution knobs (same seed, same partition),
+so two requests differing only there are the *same work* and must
+coalesce.  The word implementation is no option: the worker runs the
+numpy kernels when numpy is importable and the bigint ones otherwise,
+with identical results.  ``guidance`` is also excluded, on the weaker
 interchangeability contract: a guided run may emit a different test set,
 but any test set the flow emits satisfies the same preservation
 guarantees, so two requests differing only in guidance still want the
@@ -53,14 +54,12 @@ from repro.atpg.guidance import GUIDANCE_MODES
 from repro.circuit.netlist import Circuit, CircuitError
 
 _FORMATS = ("table2", "bench", "verilog", "builder")
-_BACKENDS = ("auto", "bigint", "numpy")
 
 _BUDGET_FIELDS = {f.name: f.type for f in dataclasses.fields(AtpgBudget)}
 
 _OPTION_KEYS = (
     "workers",
     "engine",
-    "backend",
     "guidance",
     "verify",
 )
@@ -80,7 +79,6 @@ class JobRequest:
     budget: AtpgBudget
     workers: Optional[int] = None
     engine: Optional[str] = None
-    backend: str = "auto"
     guidance: str = "off"
     verify: bool = False
     tenant: Optional[str] = None
@@ -237,7 +235,7 @@ def _parse_budget(raw: object) -> AtpgBudget:
         kwargs[key] = value
     try:
         return AtpgBudget(**kwargs)
-    except TypeError as error:
+    except ValueError as error:
         raise SchemaError(f"budget: {error}") from error
 
 
@@ -260,8 +258,6 @@ def _parse_options(raw: object) -> Dict[str, object]:
         raise SchemaError(
             f"options: 'engine' must be one of {', '.join(ATPG_ENGINES)}"
         )
-    if options.get("backend", "auto") not in _BACKENDS:
-        raise SchemaError(f"options: 'backend' must be one of {', '.join(_BACKENDS)}")
     if options.get("guidance", "off") not in GUIDANCE_MODES:
         raise SchemaError(
             f"options: 'guidance' must be one of {', '.join(GUIDANCE_MODES)}"
@@ -301,7 +297,6 @@ def parse_request(
         budget=budget,
         workers=options.get("workers"),
         engine=options.get("engine"),
-        backend=options.get("backend", "auto"),
         guidance=options.get("guidance", "off"),
         verify=options.get("verify", False),
         tenant=tenant,

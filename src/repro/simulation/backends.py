@@ -1,25 +1,21 @@
-"""Kernel backend selection: ``bigint`` (reference) vs ``numpy`` word-plane.
+"""Word implementation of the compiled kernels: numpy when importable.
 
-Every compiled kernel in this package runs on Python bigints by default --
+Every compiled kernel in this package has a bigint reference leg --
 arbitrary-precision integers are always available and CPython's bitwise
-loops are respectable.  The optional ``numpy`` backend lowers the same
-dual-rail programs to vectorized ops over ``uint64`` lane-word arrays (see
-:mod:`repro.simulation.wordplane`), which wins once a fault group is wide
+loops are respectable.  The kernels that also have a numpy leg lower the
+same dual-rail programs to vectorized ops over ``uint64`` lane-word arrays
+(see :mod:`repro.simulation.wordplane`), which wins once a step is wide
 enough to amortize per-call ufunc dispatch.
 
-numpy itself is an optional ``[perf]`` extra, so every import goes through
-:func:`numpy_or_none` and callers pass ``backend="auto"`` to get numpy when
-it is importable and the bigint reference otherwise.  ``resolve_backend``
-is the single policy point: flows thread the user's knob down here and
-never import numpy directly.
+numpy itself is an optional ``[perf]`` extra, so the platform decides:
+each such kernel calls :func:`numpy_or_none` and takes its numpy leg when
+numpy is importable and its bigint leg otherwise.  Both legs give
+bit-identical results, so no caller chooses.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-#: Recognized values for every ``backend=`` knob in the package.
-BACKENDS: Tuple[str, ...] = ("auto", "bigint", "numpy")
+from typing import Optional
 
 #: Bump whenever the word-plane lowering changes observable layout or
 #: semantics.  Lives here (not in :mod:`repro.simulation.wordplane`) so the
@@ -55,30 +51,9 @@ def numpy_version() -> Optional[str]:
     return None if module is None else getattr(module, "__version__", "unknown")
 
 
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a user-facing backend knob to ``"bigint"`` or ``"numpy"``.
-
-    ``"auto"`` selects numpy when importable and falls back to bigint;
-    ``"numpy"`` insists and raises when the extra is not installed, so a
-    user who asked for it explicitly never gets a silent fallback.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (expected one of {BACKENDS})")
-    if backend == "auto":
-        return "numpy" if numpy_available() else "bigint"
-    if backend == "numpy" and not numpy_available():
-        raise RuntimeError(
-            "backend='numpy' requires the optional numpy dependency "
-            "(install the [perf] extra) -- use backend='auto' to fall back"
-        )
-    return backend
-
-
 __all__ = [
-    "BACKENDS",
     "WORDPLANE_VERSION",
     "numpy_available",
     "numpy_or_none",
     "numpy_version",
-    "resolve_backend",
 ]

@@ -34,8 +34,8 @@ generation and goes straight to ``exec``.  The artifact records the
 circuit's raw structural identity and the loaders validate it, so a
 digest-equal circuit with different edge numbering can never be handed
 source whose slot numbering doesn't match.  The level is written through
-lazily and degrades to a plain miss whenever the store is disabled or
-unwritable; :func:`set_persistent_stepper_cache` gates it per process.
+lazily and degrades to a plain miss whenever the store is disabled
+(``REPRO_STORE_DISABLE``) or unwritable.
 
 All bookkeeping is guarded by a lock so concurrent callers (e.g. a thread
 pool fault-simulating independent circuits) are safe.
@@ -71,7 +71,6 @@ _STATS = {
     "persistent_misses": 0,
     "persistent_writes": 0,
 }
-_PERSIST = {"enabled": True}
 
 
 class _Entry:
@@ -135,20 +134,6 @@ def compiled_circuit(circuit: Circuit) -> CompiledCircuit:
 # -- persistent second level -------------------------------------------------
 
 
-def set_persistent_stepper_cache(enabled: bool) -> None:
-    """Gate the store-backed stepper-source level for this process."""
-    _PERSIST["enabled"] = bool(enabled)
-
-
-def _store():
-    """The default artifact store, or ``None`` when any level is off."""
-    if not _PERSIST["enabled"]:
-        return None
-    from repro.store.core import default_store
-
-    return default_store()
-
-
 def _stepper_key(store, circuit: Circuit) -> str:
     from repro.circuit.digest import circuit_digest
     from repro.simulation.backends import WORDPLANE_VERSION
@@ -163,7 +148,9 @@ def _stepper_key(store, circuit: Circuit) -> str:
 
 def _load_sources(circuit: Circuit):
     """Persisted ``(scalar, clean, inject, dual)`` sources, or ``None``."""
-    store = _store()
+    from repro.store.core import default_store
+
+    store = default_store()
     if store is None:
         return None
     from repro.store.artifacts import stepper_sources_from_payload
@@ -189,7 +176,9 @@ def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
     search scalar), and a single record keeps hit/miss accounting and GC
     granularity simple.
     """
-    store = _store()
+    from repro.store.core import default_store
+
+    store = default_store()
     if store is None:
         return
     if entry.fast is None:
@@ -330,5 +319,4 @@ __all__ = [
     "warm_compile_cache",
     "clear_compile_cache",
     "compile_cache_stats",
-    "set_persistent_stepper_cache",
 ]

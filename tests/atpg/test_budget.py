@@ -1,9 +1,17 @@
 """Tests for ATPG budgets and effort accounting."""
 
 import dataclasses
+import math
 import time
 
+import pytest
+
 from repro.atpg import AtpgBudget, EffortMeter
+
+#: An effort-bound budget whose clocks are out of reach.
+FLOW_BUDGET = AtpgBudget(
+    backtracks_per_fault=4, frames_cap=6, total_seconds=1e6, seconds_per_fault=1e6
+)
 
 
 class TestBudget:
@@ -20,6 +28,40 @@ class TestBudget:
         assert doubled.backtracks_per_fault == 200
         halved = budget.scaled(0.001)
         assert halved.backtracks_per_fault >= 1  # never zero
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("random_batch", 0),  # the random phase never ends
+            ("sync_samples", 0),  # the walk indexes an empty sample
+            ("random_length", 2.5),  # range() of a float
+            ("total_seconds", math.nan),  # out_of_time() never fires
+            ("seconds_per_fault", math.nan),
+            ("total_seconds", -1.0),
+            ("total_seconds", "30"),
+            ("total_seconds", True),
+            ("backtracks_per_fault", -1),
+            ("max_frames", 8.0),
+            ("seed", False),
+            ("exact_lane_steps", None),
+        ],
+    )
+    def test_rejects_a_budget_that_cannot_run(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AtpgBudget(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            dataclasses.replace(AtpgBudget(), **{field: value})
+
+    def test_accepts_zero_clocks_and_counts(self):
+        for budget in (
+            AtpgBudget(),
+            FLOW_BUDGET,
+            AtpgBudget(total_seconds=0.0),
+            AtpgBudget(total_seconds=0, seconds_per_fault=0),
+            AtpgBudget(random_sequences=0, random_length=0, exact_lane_steps=0),
+            AtpgBudget(random_batch=1, sync_samples=1),
+        ):
+            assert dataclasses.replace(budget) == budget
 
     def test_frozen(self):
         budget = AtpgBudget()

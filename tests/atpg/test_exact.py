@@ -29,11 +29,16 @@ from repro.faultsim import fault_simulate
 from repro.faultsim.serial import serial_fault_simulate
 from repro.logic.three_valued import ONE, X, ZERO
 from repro.papercircuits import fig5_pair
-from repro.simulation.backends import numpy_available
 from repro.simulation.codegen import FastStepper
 from repro.store import AtpgCheckpoint
 
-from tests.helpers import random_circuit, resettable_random_circuit
+from tests.helpers import (
+    HAVE_NUMPY,
+    on_leg,
+    random_circuit,
+    requires_numpy,
+    resettable_random_circuit,
+)
 
 #: PODEM limits that bind before any clock does.
 PODEM = AtpgBudget(
@@ -53,7 +58,7 @@ FLOW = AtpgBudget(
     seconds_per_fault=1e6,
 )
 
-LEGS = ["bigint"] + (["numpy"] if numpy_available() else [])
+LEGS = ["bigint"] + (["numpy"] if HAVE_NUMPY else [])
 
 
 def _circuits():
@@ -90,8 +95,8 @@ def _targets(circuit):
     return [f for f in faults if f not in untestable]
 
 
-def _searched(circuit, lane_cap=1 << 20, backend="auto"):
-    return list(iter_exact(circuit, _targets(circuit), lane_cap, backend=backend))
+def _searched(circuit, lane_cap=1 << 20):
+    return list(iter_exact(circuit, _targets(circuit), lane_cap))
 
 
 def _digest(*test_sets) -> str:
@@ -344,9 +349,10 @@ class TestSeeds:
         full = ProductSearch(circuit, 1 << 20)
         reference = full.run(faults)
         runs = {}
-        for backend in LEGS:
-            search = ProductSearch(circuit, cap, backend)
-            runs[backend] = search.run(faults)
+        for leg in LEGS:
+            search = ProductSearch(circuit, cap)
+            with on_leg(leg, "exact"):
+                runs[leg] = search.run(faults)
             assert full._seed(list(search.seeds), _never)
             over = set()
             for good, cubes in search.seeds.items():
@@ -449,7 +455,7 @@ class TestPastTheWall:
 
 
 class TestLegs:
-    @pytest.mark.skipif(not numpy_available(), reason="needs the numpy extra")
+    @requires_numpy
     @pytest.mark.parametrize(
         "circuit, lane_cap",
         [
@@ -463,8 +469,10 @@ class TestLegs:
         ids=["rand811", "rand832", "rand840-wide-cubes", "rrand852-wide-keys"],
     )
     def test_bigint_and_numpy_agree(self, circuit, lane_cap):
-        bigint = _searched(circuit, lane_cap, backend="bigint")
-        numpy = _searched(circuit, lane_cap, backend="numpy")
+        with on_leg("bigint", "exact"):
+            bigint = _searched(circuit, lane_cap)
+        with on_leg("numpy", "exact"):
+            numpy = _searched(circuit, lane_cap)
         assert bigint == numpy
         if circuit.num_registers() > 16:
             assert {o.status for _f, o in bigint} == {"det", "proved", "cap"}
@@ -485,15 +493,16 @@ class TestBatching:
         assert run.test_set.to_text() == reference_run.test_set.to_text()
         assert run.untestable == reference_run.untestable
 
-    @pytest.mark.parametrize("backend", LEGS)
-    def test_capped_outcomes_do_not_depend_on_batching(self, monkeypatch, backend):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_capped_outcomes_do_not_depend_on_batching(self, monkeypatch, leg):
         """The cap is checked row by row in pair order, so where a fault
         stops is the same whichever faults share its steps."""
         circuit = WIDE[0]
-        reference = _searched(circuit, lane_cap=3000, backend=backend)
-        assert {o.status for _f, o in reference} == {"det", "proved", "cap"}
-        monkeypatch.setattr(exact, "EXACT_FAULT_BATCH", 1)
-        assert _searched(circuit, lane_cap=3000, backend=backend) == reference
+        with on_leg(leg, "exact"):
+            reference = _searched(circuit, lane_cap=3000)
+            assert {o.status for _f, o in reference} == {"det", "proved", "cap"}
+            monkeypatch.setattr(exact, "EXACT_FAULT_BATCH", 1)
+            assert _searched(circuit, lane_cap=3000) == reference
 
 
 class TestCap:
@@ -752,13 +761,14 @@ class TestInjectKernel:
         assert len(slots) < stepper.num_injection_slots
         assert "vectorstep+inject" not in compiled
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs the numpy extra")
+    @requires_numpy
     def test_numpy_run_never_execs_the_dense_inject_kernel(self):
         from repro.simulation.cache import clear_compile_cache, vector_fast_stepper
 
         circuit = random_circuit(871, num_inputs=4, num_gates=18, num_dffs=4)
         clear_compile_cache()
-        result = run_atpg(circuit, budget=PODEM, backend="numpy")
+        with on_leg("numpy", "exact"):
+            result = run_atpg(circuit, budget=PODEM)
         assert result.fault_efficiency == 100.0 and not result.backtracks
         assert "step_inject" not in vars(vector_fast_stepper(circuit))
 

@@ -35,11 +35,13 @@ from repro.papercircuits import fig3_pair, fig5_pair, n2_g1_q12_fault
 from repro.simulation import vector_fast_stepper
 from tests.helpers import (
     feedback_and,
+    legs_run,
     pipelined_logic,
     random_circuit,
     requires_numpy,
     resettable_counter,
     resettable_random_circuit,
+    sweeps_on,
     toggle_counter,
 )
 
@@ -200,7 +202,7 @@ SWEEP_SHAPES = [
     pytest.param(9, 4, id="above-cap"),
     pytest.param(12, 2, id="block-at-cap"),
 ]
-SWEEP_BACKENDS = ["bigint", pytest.param("numpy", marks=requires_numpy)]
+SWEEP_LEGS = ["bigint", pytest.param("numpy", marks=requires_numpy)]
 
 
 def sweep_circuit(registers, inputs):
@@ -227,34 +229,29 @@ class TestAlphabetSweepParity:
     every step width."""
 
     @pytest.mark.parametrize("faulty", [False, True], ids=["fault-free", "faulty"])
-    @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
+    @pytest.mark.parametrize("leg", SWEEP_LEGS)
     @pytest.mark.parametrize("registers,inputs", SWEEP_SHAPES)
     def test_bitset_and_reach_all_match_reference(
-        self, registers, inputs, backend, faulty
+        self, monkeypatch, registers, inputs, leg, faulty
     ):
         circuit, fault, reference = sweep_reference(registers, inputs, faulty)
-        bitset = extract_stg(circuit, fault=fault, backend=backend, use_store=False)
+        with sweeps_on(leg, monkeypatch):
+            bitset = extract_stg(circuit, fault=fault, use_store=False)
         assert_stg_identical(reference, bitset)
-        reach = extract_stg(
-            circuit,
-            fault=fault,
-            backend=backend,
-            initial_states=all_vectors(registers),
-            use_store=False,
-        )
+        with sweeps_on(leg, monkeypatch):
+            reach = extract_stg(
+                circuit,
+                fault=fault,
+                initial_states=all_vectors(registers),
+                use_store=False,
+            )
         assert reach.num_registers == registers  # identity cone
         assert reach.states == reference.states
         assert reach.next_index == reference.next_index
         assert reach.output_index == reference.output_index
 
-    @pytest.mark.parametrize(
-        "backend", SWEEP_BACKENDS + [pytest.param("auto", marks=requires_numpy)]
-    )
-    def test_rows_on_arbitrary_blocks(self, backend):
-        """Blocks of repeated, unordered codes; ``auto`` mixes both legs."""
-        circuit, _, reference = sweep_reference(9, 4, False)
-        stepper = vector_fast_stepper(circuit)
-        sweep = alphabet_sweep(circuit, stepper, (), reference.alphabet, backend)
+    @staticmethod
+    def _arbitrary_blocks_match(reference, sweep):
         rng = random.Random(3)
         # 16 vectors: 16, 80, 4096 (the cap), 4800 and 8192 lanes.
         for width in (1, 5, 256, 300, 512):
@@ -268,8 +265,26 @@ class TestAlphabetSweepParity:
                 for v in range(len(reference.alphabet))
             ]
 
-    @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
-    def test_output_words_wider_than_int64(self, backend):
+    @pytest.mark.parametrize(
+        "leg", SWEEP_LEGS + [pytest.param("auto", marks=requires_numpy)]
+    )
+    def test_rows_on_arbitrary_blocks(self, monkeypatch, leg):
+        """Blocks of repeated, unordered codes; ``auto``, numpy as
+        installed, mixes both legs at the width line."""
+        circuit, _, reference = sweep_reference(9, 4, False)
+        stepper = vector_fast_stepper(circuit)
+        if leg == "auto":
+            with legs_run() as ran:
+                sweep = alphabet_sweep(circuit, stepper, (), reference.alphabet)
+                self._arbitrary_blocks_match(reference, sweep)
+            assert ran == {("sweep", "bigint"), ("sweep", "numpy")}
+            return
+        with sweeps_on(leg, monkeypatch):
+            sweep = alphabet_sweep(circuit, stepper, (), reference.alphabet)
+            self._arbitrary_blocks_match(reference, sweep)
+
+    @pytest.mark.parametrize("leg", SWEEP_LEGS)
+    def test_output_words_wider_than_int64(self, monkeypatch, leg):
         builder = CircuitBuilder("wide_outputs")
         builder.input("a")
         builder.xor("t", "a", "q")
@@ -279,5 +294,6 @@ class TestAlphabetSweepParity:
         circuit = builder.build()
         reference = extract_stg_reference(circuit)
         assert max(max(row) for row in reference.output_index) >= 1 << 63
-        bitset = extract_stg(circuit, backend=backend, use_store=False)
+        with sweeps_on(leg, monkeypatch):
+            bitset = extract_stg(circuit, use_store=False)
         assert_stg_identical(reference, bitset)

@@ -23,8 +23,10 @@ from repro.retiming.core import Retiming
 from repro.retiming.verify import verify_retiming
 from repro.testset.model import TestSet
 from tests.helpers import (
+    numpy_hidden,
     random_circuit,
     requires_numpy,
+    sweeps_on,
     toggle_counter,
     token_ring,
     token_ring_stem,
@@ -138,29 +140,33 @@ class TestResetModeRestriction:
 
 class TestBackends:
     @requires_numpy
-    def test_numpy_backend_is_bit_identical(self):
+    def test_numpy_backend_is_bit_identical(self, monkeypatch):
         for seed in (5, 29):
             circuit = random_circuit(
                 seed, num_inputs=3, num_gates=30, num_dffs=8, num_outputs=2
             )
-            big = reach(circuit, backend="bigint")
-            npy = reach(circuit, backend="numpy")
+            with sweeps_on("bigint", monkeypatch):
+                big = reach(circuit)
+            with sweeps_on("numpy", monkeypatch):
+                npy = reach(circuit)
             assert big.states == npy.states
             assert big.next_index == npy.next_index
             assert big.output_index == npy.output_index
             assert (big.peak_frontier, big.levels) == (npy.peak_frontier, npy.levels)
 
     @pytest.mark.parametrize(
-        "backend", ["bigint", pytest.param("numpy", marks=requires_numpy)]
+        "leg", ["bigint", pytest.param("numpy", marks=requires_numpy)]
     )
-    def test_faulty_reset_sweep_matches_bitset(self, backend):
+    def test_faulty_reset_sweep_matches_bitset(self, monkeypatch, leg):
         circuit = random_circuit(
             29, num_inputs=3, num_gates=30, num_dffs=8, num_outputs=2
         )
         faults = collapse_faults(circuit).representatives
         for fault in (faults[2], faults[-3]):
-            full = bitset(circuit, fault=fault, backend="bigint")
-            rch = reach(circuit, fault=fault, backend=backend)
+            with numpy_hidden():
+                full = bitset(circuit, fault=fault)
+            with sweeps_on(leg, monkeypatch):
+                rch = reach(circuit, fault=fault)
             full_index = {state: k for k, state in enumerate(full.states)}
             for v in range(len(full.alphabet)):
                 for k, state in enumerate(rch.states):
@@ -172,14 +178,16 @@ class TestBackends:
                     )
 
     @pytest.mark.parametrize(
-        "backend", ["bigint", pytest.param("numpy", marks=requires_numpy)]
+        "leg", ["bigint", pytest.param("numpy", marks=requires_numpy)]
     )
-    def test_level_wider_than_the_lane_cap(self, backend):
+    def test_level_wider_than_the_lane_cap(self, monkeypatch, leg):
         # 8192 initial states: the first level is two 4096-state blocks,
         # each stepping one vector at a time.
         circuit = random_circuit(0, num_inputs=2, num_gates=45, num_dffs=13)
-        full = bitset(circuit, backend="bigint")
-        rch = reach(circuit, initial_states=every_state(circuit), backend=backend)
+        with numpy_hidden():
+            full = bitset(circuit)
+        with sweeps_on(leg, monkeypatch):
+            rch = reach(circuit, initial_states=every_state(circuit))
         assert rch.num_registers == 13  # identity cone
         assert rch.peak_frontier == 1 << 13
         assert rch.next_index == full.next_index

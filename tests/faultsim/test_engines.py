@@ -13,7 +13,13 @@ from repro.faultsim import (
 )
 from repro.logic.three_valued import ONE, ZERO
 
-from tests.helpers import HAVE_NUMPY, random_circuit, resettable_counter, toggle_counter
+from tests.helpers import (
+    HAVE_NUMPY,
+    on_leg,
+    random_circuit,
+    resettable_counter,
+    toggle_counter,
+)
 
 
 def _random_sequences(circuit, seed, count=3, length=8):
@@ -63,26 +69,15 @@ class TestEnginesAgree:
 
 def _engine_runs(circuit, sequences, faults, drop, group_size=None):
     """``(name, result)`` for the serial oracle and the parallel engine on
-    each word backend (numpy when installed)."""
+    each word leg (bigint with numpy hidden, numpy when installed)."""
     sized = {} if group_size is None else {"group_size": group_size}
-    runs = [
-        ("serial", serial_fault_simulate(circuit, sequences, faults, drop=drop)),
-        (
-            "bigint",
-            parallel_fault_simulate(
-                circuit, sequences, faults, drop=drop, backend="bigint", **sized
-            ),
-        ),
-    ]
-    if HAVE_NUMPY:
-        runs.append(
-            (
-                "numpy",
-                parallel_fault_simulate(
-                    circuit, sequences, faults, drop=drop, backend="numpy", **sized
-                ),
+    runs = [("serial", serial_fault_simulate(circuit, sequences, faults, drop=drop))]
+    for leg in ["bigint"] + (["numpy"] if HAVE_NUMPY else []):
+        with on_leg(leg, "faultsim"):
+            result = parallel_fault_simulate(
+                circuit, sequences, faults, drop=drop, **sized
             )
-        )
+        runs.append((leg, result))
     return runs
 
 
@@ -90,7 +85,7 @@ class TestCrossEngineMatrix:
     """Property-style cross-check of the engines.
 
     The serial scalar oracle and the (sequence x fault) lane engine on
-    both word backends must produce identical detection records and
+    both word legs must produce identical detection records and
     potential sets on randomized circuits and sequences.
     """
 

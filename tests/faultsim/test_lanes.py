@@ -4,8 +4,8 @@ Randomized circuits, X inputs, unequal and empty sequences, duplicate
 faults, every group size from one fault per block up, and pass budgets
 that force one block per pass, several passes per test set and one
 sequence split across passes: detections and potential sets must equal
-the serial engine's on both word backends, and sharded runs must equal
-single-process ones.
+the serial engine's on both word legs (bigint with numpy hidden, numpy
+when installed), and sharded runs must equal single-process ones.
 """
 
 import random
@@ -19,9 +19,9 @@ from repro.faultsim.shard import sharded_fault_simulate
 from repro.logic.three_valued import ONE, X, ZERO
 from repro.simulation.cache import vector_fast_stepper
 
-from tests.helpers import HAVE_NUMPY, random_circuit
+from tests.helpers import HAVE_NUMPY, on_leg, random_circuit
 
-BACKENDS = ["bigint"] + (["numpy"] if HAVE_NUMPY else [])
+LEGS = ["bigint"] + (["numpy"] if HAVE_NUMPY else [])
 GROUP_SIZES = (2, 3, 5, 64)
 
 
@@ -84,46 +84,47 @@ class TestPassLayout:
                 monkeypatch.undo()
                 if blocks is not None:
                     _limit_blocks(monkeypatch, circuit, group_size, blocks)
-                for backend in BACKENDS:
-                    result = parallel_fault_simulate(
-                        circuit,
-                        sequences,
-                        faults,
-                        drop=drop,
-                        group_size=group_size,
-                        backend=backend,
-                    )
-                    where = (group_size, blocks, backend)
+                for leg in LEGS:
+                    with on_leg(leg, "faultsim"):
+                        result = parallel_fault_simulate(
+                            circuit,
+                            sequences,
+                            faults,
+                            drop=drop,
+                            group_size=group_size,
+                        )
+                    where = (group_size, blocks, leg)
                     assert result.detections == reference.detections, where
                     assert result.potential == reference.potential, where
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_budgets_shape_the_passes(self, backend, monkeypatch, pass_shapes):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_budgets_shape_the_passes(self, leg, monkeypatch, pass_shapes):
         """One block per pass, several sequences per pass, and one
         sequence's groups split over consecutive passes all occur."""
         circuit, faults, sequences = _case(3)
         non_empty = sum(1 for sequence in sequences if sequence)
 
         _limit_blocks(monkeypatch, circuit, 5, 1)
-        parallel_fault_simulate(
-            circuit, sequences, faults, group_size=5, backend=backend
-        )
+        with on_leg(leg, "faultsim"):
+            parallel_fault_simulate(circuit, sequences, faults, group_size=5)
         assert pass_shapes and all(shape == (1, 1) for shape in pass_shapes)
 
         pass_shapes.clear()
         whole = len(faults) + 1  # one block per sequence
         _limit_blocks(monkeypatch, circuit, whole, 3)
-        parallel_fault_simulate(
-            circuit, sequences, faults, drop=False, group_size=whole, backend=backend
-        )
+        with on_leg(leg, "faultsim"):
+            parallel_fault_simulate(
+                circuit, sequences, faults, drop=False, group_size=whole
+            )
         assert len(pass_shapes) == -(-non_empty // 3)
         assert pass_shapes[0] == (3, 1)
 
         pass_shapes.clear()
         _limit_blocks(monkeypatch, circuit, 3, 3)
-        parallel_fault_simulate(
-            circuit, sequences, faults, drop=False, group_size=3, backend=backend
-        )
+        with on_leg(leg, "faultsim"):
+            parallel_fault_simulate(
+                circuit, sequences, faults, drop=False, group_size=3
+            )
         groups = -(-len(faults) // 2)
         assert pass_shapes[:2] == [(1, 3), (1, 3)]
         assert len(pass_shapes) == non_empty * -(-groups // 3)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
-from typing import List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 import pytest
 
+from repro.atpg import exact
 from repro.circuit import Circuit, CircuitBuilder, GateType
+from repro.equivalence import bitset
+from repro.faultsim import parallel
+from repro.simulation import backends
 
 try:  # the optional [perf] extra
     import numpy  # noqa: F401
@@ -22,6 +27,72 @@ except ImportError:
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="needs numpy (the optional [perf] extra)"
 )
+
+
+@contextlib.contextmanager
+def numpy_hidden() -> Iterator[None]:
+    """Run the block as on a host without numpy: every kernel with a numpy
+    leg takes its bigint leg.  Pool workers started with ``fork`` inside
+    the block inherit it."""
+    saved = backends._NUMPY, backends._NUMPY_CHECKED
+    backends._NUMPY, backends._NUMPY_CHECKED = None, True
+    try:
+        yield
+    finally:
+        backends._NUMPY, backends._NUMPY_CHECKED = saved
+
+
+#: Per kernel with two legs, the callables only one leg calls.
+_LEG_ENTRIES = {
+    "faultsim": (parallel, {"_WordPlaneLeg": "numpy", "_BigintLeg": "bigint"}),
+    "exact": (exact, {"_NumpyLeg": "numpy", "_BigintLeg": "bigint"}),
+    "sweep": (bitset, {"_state_bits": "numpy", "_block_rails": "bigint"}),
+}
+
+
+@contextlib.contextmanager
+def legs_run() -> Iterator[Set[Tuple[str, str]]]:
+    """The ``(kernel, leg)`` pairs that run in this process inside the
+    block, e.g. ``("faultsim", "bigint")``; ``kernel`` is ``"faultsim"``,
+    ``"exact"`` or ``"sweep"``."""
+    ran: Set[Tuple[str, str]] = set()
+    saved = []
+    for kernel, (module, entries) in _LEG_ENTRIES.items():
+        for name, leg in entries.items():
+            real = getattr(module, name)
+            saved.append((module, name, real))
+
+            def spy(*args, _real=real, _ran=(kernel, leg), **kwargs):
+                ran.add(_ran)
+                return _real(*args, **kwargs)
+
+            setattr(module, name, spy)
+    try:
+        yield ran
+    finally:
+        for module, name, real in saved:
+            setattr(module, name, real)
+
+
+@contextlib.contextmanager
+def on_leg(leg: str, kernel: str) -> Iterator[None]:
+    """Run the block on ``leg`` -- ``"bigint"`` with numpy hidden,
+    ``"numpy"`` as installed -- and assert that every ``kernel`` call in
+    it took that leg (see :func:`legs_run` for the kernel names)."""
+    hide = numpy_hidden() if leg == "bigint" else contextlib.nullcontext()
+    with hide, legs_run() as ran:
+        yield
+    assert {taken for name, taken in ran if name == kernel} == {leg}, ran
+
+
+@contextlib.contextmanager
+def sweeps_on(leg: str, monkeypatch) -> Iterator[None]:
+    """:func:`on_leg` for the STG sweep, whose numpy leg then takes steps
+    of every width, not only those of ``REACH_NUMPY_MIN_LANES`` lanes and
+    up (``monkeypatch`` keeps that until the test ends)."""
+    monkeypatch.setattr(bitset, "REACH_NUMPY_MIN_LANES", 1)
+    with on_leg(leg, "sweep"):
+        yield
 
 
 def feedback_and() -> Circuit:

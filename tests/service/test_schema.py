@@ -110,6 +110,21 @@ class TestBudgetAndOptions:
         with pytest.raises(SchemaError, match="total_seconds"):
             parse_request({**_table2(), "budget": {"total_seconds": "fast"}})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("random_batch", 0),
+            ("sync_samples", 0),
+            ("random_length", 2.5),
+            ("total_seconds", float("nan")),
+            ("seconds_per_fault", -1.0),
+        ],
+    )
+    def test_budget_that_cannot_run_rejected(self, field, value):
+        """A budget that would hang or crash ATPG is a 400, not a job."""
+        with pytest.raises(SchemaError, match=f"budget: {field} must be"):
+            parse_request({**_table2(), "budget": {field: value}})
+
     def test_options_apply(self):
         request = parse_request(
             {
@@ -155,17 +170,24 @@ class TestBudgetAndOptions:
         with pytest.raises(SchemaError, match="unknown option 'stg_engine'"):
             parse_request({**_table2(), "options": {"stg_engine": value}})
 
+    @pytest.mark.parametrize("value", ["auto", "bigint", "numpy"])
+    def test_options_backend_is_unknown(self, value):
+        """The platform picks the word implementation, so ``backend`` is
+        no option at all."""
+        with pytest.raises(SchemaError, match="unknown option 'backend'"):
+            parse_request({**_table2(), "options": {"backend": value}})
+
     def test_every_other_option_parses_as_before(self):
         options = {
             "workers": 3,
             "engine": "serial",
-            "backend": "bigint",
             "guidance": "scoap",
             "verify": True,
         }
         request = parse_request({**_table2(), "options": options})
         assert {key: getattr(request, key) for key in options} == options
         assert not hasattr(request, "stg_engine")
+        assert not hasattr(request, "backend")
 
     @pytest.mark.parametrize("guidance", ["learned", "auto", "psychic"])
     def test_options_guidance_is_off_or_scoap(self, guidance):
@@ -189,7 +211,7 @@ class TestFingerprint:
         tuned = parse_request(
             {
                 **_table2(),
-                "options": {"workers": 4, "engine": "process", "backend": "bigint"},
+                "options": {"workers": 4, "engine": "process"},
             }
         ).fingerprint()
         assert tuned == base  # bit-identical results => same work

@@ -243,6 +243,45 @@ class TestValidationOverTheWire:
             assert excinfo.value.status == 400
             assert "unknown option 'stg_engine'" in excinfo.value.message
 
+    def test_backend_option_is_400(self, store):
+        """The platform picks the word implementation: no ``backend``."""
+        with BackgroundServer(store=store, pool=1) as server:
+            client = _client(server)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(
+                    {
+                        "circuit": {
+                            "format": "table2",
+                            "fsm": "dk16",
+                            "style": "ji",
+                            "script": "sd",
+                        },
+                        "options": {"backend": "numpy"},
+                    }
+                )
+            assert excinfo.value.status == 400
+            assert "unknown option 'backend'" in excinfo.value.message
+
+    def test_nan_budget_is_400(self, store):
+        """``json.loads`` parses ``NaN``; a clock that never runs out
+        must not reach a pool worker."""
+        with BackgroundServer(store=store, pool=1) as server:
+            client = _client(server)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(
+                    {
+                        "circuit": {
+                            "format": "table2",
+                            "fsm": "dk16",
+                            "style": "ji",
+                            "script": "sd",
+                        },
+                        "budget": {"total_seconds": float("nan"), "random_batch": 0},
+                    }
+                )
+            assert excinfo.value.status == 400
+            assert "budget: total_seconds must be" in excinfo.value.message
+
     def test_unknown_job_is_404(self, store):
         with BackgroundServer(store=store, pool=1) as server:
             client = _client(server)

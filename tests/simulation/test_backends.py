@@ -1,52 +1,108 @@
-"""Cross-backend parity: the numpy word-plane vs the bigint reference.
+"""Cross-leg parity: the numpy word-plane vs the bigint reference.
 
 Every compiled kernel with a numpy lowering (the fault-simulation vector
 stepper, the bitset STG extractor) must produce **bit-identical** packed
-words on both backends, and every engine built on them identical results
--- the numpy lowering is a speed knob, never a behaviour knob.
+words on both legs, and every engine built on them identical results.
+The platform picks the leg -- numpy when importable -- so the bigint side
+of each comparison runs with numpy hidden (:func:`tests.helpers.numpy_hidden`)
+and each side asserts which leg ran.
 """
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.simulation import backends
-from repro.simulation.backends import BACKENDS, resolve_backend
 from repro.simulation.cache import vector_fast_stepper
 
-from tests.helpers import random_circuit, requires_numpy, toggle_counter
+from tests.helpers import (
+    legs_run,
+    numpy_hidden,
+    on_leg,
+    random_circuit,
+    requires_numpy,
+    sweeps_on,
+    toggle_counter,
+)
 
 
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Make the backend layer behave as if numpy were not installed."""
-    monkeypatch.setattr(backends, "_NUMPY", None)
-    monkeypatch.setattr(backends, "_NUMPY_CHECKED", True)
+def _run_every_kernel():
+    """One fault simulation, one exact search and one STG sweep."""
+    from repro.atpg.exact import iter_exact
+    from repro.equivalence.bitset import extract_arrays_bitset
+    from repro.equivalence.explicit import all_vectors
+    from repro.faults.collapse import collapse_faults
+    from repro.faultsim import fault_simulate
+
+    circuit = toggle_counter()
+    faults = collapse_faults(circuit).representatives
+    fault_simulate(circuit, [[(1,), (0,), (1,)]], faults)
+    list(iter_exact(circuit, faults, 1 << 10))
+    extract_arrays_bitset(circuit, (), all_vectors(1))
 
 
 class TestBackendPolicy:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("cupy")
+    """The platform rule: numpy when importable, bigint when not."""
 
-    def test_bigint_always_resolves(self, no_numpy):
-        assert resolve_backend("bigint") == "bigint"
+    def test_bigint_always_resolves(self, monkeypatch):
+        """With numpy hidden, every kernel runs, each on its bigint leg --
+        narrow sweep steps included, which take numpy when it is there."""
+        from repro.equivalence import bitset
 
-    def test_auto_falls_back_without_numpy(self, no_numpy):
-        assert resolve_backend("auto") == "bigint"
+        monkeypatch.setattr(bitset, "REACH_NUMPY_MIN_LANES", 1)
+        with numpy_hidden(), legs_run() as ran:
+            _run_every_kernel()
+        assert ran == {
+            ("faultsim", "bigint"),
+            ("exact", "bigint"),
+            ("sweep", "bigint"),
+        }
 
-    def test_explicit_numpy_raises_without_numpy(self, no_numpy):
-        with pytest.raises(RuntimeError, match=r"\[perf\]"):
-            resolve_backend("numpy")
+    def test_auto_falls_back_without_numpy(self):
+        with numpy_hidden():
+            assert backends.numpy_or_none() is None
+            assert not backends.numpy_available()
+            assert backends.numpy_version() is None
+        assert backends.numpy_available() == (backends.numpy_or_none() is not None)
 
     @requires_numpy
-    def test_auto_prefers_numpy_when_available(self):
-        assert resolve_backend("auto") == "numpy"
+    def test_auto_prefers_numpy_when_available(self, monkeypatch):
+        import numpy
 
-    def test_knob_values_are_closed(self):
-        assert set(BACKENDS) == {"auto", "bigint", "numpy"}
+        from repro.equivalence import bitset
+
+        assert backends.numpy_or_none() is numpy
+        monkeypatch.setattr(bitset, "REACH_NUMPY_MIN_LANES", 1)
+        with legs_run() as ran:
+            _run_every_kernel()
+        assert ran == {
+            ("faultsim", "numpy"),
+            ("exact", "numpy"),
+            ("sweep", "numpy"),
+        }
+
+    def test_no_function_takes_a_backend_parameter(self):
+        """The platform picks the word implementation; no caller does."""
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    arguments = node.args
+                    names = [
+                        argument.arg
+                        for argument in arguments.posonlyargs
+                        + arguments.args
+                        + arguments.kwonlyargs
+                    ]
+                    if "backend" in names:
+                        offenders.append(f"{path.relative_to(root)}:{node.name}")
+        assert offenders == []
 
 
 @requires_numpy
@@ -226,7 +282,7 @@ class TestVectorKernelParity:
 
 @requires_numpy
 class TestEngineBackendParity:
-    """End-to-end engines: identical results on both backends."""
+    """End-to-end engines: identical results on both legs."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fault_simulation_detections_and_potential(self, seed):
@@ -240,8 +296,10 @@ class TestEngineBackendParity:
             [tuple(rng.getrandbits(1) for _ in range(4)) for _ in range(16)]
             for _ in range(3)
         ]
-        reference = fault_simulate(circuit, sequences, faults, backend="bigint")
-        candidate = fault_simulate(circuit, sequences, faults, backend="numpy")
+        with on_leg("bigint", "faultsim"):
+            reference = fault_simulate(circuit, sequences, faults)
+        with on_leg("numpy", "faultsim"):
+            candidate = fault_simulate(circuit, sequences, faults)
         assert candidate.detections == reference.detections
         assert candidate.potential == reference.potential
 
@@ -261,18 +319,17 @@ class TestEngineBackendParity:
             [tuple(rng.getrandbits(1) for _ in range(width)) for _ in range(24)]
             for _ in range(8)
         ]
-        reference = fault_simulate(
-            circuit, sequences, faults, group_size=400, backend="bigint"
-        )
-        candidate = fault_simulate(
-            circuit, sequences, faults, group_size=400, backend="numpy"
-        )
+        with on_leg("bigint", "faultsim"):
+            reference = fault_simulate(circuit, sequences, faults, group_size=400)
+        with on_leg("numpy", "faultsim"):
+            candidate = fault_simulate(circuit, sequences, faults, group_size=400)
         assert len(reference.detections) > 100
         assert candidate.detections == reference.detections
         assert candidate.potential == reference.potential
 
-    @pytest.mark.parametrize("backend", ["bigint", "numpy"])
-    def test_sharded_fault_simulation_is_exact(self, backend):
+    @pytest.mark.parametrize("leg", ["bigint", "numpy"])
+    def test_sharded_fault_simulation_is_exact(self, leg):
+        """Shard workers started with ``fork`` inherit the leg."""
         from repro.faults.collapse import collapse_faults
         from repro.faultsim import fault_simulate
         from repro.faultsim.shard import sharded_fault_simulate
@@ -284,12 +341,11 @@ class TestEngineBackendParity:
             [tuple(rng.getrandbits(1) for _ in range(4)) for _ in range(16)]
             for _ in range(3)
         ]
-        single = fault_simulate(
-            circuit, sequences, faults, group_size=16, backend=backend
-        )
-        sharded = sharded_fault_simulate(
-            circuit, sequences, faults, workers=2, group_size=16, backend=backend
-        )
+        with on_leg(leg, "faultsim"):
+            single = fault_simulate(circuit, sequences, faults, group_size=16)
+            sharded = sharded_fault_simulate(
+                circuit, sequences, faults, workers=2, group_size=16
+            )
         assert sharded.detections == single.detections
         assert sharded.potential == single.potential
         assert sharded.faults == single.faults
@@ -297,7 +353,7 @@ class TestEngineBackendParity:
     @pytest.mark.parametrize("seed", range(2))
     def test_podem_results_identical(self, seed):
         """A PODEM-only run (exact search off): the random phase and the
-        collateral replay simulate on the chosen backend."""
+        collateral replay simulate on each leg."""
         from repro.atpg import AtpgBudget, run_atpg
 
         circuit = random_circuit(seed + 460, num_inputs=3, num_gates=18, num_dffs=3)
@@ -307,36 +363,43 @@ class TestEngineBackendParity:
             random_sequences=8,
             exact_lane_steps=0,
         )
-        reference = run_atpg(circuit, budget=budget, backend="bigint")
-        candidate = run_atpg(circuit, budget=budget, backend="numpy")
+        with on_leg("bigint", "faultsim"):
+            reference = run_atpg(circuit, budget=budget)
+        with on_leg("numpy", "faultsim"):
+            candidate = run_atpg(circuit, budget=budget)
         assert reference.backtracks > 0
         assert candidate.test_set.to_text() == reference.test_set.to_text()
         assert candidate.detected == reference.detected
         assert candidate.aborted == reference.aborted
         assert candidate.backtracks == reference.backtracks
 
-    @pytest.mark.parametrize("num_faults", [0, 1, 3])
-    def test_bitset_stg_tables_identical(self, num_faults):
+    @staticmethod
+    def _tables_on_both_legs(monkeypatch, circuit, faults):
+        """Full-space tables with numpy hidden, then on numpy rows."""
         from repro.equivalence.bitset import extract_arrays_bitset
         from repro.equivalence.explicit import all_vectors
+
+        alphabet = all_vectors(len(circuit.input_names))
+        with sweeps_on("bigint", monkeypatch):
+            reference = extract_arrays_bitset(circuit, faults, alphabet)
+        with sweeps_on("numpy", monkeypatch):
+            candidate = extract_arrays_bitset(circuit, faults, alphabet)
+        return reference, candidate
+
+    @pytest.mark.parametrize("num_faults", [0, 1, 3])
+    def test_bitset_stg_tables_identical(self, monkeypatch, num_faults):
         from repro.faults.collapse import collapse_faults
 
         circuit = toggle_counter()
         faults = collapse_faults(circuit).representatives[:num_faults]
-        alphabet = all_vectors(len(circuit.input_names))
-        reference = extract_arrays_bitset(circuit, faults, alphabet, backend="bigint")
-        candidate = extract_arrays_bitset(circuit, faults, alphabet, backend="numpy")
+        reference, candidate = self._tables_on_both_legs(monkeypatch, circuit, faults)
         assert candidate == reference
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_bitset_stg_tables_identical_random(self, seed):
-        from repro.equivalence.bitset import extract_arrays_bitset
-        from repro.equivalence.explicit import all_vectors
+    def test_bitset_stg_tables_identical_random(self, monkeypatch, seed):
         from repro.faults.collapse import collapse_faults
 
         circuit = random_circuit(seed + 480, num_inputs=2, num_gates=20, num_dffs=4)
         faults = collapse_faults(circuit).representatives[:2]
-        alphabet = all_vectors(len(circuit.input_names))
-        reference = extract_arrays_bitset(circuit, faults, alphabet, backend="bigint")
-        candidate = extract_arrays_bitset(circuit, faults, alphabet, backend="numpy")
+        reference, candidate = self._tables_on_both_legs(monkeypatch, circuit, faults)
         assert candidate == reference

@@ -57,7 +57,6 @@ class TestRunFlags:
             "store": True,
             "resume": False,
             "workers": None,
-            "backend": "auto",
             "guidance": "off",
             "initial": "all",
             "retimed": False,
@@ -75,8 +74,6 @@ class TestRunFlags:
                 "--workers",
                 "3",
                 "sd",
-                "--backend",
-                "bigint",
                 "--guidance",
                 "scoap",
                 "--initial",
@@ -92,7 +89,6 @@ class TestRunFlags:
             "store": False,
             "resume": True,
             "workers": 3,
-            "backend": "bigint",
             "guidance": "scoap",
             "initial": "reset",
             "retimed": True,
@@ -117,6 +113,7 @@ class TestRunFlags:
             ["--bogus"],
             ["--stg-engine", "auto"],
             ["--engine", "reach"],
+            ["--backend", "numpy"],
         ],
     )
     def test_retired_and_unknown_flags_exit_2(self, capsys, flags):
@@ -130,7 +127,7 @@ class TestRunFlags:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--backend", "bogus"], ["--workers", "0"], ["--initial", "bogus"]],
+        [["--workers", "many"], ["--workers", "0"], ["--initial", "bogus"]],
     )
     def test_bad_option_fails_the_same_warm_and_cold(self, capsys, flags):
         """The option is checked before any stage, so a cached ATPG stage
@@ -145,7 +142,7 @@ class TestRunFlags:
         assert warm_err == cold_err and flags[1] in cold_err
 
     def test_backend_without_name_is_an_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown option '--backend'"):
             _pop_flags(["--backend"])
 
     def test_guidance_rejects_unknown_modes(self):

@@ -116,3 +116,56 @@ class TestCli:
     def test_flow_without_verify_prints_no_outcome(self, capsys):
         assert main(["flow", "dk16", "ji", "sd", "--no-store"]) == 0
         assert "verify:" not in capsys.readouterr().out
+
+
+class TestRunArguments:
+    """``atpg``/``flow`` check ``[seconds]`` before any stage runs, and a
+    stage that raises ends the run's journal ``ok: false``."""
+
+    @staticmethod
+    def _journals():
+        import glob
+        import os
+
+        from repro.store.core import default_store
+
+        return sorted(glob.glob(os.path.join(default_store().journal_dir, "*.jsonl")))
+
+    @pytest.mark.parametrize("command", ["atpg", "flow"])
+    @pytest.mark.parametrize("seconds", ["abc", "nan", "-1"])
+    def test_bad_seconds_is_a_usage_error(self, capsys, monkeypatch, command, seconds):
+        from repro.pipeline import FlowPipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(FlowPipeline, "stage_collapse", never)
+        monkeypatch.setattr(FlowPipeline, "run_spec", never)
+        assert main([command, "dk16", "ji", "sd", seconds]) == 2
+        err = capsys.readouterr().err
+        assert f"seconds must be a number >= 0, got {seconds!r}" in err
+        assert self._journals() == []
+
+    @pytest.mark.parametrize("command", ["atpg", "flow"])
+    def test_failed_stage_ends_the_journal_not_ok(self, monkeypatch, command):
+        from repro.pipeline import FlowPipeline
+        from repro.store.journal import read_journal
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr(FlowPipeline, "stage_atpg", broken)
+        monkeypatch.setattr(FlowPipeline, "run_spec", broken)
+        with pytest.raises(RuntimeError, match="stage broke"):
+            main([command, "dk16", "ji", "sd", "3"])
+        (journal,) = self._journals()
+        last = list(read_journal(journal))[-1]
+        assert (last["event"], last["ok"]) == ("run_end", False)
+
+    def test_finished_run_ends_the_journal_ok(self, capsys):
+        from repro.store.journal import read_journal
+
+        assert main(["atpg", "dk16", "ji", "sd", "3"]) == 0
+        (journal,) = self._journals()
+        last = list(read_journal(journal))[-1]
+        assert (last["event"], last["ok"]) == ("run_end", True)
