@@ -41,18 +41,12 @@ def atpg_budget() -> AtpgBudget:
     if FULL:
         return AtpgBudget(
             total_seconds=240.0,
-            seconds_per_fault=3.0,
-            backtracks_per_fault=150,
-            max_frames=8,
             random_sequences=64,
             random_length=96,
             random_stale_limit=15,
         )
     return AtpgBudget(
         total_seconds=45.0,
-        seconds_per_fault=1.0,
-        backtracks_per_fault=60,
-        max_frames=8,
         random_sequences=48,
         random_length=96,
         random_stale_limit=12,

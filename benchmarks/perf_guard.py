@@ -1,13 +1,6 @@
-"""CI perf guard: kernel throughput vs the committed baselines.
+"""CI perf guard: kernel and service throughput vs the committed baselines.
 
-Re-runs the deterministic PODEM phase (serial engine) on the
-quick circuit set under the *baseline's own recorded budget* and compares
-the achieved ``dual_frames_per_sec`` against the matching rows of the
-committed ``BENCH_atpg.json``.  The run fails when the geometric mean of
-the per-circuit ratios falls below ``--min-ratio`` (default 0.7, i.e. a
->30% frames/sec regression).
-
-With ``--equiv-baseline BENCH_equiv.json`` it additionally regenerates
+With ``--equiv-baseline BENCH_equiv.json`` it regenerates
 each equivalence-benchmark circuit from the row's recorded parameters,
 re-times the extract + classify + sync-search leg **per STG engine**
 (bitset, and reach where the baseline has reach rows), and fails when
@@ -36,27 +29,19 @@ generator, and fails when the geomean of current/baseline speedup ratios
 falls below ``--service-min-ratio`` (default 0.4) *or* when keep-alive
 is not strictly faster than connection-per-request on any row.
 
-With ``--guidance-baseline BENCH_atpg.json`` it re-runs the quick-set
-deterministic phase twice -- unguided and SCOAP-guided -- under the
-baseline's recorded budget and fails when the geomean guided/unguided
-*effort* ratio (backtracks + frames simulated, lower is better) exceeds
-``--guidance-max-ratio`` (default 0.85).  Effort counters are
-machine-independent, so unlike the throughput guard this check runs
-identically on any runner, including the no-numpy CI leg; pair it with
-``--skip-throughput`` there.
-
 Run from the repository root::
 
-    PYTHONPATH=src python -m benchmarks.perf_guard --baseline BENCH_atpg.json \
-        --equiv-baseline BENCH_equiv.json
+    PYTHONPATH=src python -m benchmarks.perf_guard \
+        --equiv-baseline BENCH_equiv.json --faultsim-baseline BENCH_faultsim.json
 
 The geometric mean -- not the worst row -- is guarded so one noisy row on
 a shared runner cannot fail the build by itself; a real kernel regression
-moves every row.  Absolute frames/sec is machine-dependent, so cross-
-machine comparisons are only indicative: the guard is calibrated for CI
-runners comparable to the baseline generator and the threshold is
-deliberately loose.  Regenerate the baseline (``python -m
-benchmarks.perf_atpg --full``) whenever the kernel legitimately changes
+moves every row.  Absolute timings are machine-dependent, so cross-
+machine comparisons are only indicative: the guards are calibrated for
+CI runners comparable to the baseline generator and the thresholds are
+deliberately loose.  Regenerate a baseline with its harness
+(``benchmarks.perf_equiv``, ``benchmarks.perf_faultsim``,
+``benchmarks.perf_service``) whenever its kernel legitimately changes
 speed.
 """
 
@@ -70,178 +55,10 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from benchmarks.provenance import numpy_hidden
-from repro.atpg import AtpgBudget, run_atpg
 from repro.core.experiments import TABLE2_CIRCUITS, build_pair
-from repro.faults.collapse import collapse_faults
 from repro.simulation import clear_compile_cache
 
 QUICK_NAMES = ("dk16.ji.sd", "s510.jo.sr", "s820.jo.sd")
-
-
-def _baseline_budget(meta: Dict[str, object]) -> AtpgBudget:
-    """The baseline's budget, PODEM only: the guards measure PODEM, so the
-    exact pair search must not decide the small-alphabet circuits."""
-    budget = meta["budget"]
-    return AtpgBudget(
-        total_seconds=float(budget["total_seconds"]),
-        seconds_per_fault=5.0,
-        backtracks_per_fault=int(budget["backtracks_per_fault"]),
-        frames_cap=int(budget["frames_cap"]),
-        random_sequences=int(budget["random_sequences"]),
-        random_length=24,
-        exact_lane_steps=0,
-    )
-
-
-def measure_frames_per_sec(
-    circuit, budget: AtpgBudget, max_faults: int
-) -> float:
-    faults = collapse_faults(circuit).representatives
-    if max_faults and len(faults) > max_faults:
-        faults = faults[:max_faults]
-    result = run_atpg(circuit, faults=faults, budget=budget, engine="serial")
-    det = max(result.deterministic_seconds, 1e-9)
-    return result.frames_simulated / det
-
-
-def run_guard(baseline_path: str, min_ratio: float) -> int:
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    rows = {
-        row["circuit"]: row
-        for row in baseline["circuits"]
-        if "dual_frames_per_sec" in row
-    }
-    names = [
-        name
-        for base in QUICK_NAMES
-        for name in (base, base + ".re")
-        if name in rows
-    ]
-    if not names:
-        print(
-            "baseline has no dual_frames_per_sec rows for the quick set; "
-            "regenerate it with benchmarks.perf_atpg",
-            file=sys.stderr,
-        )
-        return 2
-    clear_compile_cache()
-    budget = _baseline_budget(baseline["meta"])
-    max_faults = int(baseline["meta"].get("max_faults_per_circuit", 0))
-    ratios = []
-    for name in names:
-        spec_name = name[:-3] if name.endswith(".re") else name
-        spec = next(s for s in TABLE2_CIRCUITS if s.name == spec_name)
-        pair = build_pair(spec)
-        circuit = pair.retimed if name.endswith(".re") else pair.original
-        current = measure_frames_per_sec(circuit, budget, max_faults)
-        base = float(rows[name]["dual_frames_per_sec"])
-        ratio = current / max(base, 1e-9)
-        ratios.append(ratio)
-        print(
-            f"  {name}: baseline {base:.0f} frames/s, "
-            f"current {current:.0f} frames/s (ratio {ratio:.2f})",
-            flush=True,
-        )
-    geomean = statistics.geometric_mean(ratios)
-    print(f"geomean throughput ratio: {geomean:.2f} (min allowed {min_ratio})")
-    if geomean < min_ratio:
-        print(
-            f"FAIL: dual-kernel frames/sec regressed more than "
-            f"{(1.0 - min_ratio) * 100:.0f}% vs {baseline_path}",
-            file=sys.stderr,
-        )
-        return 1
-    print("perf guard passed")
-    return 0
-
-
-def run_guidance_guard(baseline_path: str, max_ratio: float) -> int:
-    """Guard the SCOAP guidance layer: guided deterministic effort must
-    stay well below unguided effort on the quick set.
-
-    Both runs happen fresh on this machine under the baseline's recorded
-    budget, so the ratio is a pure algorithmic comparison -- backtracks
-    plus frames simulated, no wall-clock anywhere.  ``max_ratio`` is
-    deliberately looser than the geomean recorded in the committed
-    baseline: the guard catches "guidance stopped helping", not ordinary
-    row-to-row drift from fault-list or budget tweaks.
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    clear_compile_cache()
-    budget = _baseline_budget(baseline["meta"])
-    max_faults = int(baseline["meta"].get("max_faults_per_circuit", 0))
-    known = {row["circuit"] for row in baseline["circuits"]}
-    names = [
-        name
-        for base in QUICK_NAMES
-        for name in (base, base + ".re")
-        if name in known
-    ]
-    if not names:
-        print(
-            "baseline has no quick-set rows; regenerate it with "
-            "benchmarks.perf_atpg",
-            file=sys.stderr,
-        )
-        return 2
-    ratios = []
-    for name in names:
-        spec_name = name[:-3] if name.endswith(".re") else name
-        spec = next(s for s in TABLE2_CIRCUITS if s.name == spec_name)
-        pair = build_pair(spec)
-        circuit = pair.retimed if name.endswith(".re") else pair.original
-        faults = collapse_faults(circuit).representatives
-        if max_faults and len(faults) > max_faults:
-            faults = faults[:max_faults]
-        results = {
-            mode: run_atpg(
-                circuit, faults=faults, budget=budget, engine="serial", guidance=mode
-            )
-            for mode in ("off", "scoap")
-        }
-        effort_off = max(
-            sum(
-                row.backtracks + row.frames_simulated
-                for row in results["off"].fault_rows
-            ),
-            1,
-        )
-        effort_scoap = sum(
-            row.backtracks + row.frames_simulated
-            for row in results["scoap"].fault_rows
-        )
-        detected_off = len(results["off"].detected)
-        detected_scoap = len(results["scoap"].detected)
-        if detected_scoap < detected_off:
-            print(
-                f"FAIL: {name}: scoap guidance lost coverage "
-                f"({detected_scoap} vs {detected_off} detected)",
-                file=sys.stderr,
-            )
-            return 1
-        ratio = effort_scoap / effort_off
-        ratios.append(ratio)
-        print(
-            f"  {name}: unguided effort {effort_off}, "
-            f"scoap {effort_scoap} (ratio {ratio:.2f})",
-            flush=True,
-        )
-    geomean = statistics.geometric_mean(ratios)
-    print(
-        f"geomean guided/unguided effort ratio: {geomean:.2f} "
-        f"(max allowed {max_ratio})"
-    )
-    if geomean > max_ratio:
-        print(
-            f"FAIL: SCOAP guidance no longer cuts deterministic effort "
-            f"below {max_ratio:.0%} of unguided on the quick set",
-            file=sys.stderr,
-        )
-        return 1
-    print("guidance guard passed")
-    return 0
 
 
 def run_equiv_guard(baseline_path: str, min_ratio: float) -> int:
@@ -535,38 +352,6 @@ def run_service_guard(baseline_path: str, min_ratio: float) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--baseline",
-        default="BENCH_atpg.json",
-        help="committed benchmark report to guard against (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--min-ratio",
-        type=float,
-        default=0.7,
-        help="minimum allowed current/baseline frames-per-sec geomean "
-        "(default: %(default)s, i.e. fail on a >30%% regression)",
-    )
-    parser.add_argument(
-        "--skip-throughput",
-        action="store_true",
-        help="skip the machine-dependent frames/sec guard (use on runners "
-        "that are not comparable to the baseline generator, e.g. the "
-        "no-numpy CI leg running only the guidance guard)",
-    )
-    parser.add_argument(
-        "--guidance-baseline",
-        default=None,
-        help="ATPG baseline (BENCH_atpg.json) whose budget parameterises "
-        "the machine-independent guided-vs-unguided effort guard",
-    )
-    parser.add_argument(
-        "--guidance-max-ratio",
-        type=float,
-        default=0.85,
-        help="maximum allowed guided/unguided deterministic-effort geomean "
-        "(default: %(default)s; the committed baseline records ~0.73)",
-    )
-    parser.add_argument(
         "--equiv-baseline",
         default=None,
         help="equivalence-engine baseline (BENCH_equiv.json) to also guard",
@@ -607,13 +392,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     status = 0
-    if not args.skip_throughput:
-        status = run_guard(args.baseline, args.min_ratio)
-    if args.guidance_baseline is not None:
-        guidance_status = run_guidance_guard(
-            args.guidance_baseline, args.guidance_max_ratio
-        )
-        status = status or guidance_status
     if args.equiv_baseline is not None:
         equiv_status = run_equiv_guard(args.equiv_baseline, args.equiv_min_ratio)
         status = status or equiv_status

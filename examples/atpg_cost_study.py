@@ -27,9 +27,6 @@ DEFAULT = ("s820.jc.sr", "dk16.ji.sd")
 
 BUDGET = AtpgBudget(
     total_seconds=60.0,
-    seconds_per_fault=1.0,
-    backtracks_per_fault=100,
-    max_frames=8,
     random_sequences=48,
     random_length=96,
     random_stale_limit=12,

@@ -7,9 +7,10 @@ Commands:
   print its BENCH netlist (e.g. ``synth s820 jc rugged``);
 * ``retime <fsm> <style> <script>`` — synthesize, performance-retime, and
   report the pair's statistics and prefix length;
-* ``atpg <fsm> <style> <script> [seconds]`` — run the ATPG engine on a
-  benchmark circuit and print the test set (``testset`` text format);
-  ``seconds`` is the wall-clock budget (default 30), a number ``>= 0``;
+* ``atpg <fsm> <style> <script> [seconds]`` — run ATPG (the random phase,
+  then the exact search) on a benchmark circuit and print the test set
+  (``testset`` text format); ``seconds`` is the wall-clock budget
+  (default 30), a number ``>= 0``;
 * ``flow <fsm> <style> <script> [seconds]`` — run the Fig. 6
   retime-for-testability flow on the retimed circuit (``--verify`` adds a
   Lemma 2 behavioural check stage and prints its outcome: the bound and
@@ -44,22 +45,13 @@ store (``~/.cache/repro-store``, override with ``REPRO_STORE_DIR``) and
 journal each run under its ``journals/`` directory.  Flags:
 
 * ``--no-store`` — compute everything, touch no cache (``--store`` is the
-  default);
-* ``--resume`` — restore a surviving mid-run ATPG checkpoint for the same
-  circuit, fault list and budget (e.g. after a kill) instead of restarting
-  the deterministic phase from scratch;
-* ``--workers N`` — run the deterministic ATPG phase on N worker processes;
-* ``--guidance off|scoap`` — SCOAP testability ranking for ATPG fault
-  ordering, pool partitioning and backtrace objectives (``off``, the
-  default, is bit-identical to the unguided engine; ``scoap`` may emit a
-  *different but equally valid* test set faster — see
-  :mod:`repro.atpg.guidance`).
+  default).
 
 The compiled kernels run on numpy when it is installed and on Python
 bigints otherwise, with bit-identical results; no flag picks between them.
 
-An unknown ``--flag``, an invalid option value or a bad ``seconds`` is a
-usage error (exit status 2).
+An unknown ``--flag``, an invalid option value, a bad ``seconds`` or a
+positional past the command's last one is a usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -108,9 +100,6 @@ def _pop_flags(rest):
     """Split ``rest`` into positionals and the shared option set."""
     options = {
         "store": True,
-        "resume": False,
-        "workers": None,
-        "guidance": "off",
         "retimed": False,
         "max_length": None,
         "initial": "all",
@@ -124,20 +113,8 @@ def _pop_flags(rest):
             options["store"] = True
         elif argument == "--no-store":
             options["store"] = False
-        elif argument == "--resume":
-            options["resume"] = True
         elif argument == "--retimed":
             options["retimed"] = True
-        elif argument == "--workers":
-            index += 1
-            if index >= len(rest):
-                raise ValueError("--workers needs a count")
-            options["workers"] = int(rest[index])
-        elif argument == "--guidance":
-            index += 1
-            if index >= len(rest) or rest[index] not in ("off", "scoap"):
-                raise ValueError("--guidance needs a mode (off or scoap)")
-            options["guidance"] = rest[index]
         elif argument == "--initial":
             index += 1
             space = rest[index] if index < len(rest) else None
@@ -483,8 +460,15 @@ def main(argv=None) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
+        usage = f"usage: python -m repro {command} <fsm> <style> <script>"
+        last = 3
+        if command in ("atpg", "flow"):
+            usage, last = usage + " [seconds]", 4
+        if len(rest) > last:
+            print(f"unexpected argument {rest[last]!r}; {usage}", file=sys.stderr)
+            return 2
         if len(rest) < 3:
-            print(f"usage: python -m repro {command} <fsm> <style> <script>")
+            print(usage)
             return 2
         spec = _spec(rest[0], rest[1], rest[2])
 
@@ -516,20 +500,9 @@ def main(argv=None) -> int:
             print(str(error), file=sys.stderr)
             return 2
         store, journal = _open_run(options, f"{command}-{spec.name}")
-        try:
-            pipeline = FlowPipeline(
-                store=store,
-                journal=journal,
-                workers=options["workers"],
-                guidance=options["guidance"],
-                resume=options["resume"],
-                verify=options["verify"],
-            )
-        except ValueError as error:
-            if journal is not None:
-                journal.close(ok=False)
-            print(str(error), file=sys.stderr)
-            return 2
+        pipeline = FlowPipeline(
+            store=store, journal=journal, verify=options["verify"]
+        )
         # Closing the journal through its context manager records
         # ``ok: false`` when a stage raises.
         if command == "atpg":

@@ -1,40 +1,32 @@
-"""The full ATPG engine: random phase + deterministic phase.
+"""The full ATPG engine: random phase + exact search.
 
-Mirrors the two-phase organization of HITEC-era tools:
+Mirrors the two-phase organization of HITEC-era tools, with an exact
+search in place of HITEC's PODEM-style deterministic phase:
 
 1. **Random phase** -- weighted-random test sequences are generated in
    batches and fault-simulated together (PROOFS-style, with dropping) in a
    single bit-parallel pass per batch; sequences that detect new faults
    join the test set, and the phase ends after a run of unproductive
    sequences or when its budget share is spent.
-2. **Deterministic phase** -- the exact product-machine search of
-   :mod:`repro.atpg.exact` first decides every remaining fault within its
+2. **Exact search** -- the product-machine search of
+   :mod:`repro.atpg.exact` decides every remaining fault within its
    lane-step cap: a shortest test, or a proof that no sequence detects the
-   fault under 3-valued simulation from the all-X state.  Every fault it
-   leaves open (over the cap, or all of them with
-   ``AtpgBudget.exact_lane_steps == 0``) is targeted by the sequential
-   PODEM engine under a per-fault backtrack limit and a
-   global wall-clock budget.  Sequences found are fault-simulated against
-   the remaining faults to drop collateral detections.  PODEM runs either
-   in-process (``engine="serial"``) or partitioned across a pool of PODEM
-   worker processes (``engine="process"``, see :mod:`repro.atpg.parallel`);
-   both produce the same detected/untestable/aborted partition and the
-   same test set whenever the wall-clock limits are not binding, because
-   worker results are replayed in fault-queue order on the parent.
+   fault under 3-valued simulation from the all-X state.  Each test found
+   is fault-simulated against the remaining faults to drop collateral
+   detections.  A fault it leaves open -- over the cap, or undecided when
+   the wall clock runs out -- is aborted.
 
 The result reports fault coverage (%FC), fault efficiency (%FE = detected
-plus proven-untestable faults) and spent effort (seconds, backtracks) --
+plus proven-untestable faults) and spent effort (seconds, lane-steps) --
 the quantities of the paper's Table II.  A fault is proven untestable
 structurally (no path to any primary output) or by an exhausted exact
 search (:attr:`AtpgResult.search_proved`).  Where the search decides every
-fault, FE is exact under the grading semantics; where PODEM aborts, FE is
-a lower bound, since HITEC's sequential redundancy identification is out
-of scope.
+fault, FE is exact under the grading semantics; where it aborts some, FE
+is a lower bound.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -42,13 +34,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.budget import AtpgBudget, EffortMeter, FaultEffort
 from repro.atpg.exact import iter_exact
-from repro.atpg.guidance import GuidancePolicy, fault_sort_key, make_policy
-from repro.atpg.parallel import (
-    FaultOutcome,
-    default_workers,
-    iter_podem_partitioned,
-)
-from repro.atpg.podem import PodemEngine
 from repro.circuit.netlist import Circuit, LineRef
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
@@ -58,41 +43,6 @@ from repro.simulation.cache import vector_fast_stepper
 from repro.simulation.codegen import FastStepper
 from repro.simulation.vector_codegen import VectorFastStepper, rail_pair_trit
 from repro.testset.model import TestSet
-
-ATPG_ENGINES = ("serial", "process", "auto")
-
-#: Below this many deterministic targets a process pool cannot amortize its
-#: per-worker initialization (circuit pickle + cache warm-up + kernel exec).
-MIN_POOL_FAULTS = 16
-
-
-def choose_engine(
-    num_faults: int,
-    workers: Optional[int] = None,
-    cpus: Optional[int] = None,
-) -> Tuple[str, str]:
-    """Pick the deterministic-phase engine for an ``engine="auto"`` run.
-
-    Returns ``(engine, reason)``.  The pool only pays off when there are
-    both cores to spread over and enough targeted faults to amortize the
-    per-worker warm-up, so single-CPU hosts and small fault partitions
-    fall back to the serial loop.
-    """
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    if cpus <= 1:
-        return "serial", f"auto: single cpu (cpus={cpus})"
-    if num_faults < MIN_POOL_FAULTS:
-        return (
-            "serial",
-            f"auto: fault partition below threshold "
-            f"({num_faults} < {MIN_POOL_FAULTS})",
-        )
-    pool = workers if workers is not None else default_workers()
-    return (
-        "process",
-        f"auto: {num_faults} faults across {pool} workers (cpus={cpus})",
-    )
 
 
 @dataclass
@@ -106,21 +56,18 @@ class AtpgResult:
     untestable: Set[StuckAtFault]
     aborted: Set[StuckAtFault]
     cpu_seconds: float
-    backtracks: int
     random_detected: int
     deterministic_detected: int
+    # Of ``aborted``: faults the search left over its lane-step cap (or
+    # whose test failed its replay), and faults the clock stopped.
     search_exhausted: int = 0
     budget_aborted: int = 0
     random_seconds: float = 0.0
     deterministic_seconds: float = 0.0
-    engine: str = "serial"
-    workers: int = 1
-    engine_reason: str = ""
-    simulations: int = 0
+    # Time-frame search effort: the exact search counts lane-steps instead
+    # (per fault, in ``fault_rows``), so both stay 0.
+    backtracks: int = 0
     frames_simulated: int = 0
-    lanes_evaluated: int = 0
-    guidance: str = "off"
-    objective_choices: int = 0
     # The subset of ``untestable`` proved by an exhausted exact search;
     # the rest are structural.
     search_proved: Set[StuckAtFault] = field(default_factory=set)
@@ -148,8 +95,7 @@ class AtpgResult:
             f"FE {self.fault_efficiency:.1f}% "
             f"({len(self.detected)}/{self.num_faults} detected, "
             f"{len(self.untestable)} untestable, "
-            f"{len(self.aborted)} aborted) in {self.cpu_seconds:.2f}s, "
-            f"{self.backtracks} backtracks"
+            f"{len(self.aborted)} aborted) in {self.cpu_seconds:.2f}s"
         )
 
 
@@ -338,107 +284,27 @@ def _random_phase(
     return remaining, random_detected
 
 
-def _effort_row(fault: StuckAtFault, outcome: FaultOutcome) -> FaultEffort:
-    """Rebuild the per-fault effort row a pool worker metered remotely."""
-    if not outcome.attempted:
-        return FaultEffort(EffortMeter.fault_key(fault), "budget")
-    if outcome.detected:
-        status = "det"
-    elif outcome.aborted:
-        status = "abort"
-    else:
-        status = "exhausted"
-    return FaultEffort(
-        fault_key=EffortMeter.fault_key(fault),
-        status=status,
-        seconds=outcome.seconds,
-        backtracks=outcome.backtracks,
-        simulations=outcome.simulations,
-        frames_simulated=outcome.frames_simulated,
-        lanes_evaluated=outcome.lanes_evaluated,
-        objective_choices=outcome.objective_choices,
-    )
-
-
 def run_atpg(
     circuit: Circuit,
     faults: Optional[Sequence[StuckAtFault]] = None,
     budget: Optional[AtpgBudget] = None,
-    *,
-    workers: Optional[int] = None,
-    engine: Optional[str] = None,
-    guidance="off",
-    checkpoint=None,
-    resume: bool = False,
 ) -> AtpgResult:
     """Generate a test set for the circuit's (collapsed) fault list.
 
     After the random phase, the exact pair search (:mod:`repro.atpg.exact`)
     decides each remaining fault, up to ``budget.exact_lane_steps``
-    lane-steps per fault; only faults over that cap are left to PODEM.
-    The search is deterministic and engine-independent.
-
-    ``engine`` selects how PODEM runs: ``"serial"``
-    (default) targets faults one at a time in-process; ``"process"``
-    partitions them across ``workers`` PODEM worker processes;
-    ``"auto"`` defers the choice to :func:`choose_engine` once the
-    post-random fault partition is known (serial on single-CPU hosts or
-    small partitions, process otherwise).  When ``engine`` is omitted it
-    is inferred from ``workers`` (a count above 1 selects the process
-    pool).  Both engines yield the same partition and test set for a
-    given seed whenever the wall-clock budget is not the binding limit.
-
-    ``guidance`` steers the deterministic phase (see
-    :mod:`repro.atpg.guidance`): ``"off"`` (default) keeps every choice
-    bit-identical to the unguided engine; ``"scoap"`` orders faults
-    hardest-first, ranks PODEM objectives, and prunes provably-infeasible
-    time frames from SCOAP testability measures.  A prebuilt
-    :class:`~repro.atpg.guidance.GuidancePolicy` is accepted directly.
-    Guided runs are deterministic (every ranking ties on the fault key)
-    but ordered differently from unguided runs, so their test sets are
-    interchangeable -- same coverage contract, verified by the
-    preservation suites -- rather than byte-identical.  A ``checkpoint``
-    written under one guidance mode should only be resumed under the
-    same mode (the flow pipeline keys checkpoints accordingly).
-
-    ``checkpoint`` (an :class:`~repro.store.checkpoint.AtpgCheckpoint`)
-    makes the run journal its per-fault outcomes as it goes; with
-    ``resume=True`` a valid checkpoint for the same (circuit, faults,
-    budget) triple restores the random phase and every deterministic
-    detection/exhaustion already proven, so only budget-aborted and
-    never-reached faults are targeted again.  Restored outcomes are folded
-    back through the same queue-order collateral replay as live ones, so a
-    resumed run's test set is bit-identical to an uninterrupted run's
-    whenever the wall clock is not the binding limit.
+    lane-steps per fault.  The search is deterministic, so unless the
+    clock stops it the result is a function of the circuit, the fault
+    list and the budget.  A fault it leaves open is aborted: its effort
+    row says ``"cap"`` (over the lane-step cap) or ``"budget"`` (the
+    clock ran out first).
     """
     if budget is None:
         budget = AtpgBudget()
-    if engine is None:
-        engine = "process" if workers is not None and workers > 1 else "serial"
-        engine_reason = f"inferred from workers={workers}"
-    else:
-        engine_reason = "requested"
-    if engine not in ATPG_ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {ATPG_ENGINES})")
-    if isinstance(guidance, GuidancePolicy):
-        policy: Optional[GuidancePolicy] = guidance
-    else:
-        policy = make_policy(circuit, guidance)  # validates the mode string
-    guidance_mode = "scoap" if policy is not None else "off"
-    if engine == "process":
-        workers = workers if workers is not None else default_workers()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-    elif engine == "serial":
-        workers = 1
     if faults is None:
         faults = collapse_faults(circuit).representatives
     meter = EffortMeter(budget)
     rng = random.Random(budget.seed)
-
-    restored = None
-    if checkpoint is not None and resume:
-        restored = checkpoint.load(circuit, faults, budget)
 
     untestable = structurally_untestable(circuit) & set(faults)
     remaining: List[StuckAtFault] = [f for f in faults if f not in untestable]
@@ -452,235 +318,59 @@ def run_atpg(
     # random vectors almost never synchronize a machine without a reset
     # line; this greedy walk is the standard practical fix.
     random_start = time.perf_counter()
-    if restored is not None:
-        # The phase is seeded, so replaying it would reproduce these very
-        # sequences; restoring them verbatim just skips the simulation.
-        checkpoint.resume_marker()
-        sequences = [list(seq) for seq in restored.sequences]
-        detected = set(restored.random_detected_faults)
-        random_detected = restored.random_detected
-        remaining = [f for f in remaining if f not in detected]
-    else:
-        if checkpoint is not None:
-            checkpoint.start(circuit, faults, budget)
-        remaining, random_detected = _random_phase(
-            circuit, remaining, detected, sequences, budget, meter, rng
-        )
-        if checkpoint is not None:
-            checkpoint.record_random_phase(sequences, detected, random_detected)
+    queue, random_detected = _random_phase(
+        circuit, remaining, detected, sequences, budget, meter, rng
+    )
     random_seconds = time.perf_counter() - random_start
 
-    # ---- Phase 2: deterministic search -----------------------------------
-    # The time-frame window must cover the circuit's sequential depth:
-    # justification through R flip-flops can need on the order of R frames.
-    # This is the structural mechanism behind the paper's Table II blowup:
-    # retimed circuits carry several times more flip-flops, so the
-    # deterministic engine unrolls deeper and every targeted fault costs
-    # more.
+    # ---- Phase 2: the exact pair search ----------------------------------
+    # It decides every fault it can within its lane-step cap: a test, or a
+    # proof that none exists.  Each test is replayed against every fault
+    # still undecided, so collateral detections drop out of the queue.
     deterministic_start = time.perf_counter()
-    # ``frames_cap`` bounds the escalation so a register-rich circuit cannot
-    # force arbitrarily deep (and arbitrarily expensive) unrolls.
-    max_frames = min(
-        budget.frames_cap, max(budget.max_frames, 2 * circuit.num_registers())
-    )
     deterministic_detected = 0
     abort_reason: Dict[StuckAtFault, str] = {}
     fault_rows: List[FaultEffort] = []
     search_proved: Set[StuckAtFault] = set()
-    queue = list(remaining)
-    queue_costs: Optional[Dict[StuckAtFault, float]] = None
-    if policy is not None and queue:
-        # Guided ordering: hardest faults first.  Hard faults need deep
-        # time-frame windows, and the long sequences they produce are
-        # replayed against the whole queue -- sweeping much of the cheap
-        # tail as collateral detections before it is ever targeted.
-        # Tackling them while the per-fault budget is untouched also
-        # avoids re-deriving their windows late.  (Measured on the Table
-        # II set: never worse than cheapest-first, and up to 13% less
-        # deterministic effort on the s510/s820 retimings.)  The explicit
-        # fault-key tie-break keeps the order reproducible across
-        # processes and Python versions.
-        queue_costs = policy.score_faults(circuit, queue)
-        queue.sort(key=lambda f: (-queue_costs[f], fault_sort_key(f)))
-
-    def absorb(fault: StuckAtFault, outcome: FaultOutcome) -> None:
-        """Fold one search outcome into the global partition (queue order).
-
-        An accepted sequence is bit-parallel fault-simulated against every
-        fault still undecided, so collateral detections are dropped from
-        the queue -- and, in process mode, duplicate effort spent on them
-        by other workers is discarded when their turn comes.
-        """
-        nonlocal deterministic_detected
-        if not outcome.attempted:
+    for fault, found in iter_exact(
+        circuit,
+        queue,
+        budget.exact_lane_steps,
+        skip=detected.__contains__,
+        out_of_time=meter.out_of_time,
+    ):
+        if fault in detected:
+            continue  # an earlier test of its batch detects it
+        key = EffortMeter.fault_key(fault)
+        if found.status == "time":
+            fault_rows.append(FaultEffort(key, "budget"))
             abort_reason[fault] = "budget"
-            return
-        if outcome.detected and outcome.sequence is not None:
+            continue
+        fault_rows.append(FaultEffort(key, found.status, lane_steps=found.lane_steps))
+        if found.status == "cap":
+            abort_reason[fault] = "search"
+        elif found.status == "proved":
+            untestable.add(fault)
+            search_proved.add(fault)
+        else:
             replay = parallel_fault_simulate(
                 circuit,
-                [outcome.sequence],
+                [found.sequence],
                 [f for f in queue if f not in detected and f not in untestable],
             )
             newly = set(replay.detections)
             if fault not in newly:
-                # The generated sequence must detect its target; treat a
-                # mismatch as an abort rather than trusting the search.
+                # The test must detect its target; treat a mismatch as an
+                # abort rather than trusting the search.
                 abort_reason[fault] = "search"
-                return
-            sequences.append(outcome.sequence)
+                continue
+            sequences.append(found.sequence)
             detected.update(newly)
             deterministic_detected += len(newly)
-        elif outcome.aborted:
-            abort_reason[fault] = "budget"
-        else:
-            abort_reason[fault] = "search"  # exhausted within frame bound
-
-    # The exact pair search decides every fault it can within its
-    # lane-step cap: a test, or a proof that none exists.  It keeps no
-    # journal, so a resumed run simply reruns it.  Its outcomes fold in
-    # queue order like PODEM's; faults over the cap go on to PODEM
-    # afterwards, in queue order.  When the clock runs out mid-search,
-    # the faults it leaves undecided reach the PODEM loop out of time,
-    # which budget-aborts them.
-    targets = queue
-    if queue and budget.exact_lane_steps > 0:
-        targets = []
-        for fault, found in iter_exact(
-            circuit,
-            queue,
-            budget.exact_lane_steps,
-            skip=detected.__contains__,
-            out_of_time=meter.out_of_time,
-        ):
-            if fault in detected:
-                continue  # an earlier test of its batch detects it
-            if found.status in ("cap", "time"):
-                targets.append(fault)
-                continue
-            fault_rows.append(
-                FaultEffort(
-                    EffortMeter.fault_key(fault),
-                    found.status,
-                    lane_steps=found.lane_steps,
-                )
-            )
-            if found.status == "proved":
-                untestable.add(fault)
-                search_proved.add(fault)
-            else:
-                absorb(fault, FaultOutcome(True, found.sequence, 0, False))
-
-    # ``auto`` decides here, with the post-random partition in hand: a pool
-    # is only worth spinning up for enough faults on enough cores.
-    if engine == "auto":
-        engine, engine_reason = choose_engine(len(targets), workers)
-        workers = (
-            (workers if workers is not None else default_workers())
-            if engine == "process"
-            else 1
-        )
-
-    # Restored outcomes (detections and search exhaustions proven by the
-    # interrupted run -- both deterministic) short-circuit their faults;
-    # clock-dependent outcomes (budget aborts, never-reached faults) were
-    # deliberately not restored and rejoin the live queue below.
-    def restored_outcome(fault: StuckAtFault):
-        if restored is None:
-            return None
-        return restored.restorable(fault)
-
-    if engine == "process" and targets:
-        # Only non-restored faults go to the pool; restored ones are folded
-        # in at their original queue positions so the collateral replay
-        # sees the exact interleaving an uninterrupted run would have.
-        pending = [f for f in targets if restored_outcome(f) is None]
-        pool = iter_podem_partitioned(
-            circuit,
-            pending,
-            budget,
-            max_frames,
-            workers,
-            meter.remaining(),
-            guidance=policy,
-            costs=(
-                [queue_costs[f] for f in pending]
-                if queue_costs is not None
-                else None
-            ),
-        )
-        for fault in targets:
-            record = restored_outcome(fault)
-            if record is None:
-                _pool_fault, outcome = next(pool)
-            if fault in detected:
-                # Collaterally detected by an earlier accepted sequence;
-                # the worker's redundant effort is dropped, matching the
-                # serial loop which never targets such faults.
-                continue
-            if record is not None:
-                meter.backtracks += record.backtracks
-                absorb(
-                    fault,
-                    FaultOutcome(
-                        record.status == "det", record.sequence, record.backtracks, False
-                    ),
-                )
-                continue
-            meter.backtracks += outcome.backtracks
-            meter.simulations += outcome.simulations
-            meter.frames_simulated += outcome.frames_simulated
-            meter.lanes_evaluated += outcome.lanes_evaluated
-            meter.objective_choices += outcome.objective_choices
-            fault_rows.append(_effort_row(fault, outcome))
-            if checkpoint is not None:
-                checkpoint.record_fault(fault, outcome)
-            absorb(fault, outcome)
-    else:
-        # Built for the first PODEM target only: construction compiles the
-        # dual stepper, which a fully searched run never calls.
-        podem = None
-        for fault in targets:
-            if fault in detected:
-                continue
-            record = restored_outcome(fault)
-            if record is not None:
-                meter.backtracks += record.backtracks
-                absorb(
-                    fault,
-                    FaultOutcome(
-                        record.status == "det", record.sequence, record.backtracks, False
-                    ),
-                )
-                continue
-            if meter.out_of_time():
-                # The shared clock expired before this fault was targeted;
-                # it still flushes a (zero-effort) row so the telemetry
-                # accounts for every queued fault.
-                meter.skip_fault(fault)
-                fault_rows.append(meter.fault_rows[-1])
-                abort_reason[fault] = "budget"
-                continue
-            if podem is None:
-                podem = PodemEngine(circuit, guidance=policy)
-            result = podem.generate(
-                fault,
-                meter,
-                max_frames=max_frames,
-                deadline=time.perf_counter() + budget.seconds_per_fault,
-            )
-            fault_rows.append(meter.fault_rows[-1])
-            outcome = FaultOutcome(
-                result.detected, result.sequence, result.backtracks, result.aborted
-            )
-            if checkpoint is not None:
-                checkpoint.record_fault(fault, outcome)
-            absorb(fault, outcome)
     deterministic_seconds = time.perf_counter() - deterministic_start
-    if checkpoint is not None:
-        checkpoint.close()
 
-    # A fault aborted by its own search may still have been detected
-    # collaterally by a later fault's sequence; reconcile the partition.
+    # A fault left open may still have been detected collaterally by a
+    # later fault's test; reconcile the partition.
     for fault in detected:
         abort_reason.pop(fault, None)
     aborted = set(abort_reason)
@@ -696,21 +386,12 @@ def run_atpg(
         untestable=untestable,
         aborted=aborted,
         cpu_seconds=meter.elapsed(),
-        backtracks=meter.backtracks,
         random_detected=random_detected,
         deterministic_detected=deterministic_detected,
         search_exhausted=sum(1 for r in abort_reason.values() if r == "search"),
         budget_aborted=sum(1 for r in abort_reason.values() if r == "budget"),
         random_seconds=random_seconds,
         deterministic_seconds=deterministic_seconds,
-        engine=engine,
-        workers=workers,
-        engine_reason=engine_reason,
-        simulations=meter.simulations,
-        frames_simulated=meter.frames_simulated,
-        lanes_evaluated=meter.lanes_evaluated,
-        guidance=guidance_mode,
-        objective_choices=meter.objective_choices,
         search_proved=search_proved,
         fault_rows=fault_rows,
     )
@@ -720,7 +401,4 @@ __all__ = [
     "run_atpg",
     "AtpgResult",
     "structurally_untestable",
-    "choose_engine",
-    "ATPG_ENGINES",
-    "MIN_POOL_FAULTS",
 ]

@@ -206,24 +206,12 @@ def build_pair(
 def table2_row(
     pair: CircuitPair,
     budget: Optional[AtpgBudget] = None,
-    workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Tuple[Dict[str, object], AtpgResult, AtpgResult]:
-    """One Table II row: ATPG on the original and the retimed circuit.
-
-    ``workers``/``engine`` pass straight through to :func:`run_atpg`, so a
-    row can be computed on the multiprocess deterministic phase; the
-    table's numbers are engine-independent (same seed, same partition,
-    bit-identical search).
-    """
+    """One Table II row: ATPG on the original and the retimed circuit."""
     if budget is None:
         budget = AtpgBudget()
-    original_result = run_atpg(
-        pair.original, budget=budget, workers=workers, engine=engine
-    )
-    retimed_result = run_atpg(
-        pair.retimed, budget=budget, workers=workers, engine=engine
-    )
+    original_result = run_atpg(pair.original, budget=budget)
+    retimed_result = run_atpg(pair.retimed, budget=budget)
     effort_original = max(original_result.cpu_seconds, 1e-9)
     row = {
         "Circuit": pair.spec.name,

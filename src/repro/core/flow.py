@@ -59,9 +59,6 @@ def retime_for_testability_flow(
     *,
     store=None,
     journal=None,
-    workers: Optional[int] = None,
-    engine: Optional[str] = None,
-    resume: bool = False,
 ) -> FlowResult:
     """Run the Fig. 6 flow on a hard (performance-retimed) circuit.
 
@@ -71,9 +68,9 @@ def retime_for_testability_flow(
         easy_retiming: the retiming mapping ``hard_circuit`` to its easy
             version (default: minimum-register retiming, the paper's
             choice for the s510.jo.sr study).
-        store / journal / workers / engine / resume: forwarded to the
-            stage pipeline (see :class:`repro.pipeline.FlowPipeline`).
-            With no store the flow computes everything, as it always did.
+        store / journal: forwarded to the stage pipeline (see
+            :class:`repro.pipeline.FlowPipeline`).  With no store the flow
+            computes everything, as it always did.
 
     The prefix length comes from the *inverse* retiming (easy -> hard):
     Theorem 4 needs the forward-move count of the transformation from the
@@ -86,9 +83,7 @@ def retime_for_testability_flow(
     """
     from repro.pipeline import FlowPipeline
 
-    pipeline = FlowPipeline(
-        store=store, journal=journal, workers=workers, engine=engine, resume=resume
-    )
+    pipeline = FlowPipeline(store=store, journal=journal)
     return pipeline.run(hard_circuit, budget=budget, easy_retiming=easy_retiming)
 
 

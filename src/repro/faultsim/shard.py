@@ -15,10 +15,10 @@ reproduces the single-process result **exactly** -- the merge is a
 disjoint dict union, not a reconciliation.  The test suite asserts
 bit-identical results against the single-process engine.
 
-The pool plumbing mirrors :mod:`repro.atpg.parallel`: ``fork`` start
-method where available (the parent's warm compile cache is inherited
-copy-on-write), circuit shipped once per worker via the initializer,
-several chunks per worker so an uneven shard does not serialize the pool.
+The pool plumbing: ``fork`` start method where available (the parent's
+warm compile cache is inherited copy-on-write), circuit shipped once per
+worker via the initializer, several chunks per worker so an uneven shard
+does not serialize the pool.
 """
 
 from __future__ import annotations

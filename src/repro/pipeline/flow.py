@@ -16,12 +16,6 @@ seconds, its cache disposition and store key, and every record the stage
 reads or writes is pinned via ``artifact_ref`` so the GC cannot evict
 evidence out from under a journal.
 
-The ATPG stage additionally threads an :class:`~repro.store.checkpoint.
-AtpgCheckpoint` (kept under the store's checkpoint directory, keyed like
-the stage) through :func:`~repro.atpg.engine.run_atpg`, so a killed run
-resumes from its surviving fault queue instead of restarting; the
-checkpoint is discarded once the stage's result is safely in the store.
-
 With no store attached the pipeline degrades to exactly the plain flow:
 every stage computes, every cache disposition reads ``off``.
 
@@ -41,7 +35,6 @@ runs many pipelines against one shared store:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,8 +44,7 @@ class FlowCancelled(RuntimeError):
     """Raised at a stage boundary when the pipeline's cancel event is set."""
 
 from repro.atpg.budget import AtpgBudget
-from repro.atpg.engine import ATPG_ENGINES, AtpgResult, run_atpg
-from repro.atpg.guidance import GUIDANCE_MODES, make_policy
+from repro.atpg.engine import AtpgResult, run_atpg
 from repro.circuit.digest import circuit_digest, structural_identity
 from repro.circuit.netlist import Circuit
 from repro.core.flow import FlowResult
@@ -73,7 +65,6 @@ from repro.store.artifacts import (
     retiming_from_payload,
     retiming_payload,
 )
-from repro.store.checkpoint import AtpgCheckpoint
 from repro.store.core import ArtifactStore
 from repro.store.journal import RunJournal
 from repro.testset.model import TestSet
@@ -114,17 +105,6 @@ class FlowPipeline:
         store: artifact store backing stage memoization (``None`` = compute
             everything, the behaviour of the plain flow functions).
         journal: run journal receiving stage events and artifact pins.
-        workers / engine: forwarded to
-            :func:`~repro.atpg.engine.run_atpg`.
-        guidance: ATPG search guidance (``"off"``/``"scoap"``, see
-            :mod:`repro.atpg.guidance`).  Unlike ``workers``/``engine``,
-            guided runs may emit a *different (equally valid) test set*,
-            so the ATPG stage key includes the mode -- guided and
-            unguided results never alias.
-        resume: let the ATPG stage restore a surviving checkpoint for its
-            exact (circuit, faults, budget) key before targeting faults.
-        checkpoint_path: override the checkpoint location (defaults to the
-            store's checkpoint directory; no checkpointing without either).
         verify: run a ``verify`` stage after retiming -- the Lemma 2
             behavioural check (``K ==Nt K'`` on the explicit state space,
             :func:`~repro.equivalence.check_time_equivalence`) between the
@@ -134,10 +114,6 @@ class FlowPipeline:
             the next stage raises :class:`FlowCancelled` instead of
             starting.  One pipeline instance runs one flow at a time; for
             concurrent flows, create one pipeline per run.
-
-    Every execution option is validated here, so a bad value fails the
-    same way whether or not a warm store would have skipped the stage
-    that uses it.
     """
 
     def __init__(
@@ -145,31 +121,11 @@ class FlowPipeline:
         store: Optional[ArtifactStore] = None,
         journal: Optional[RunJournal] = None,
         *,
-        workers: Optional[int] = None,
-        engine: Optional[str] = None,
-        guidance: str = "off",
-        resume: bool = False,
-        checkpoint_path: Optional[str] = None,
         verify: bool = False,
         cancel_event=None,
     ):
-        if guidance not in GUIDANCE_MODES:
-            raise ValueError(
-                f"unknown guidance {guidance!r} (expected one of {GUIDANCE_MODES})"
-            )
-        if engine is not None and engine not in ATPG_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {ATPG_ENGINES})"
-            )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = store
         self.journal = journal
-        self.workers = workers
-        self.engine = engine
-        self.guidance = guidance
-        self.resume = resume
-        self.checkpoint_path = checkpoint_path
         self.verify = verify
         self.cancel_event = cancel_event
         self.stages: List[StageRecord] = []
@@ -366,57 +322,25 @@ class FlowPipeline:
         budget: AtpgBudget,
     ) -> AtpgResult:
         started = self._stage_start("atpg")
-        policy = make_policy(
-            circuit, self.guidance, store=self.store, pin=self._pin()
-        )
         key = None
         if self.store is not None:
-            key_parts = [
+            key = self.store.key(
                 "atpg",
                 circuit_digest(circuit),
                 structural_identity(circuit),
                 faults_fingerprint(faults),
                 budget_fingerprint(budget),
-            ]
-            if policy is not None:
-                # Guided and unguided results are interchangeable but must
-                # not alias; unguided keys keep their historical shape so
-                # warm stores stay warm.
-                key_parts.append({"guidance": "scoap"})
-            key = self.store.key(*key_parts)
+            )
         result, cache = self._load("atpg", key, atpg_result_from_payload)
         if result is None:
-            checkpoint = None
-            path = self.checkpoint_path
-            if path is None and self.store is not None and key is not None:
-                path = self.store.checkpoint_path(key)
-            if path is not None:
-                checkpoint = AtpgCheckpoint(path)
-            result = run_atpg(
-                circuit,
-                faults,
-                budget,
-                workers=self.workers,
-                engine=self.engine,
-                guidance=policy if policy is not None else "off",
-                checkpoint=checkpoint,
-                resume=self.resume,
-            )
+            result = run_atpg(circuit, faults, budget)
             self._save("atpg", key, atpg_result_payload(result))
-            if checkpoint is not None and self.store is not None and key is not None:
-                # The result is durable now; the crash-recovery file has
-                # nothing left to recover.
-                checkpoint.discard()
         self._stage_end(
             "atpg",
             started,
             cache,
             key,
             circuit=circuit.name,
-            workers=result.workers,
-            engine=result.engine,
-            guidance=result.guidance,
-            objective_choices=result.objective_choices,
             fault_coverage=round(result.fault_coverage, 3),
             fault_efficiency=round(result.fault_efficiency, 3),
             sequences=result.test_set.num_sequences,

@@ -3,9 +3,7 @@
 :class:`JobManager` owns an ``asyncio.Queue`` of :class:`Job` objects and
 a bounded pool of worker tasks; each worker runs one Fig. 6 flow at a time
 via ``asyncio.to_thread`` (the flow is CPU-bound Python, so the pool bound
-is about memory and fairness, not parallel speedup under the GIL -- the
-real parallelism knob is the per-job ``workers`` option, which fans the
-ATPG stage out over processes).
+is about memory and fairness, not parallel speedup under the GIL).
 
 Four dedup tiers, cheapest first:
 
@@ -282,9 +280,6 @@ def flow_payload(flow, stages) -> Dict[str, object]:
             "cpu_seconds": flow.atpg_result.cpu_seconds,
             "fault_coverage": flow.atpg_result.fault_coverage,
             "fault_efficiency": flow.atpg_result.fault_efficiency,
-            "engine": flow.atpg_result.engine,
-            "guidance": flow.atpg_result.guidance,
-            "workers": flow.atpg_result.workers,
             "sequences": flow.atpg_result.test_set.num_sequences,
         },
         "derived_testset": flow.derived_test_set.to_text(),
@@ -629,9 +624,6 @@ class JobManager:
             pipeline = FlowPipeline(
                 store=store,
                 journal=journal,
-                workers=request.workers,
-                engine=request.engine,
-                guidance=request.guidance,
                 verify=request.verify,
                 cancel_event=job.cancel_event,
             )

@@ -20,26 +20,19 @@ Circuit formats::
 
 Execution options::
 
-    {"workers": 2, "engine": "serial|process|auto", "guidance": "off|scoap",
-     "verify": false}
+    {"verify": false}
 
-Every option is validated here, so a bad value is a 400 whether or not
-the answer is already cached.
+Every option and budget field is validated here, so a bad value -- or a
+key the service does not know -- is a 400 whether or not the answer is
+already cached.
 
-The fingerprint deliberately ignores ``workers`` / ``engine``: results are
-bit-identical across those execution knobs (same seed, same partition),
-so two requests differing only there are the *same work* and must
-coalesce.  The word implementation is no option: the worker runs the
-numpy kernels when numpy is importable and the bigint ones otherwise,
-with identical results.  ``guidance`` is also excluded, on the weaker
-interchangeability contract: a guided run may emit a different test set,
-but any test set the flow emits satisfies the same preservation
-guarantees, so two requests differing only in guidance still want the
-same *answer* -- whichever run lands first serves both (the pipeline's own
-stage keys still separate guided and unguided artifacts underneath).  The
-fingerprint includes the budget fingerprint and the ``verify`` flag, which
-change what is computed; the verify stage has one extraction policy, so a
-fingerprint always names one verify outcome.
+The word implementation is no option: the worker runs the numpy kernels
+when numpy is importable and the bigint ones otherwise, with identical
+results.  ATPG has one configuration (the random phase, then the exact
+search), so the fingerprint -- the circuit identity, the budget
+fingerprint and the ``verify`` flag -- names one test set whenever the
+budget's clock does not bind; the verify stage has one extraction
+policy, so it also names one verify outcome.
 """
 
 from __future__ import annotations
@@ -49,20 +42,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.atpg.budget import AtpgBudget
-from repro.atpg.engine import ATPG_ENGINES
-from repro.atpg.guidance import GUIDANCE_MODES
 from repro.circuit.netlist import Circuit, CircuitError
 
 _FORMATS = ("table2", "bench", "verilog", "builder")
 
 _BUDGET_FIELDS = {f.name: f.type for f in dataclasses.fields(AtpgBudget)}
 
-_OPTION_KEYS = (
-    "workers",
-    "engine",
-    "guidance",
-    "verify",
-)
+_OPTION_KEYS = ("verify",)
 
 
 class SchemaError(ValueError):
@@ -77,9 +63,6 @@ class JobRequest:
     spec: Optional[object]  # CircuitSpec for table2 requests
     circuit: Optional[Circuit]  # compiled netlist for the other formats
     budget: AtpgBudget
-    workers: Optional[int] = None
-    engine: Optional[str] = None
-    guidance: str = "off"
     verify: bool = False
     tenant: Optional[str] = None
 
@@ -249,19 +232,6 @@ def _parse_options(raw: object) -> Dict[str, object]:
         if key not in _OPTION_KEYS:
             raise SchemaError(f"options: unknown option {key!r}")
         options[key] = value
-    workers = options.get("workers")
-    if workers is not None and (
-        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
-    ):
-        raise SchemaError("options: 'workers' must be a positive integer")
-    if options.get("engine") not in (None,) + ATPG_ENGINES:
-        raise SchemaError(
-            f"options: 'engine' must be one of {', '.join(ATPG_ENGINES)}"
-        )
-    if options.get("guidance", "off") not in GUIDANCE_MODES:
-        raise SchemaError(
-            f"options: 'guidance' must be one of {', '.join(GUIDANCE_MODES)}"
-        )
     if not isinstance(options.get("verify", False), bool):
         raise SchemaError("options: 'verify' must be a boolean")
     return options
@@ -295,9 +265,6 @@ def parse_request(
         spec=spec,
         circuit=circuit,
         budget=budget,
-        workers=options.get("workers"),
-        engine=options.get("engine"),
-        guidance=options.get("guidance", "off"),
         verify=options.get("verify", False),
         tenant=tenant,
     )

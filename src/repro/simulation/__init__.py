@@ -3,15 +3,12 @@
 * :class:`repro.simulation.sequential.SequentialSimulator` -- scalar
   three-valued reference simulator with single stuck-at injection.
 * :class:`repro.simulation.codegen.FastStepper` -- code-generated scalar
-  stepper (the PODEM engine's workhorse).
+  stepper (the synchronizing-sequence searches' workhorse).
 * :class:`repro.simulation.vector.VectorSimulator` -- interpreted
   bit-parallel simulator (reference for the compiled kernel).
 * :class:`repro.simulation.vector_codegen.VectorFastStepper` --
   code-generated bit-parallel kernel with runtime stuck-at injection
   masks; the engine behind the PROOFS-style parallel fault simulator.
-* :class:`repro.simulation.dual_codegen.DualFastStepper` --
-  code-generated dual-machine two-plane kernel stepping the good and the
-  faulty machine in one pass; PODEM's resimulation engine.
 * :mod:`repro.simulation.cache` -- module-level compile cache shared by
   the ATPG / fault-simulation / verification flows.
 """
@@ -20,14 +17,12 @@ from repro.simulation.cache import (
     clear_compile_cache,
     compile_cache_stats,
     compiled_circuit,
-    dual_fast_stepper,
     fast_stepper,
     vector_fast_stepper,
     warm_compile_cache,
 )
 from repro.simulation.codegen import FastStepper
 from repro.simulation.compiled import CompiledCircuit
-from repro.simulation.dual_codegen import DualFastStepper, plane_pair_trit
 from repro.simulation.sequential import (
     SequentialSimulator,
     StepResult,
@@ -47,11 +42,8 @@ __all__ = [
     "VectorSimulator",
     "VectorStepResult",
     "VectorFastStepper",
-    "DualFastStepper",
-    "plane_pair_trit",
     "rail_pair_trit",
     "compiled_circuit",
-    "dual_fast_stepper",
     "fast_stepper",
     "vector_fast_stepper",
     "warm_compile_cache",

@@ -2,18 +2,15 @@
 
 The ATPG, fault-simulation and verification flows all lower the same
 :class:`~repro.circuit.netlist.Circuit` -- often many times per run: the
-random phase fault-simulates per candidate sequence, every PODEM engine and
-pool worker needs the dual stepper, the benchmark rows simulate the same
-pair with several engines.  Re-lowering (topological ordering + read resolution)
-and re-``exec``-ing generated source on every call is pure waste, so the
-artifacts are cached and shared by every flow:
+random phase fault-simulates per candidate sequence, the exact search and
+every collateral replay step the bit-parallel kernel, the benchmark rows
+simulate the same pair with several engines.  Re-lowering (topological
+ordering + read resolution) and re-``exec``-ing generated source on every
+call is pure waste, so the artifacts are cached and shared by every flow:
 
 * :func:`compiled_circuit` -- the :class:`CompiledCircuit` lowering;
 * :func:`fast_stepper` -- the fault-free scalar :class:`FastStepper`;
-* :func:`vector_fast_stepper` -- the bit-parallel :class:`VectorFastStepper`;
-* :func:`dual_fast_stepper` -- the dual-machine :class:`DualFastStepper`
-  (PODEM's good+faulty resimulation kernel, fault-agnostic via runtime
-  injection masks).
+* :func:`vector_fast_stepper` -- the bit-parallel :class:`VectorFastStepper`.
 
 Circuits are "immutable by convention" (retiming materializes *new*
 instances via ``with_weights``), so the cache key is object identity.  The
@@ -50,7 +47,6 @@ from typing import Callable, Dict, Optional, Tuple, TypeVar
 from repro.circuit.netlist import Circuit
 from repro.simulation.codegen import FastStepper
 from repro.simulation.compiled import CompiledCircuit
-from repro.simulation.dual_codegen import DualFastStepper
 from repro.simulation.vector_codegen import VectorFastStepper
 
 _T = TypeVar("_T")
@@ -74,16 +70,15 @@ _STATS = {
 
 
 class _Entry:
-    __slots__ = ("compiled", "fast", "vector_fast", "dual_fast", "sources")
+    __slots__ = ("compiled", "fast", "vector_fast", "sources")
 
     def __init__(self) -> None:
         self.compiled: Optional[CompiledCircuit] = None
         self.fast: Optional[FastStepper] = None
         self.vector_fast: Optional[VectorFastStepper] = None
-        self.dual_fast: Optional[DualFastStepper] = None
-        # Persisted (scalar, clean, inject, dual) sources, once loaded: a
-        # stepper is exec'd only when asked for, from these texts.
-        self.sources: Optional[Tuple[str, str, str, str]] = None
+        # Persisted (scalar, clean, inject) sources, once loaded: a stepper
+        # is exec'd only when asked for, from these texts.
+        self.sources: Optional[Tuple[str, str, str]] = None
 
 
 def _entry_for(circuit: Circuit) -> _Entry:
@@ -147,7 +142,7 @@ def _stepper_key(store, circuit: Circuit) -> str:
 
 
 def _load_sources(circuit: Circuit):
-    """Persisted ``(scalar, clean, inject, dual)`` sources, or ``None``."""
+    """Persisted ``(scalar, clean, inject)`` sources, or ``None``."""
     from repro.store.core import default_store
 
     store = default_store()
@@ -170,10 +165,10 @@ def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
     """Write one combined stepper artifact (building any missing half;
     a stepper execs its source only on first use, so this compiles none).
 
-    The scalar, bit-parallel and dual sources travel in one record because
-    the flows that need one soon need another (ATPG's random phase and
-    replay simulate bit-parallel, PODEM dual, the synchronizing-sequence
-    search scalar), and a single record keeps hit/miss accounting and GC
+    The scalar and bit-parallel sources travel in one record because the
+    flows that need one soon need the other (ATPG's random phase, search
+    and replay simulate bit-parallel, the synchronizing-sequence search
+    scalar), and a single record keeps hit/miss accounting and GC
     granularity simple.
     """
     from repro.store.core import default_store
@@ -185,8 +180,6 @@ def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
         entry.fast = FastStepper(circuit, compiled=entry.compiled)
     if entry.vector_fast is None:
         entry.vector_fast = VectorFastStepper(circuit, compiled=entry.compiled)
-    if entry.dual_fast is None:
-        entry.dual_fast = DualFastStepper(circuit, compiled=entry.compiled)
     from repro.store.artifacts import stepper_payload
 
     clean, inject = entry.vector_fast.sources()
@@ -194,13 +187,7 @@ def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
         store.put(
             "stepper",
             _stepper_key(store, circuit),
-            stepper_payload(
-                circuit,
-                entry.fast._source,
-                clean,
-                inject,
-                entry.dual_fast.source(),
-            ),
+            stepper_payload(circuit, entry.fast._source, clean, inject),
         )
         _STATS["persistent_writes"] += 1
     except OSError:
@@ -210,7 +197,7 @@ def _persist_sources(circuit: Circuit, entry: _Entry) -> None:
 def _stepper(
     circuit: Circuit,
     attr: str,
-    make: Callable[[CompiledCircuit, Optional[Tuple[str, str, str, str]]], _T],
+    make: Callable[[CompiledCircuit, Optional[Tuple[str, str, str]]], _T],
 ) -> _T:
     """The cached stepper ``attr``, built by ``make(compiled, sources)``.
 
@@ -256,37 +243,16 @@ def vector_fast_stepper(circuit: Circuit) -> VectorFastStepper:
     )
 
 
-def dual_fast_stepper(circuit: Circuit) -> DualFastStepper:
-    """The cached dual-machine :class:`DualFastStepper` for ``circuit``.
-
-    This is PODEM's resimulation kernel: one stepper serves every fault of
-    the circuit (stuck-at injection happens through runtime masks), so the
-    engine constructs nothing per fault and the generated source is as
-    cacheable as the fault-free steppers'.
-    """
-    return _stepper(
-        circuit,
-        "dual_fast",
-        lambda compiled, sources: DualFastStepper(
-            circuit, compiled=compiled, source=sources and sources[3]
-        ),
-    )
-
-
 def warm_compile_cache(circuit: Circuit) -> None:
     """Build every cached artifact for ``circuit`` up front.
 
     Used by process-pool worker initializers (one call per worker process,
-    see :mod:`repro.atpg.parallel`): a freshly unpickled circuit arrives
+    see :mod:`repro.faultsim.shard`): a freshly unpickled circuit arrives
     with no cache entry, and warming it once at initialization keeps the
-    lowering and ``exec`` cost out of the first work chunk's critical path
-    -- every later PODEM engine in that process then hits the warm entry.
-    PODEM's entry point is exec'd here too; elsewhere it compiles on first
-    use.
+    lowering and ``exec`` cost out of the first work chunk's critical path.
     """
     compiled_circuit(circuit)
     vector_fast_stepper(circuit)
-    dual_fast_stepper(circuit).step_dual
 
 
 def clear_compile_cache() -> None:
@@ -313,7 +279,6 @@ def compile_cache_stats() -> Dict[str, int]:
 
 __all__ = [
     "compiled_circuit",
-    "dual_fast_stepper",
     "fast_stepper",
     "vector_fast_stepper",
     "warm_compile_cache",

@@ -1,8 +1,8 @@
 """Code-generated scalar three-valued stepper.
 
-For search-heavy workloads (the PODEM engine re-simulates the machine after
-every decision) the interpreted :class:`SequentialSimulator` loop dominates
-runtime.  This module compiles one circuit (plus optionally one stuck-at
+For search-heavy workloads (the synchronizing-sequence searches step the
+machine once per candidate vector) the interpreted
+:class:`SequentialSimulator` loop dominates runtime.  This module compiles one circuit (plus optionally one stuck-at
 fault, inlined as constants at the faulted line's consumer reads) into a
 straight-line Python function using the dual-rail encoding::
 

@@ -14,8 +14,6 @@ redoes proven work:
 * :mod:`repro.store.journal` -- the structured JSONL run journal (stage
   timings, cache hits, store keys) that doubles as the benchmark
   observability layer and pins referenced artifacts against GC;
-* :mod:`repro.store.checkpoint` -- mid-run checkpointing of per-fault ATPG
-  outcomes, the substrate of ``--resume``;
 * :mod:`repro.store.locks` -- advisory per-shard file locks, the
   concurrency discipline that lets several servers, CLI runs and GC loops
   share one store root without evicting freshly pinned artifacts.
@@ -30,13 +28,11 @@ from repro.store.core import (
     store_enabled,
 )
 from repro.store.journal import RunJournal, journal_pinned_paths, tail_journal
-from repro.store.checkpoint import AtpgCheckpoint
 from repro.store.locks import FileLock, shard_lock, shard_of
 
 __all__ = [
     "ArtifactStore",
     "StoreError",
-    "AtpgCheckpoint",
     "FileLock",
     "RunJournal",
     "default_store",

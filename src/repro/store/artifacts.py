@@ -20,14 +20,10 @@ kind            contents
                 discovery order plus their flat tables, the initial-state
                 spec and the traversal statistics, see
                 :mod:`repro.equivalence.reach`)
-``scoap``       SCOAP testability measures of one circuit (per-node
-                CC0/CC1/CO, per-edge observability and detection-depth
-                bounds, see :mod:`repro.atpg.guidance`)
 ==============  =========================================================
 
 Artifacts that carry edge-indexed coordinates (``faults``, ``atpg``,
-``faultsim``, ``stepper``, ``stg``, ``reach-stg``, ``scoap``)
-additionally record
+``faultsim``, ``stepper``, ``stg``, ``reach-stg``) additionally record
 :func:`~repro.circuit.digest.structural_identity`; their loaders refuse --
 returning ``None``, a plain miss -- when the raw structure of the circuit
 at hand differs from the one the artifact was computed on.  The content
@@ -91,7 +87,7 @@ def budget_fingerprint(budget: AtpgBudget) -> Dict[str, object]:
     tighter clock may have budget-aborted faults a looser run would have
     targeted, so runs under different budgets must not share artifacts.
     So is the exact search's generation: under one budget, a newer search
-    may decide faults an older one left to PODEM.
+    may decide faults an older one left undecided.
     """
     return {**asdict(budget), "exact_search": EXACT_SEARCH_GENERATION}
 
@@ -221,21 +217,12 @@ def atpg_result_payload(result) -> Dict[str, object]:
         "untestable": encode_faults(sorted(result.untestable)),
         "aborted": encode_faults(sorted(result.aborted)),
         "cpu_seconds": result.cpu_seconds,
-        "backtracks": result.backtracks,
         "random_detected": result.random_detected,
         "deterministic_detected": result.deterministic_detected,
         "search_exhausted": result.search_exhausted,
         "budget_aborted": result.budget_aborted,
         "random_seconds": result.random_seconds,
         "deterministic_seconds": result.deterministic_seconds,
-        "engine": result.engine,
-        "workers": result.workers,
-        "engine_reason": result.engine_reason,
-        "simulations": result.simulations,
-        "frames_simulated": result.frames_simulated,
-        "lanes_evaluated": result.lanes_evaluated,
-        "guidance": result.guidance,
-        "objective_choices": result.objective_choices,
         # Proof kind of each untestable fault: these by exhausted search,
         # the rest structurally.
         "search_proved": encode_faults(sorted(result.search_proved)),
@@ -260,21 +247,12 @@ def atpg_result_from_payload(payload: Dict[str, object]):
             untestable=set(decode_faults(payload["untestable"])),
             aborted=set(decode_faults(payload["aborted"])),
             cpu_seconds=float(payload["cpu_seconds"]),
-            backtracks=int(payload["backtracks"]),
             random_detected=int(payload["random_detected"]),
             deterministic_detected=int(payload["deterministic_detected"]),
             search_exhausted=int(payload["search_exhausted"]),
             budget_aborted=int(payload["budget_aborted"]),
             random_seconds=float(payload["random_seconds"]),
             deterministic_seconds=float(payload["deterministic_seconds"]),
-            engine=str(payload["engine"]),
-            workers=int(payload["workers"]),
-            engine_reason=str(payload.get("engine_reason", "")),
-            simulations=int(payload.get("simulations", 0)),
-            frames_simulated=int(payload.get("frames_simulated", 0)),
-            lanes_evaluated=int(payload.get("lanes_evaluated", 0)),
-            guidance=str(payload.get("guidance", "off")),
-            objective_choices=int(payload.get("objective_choices", 0)),
             search_proved=set(decode_faults(payload.get("search_proved", []))),
         )
     except (KeyError, TypeError, ValueError, IndexError):
@@ -316,56 +294,6 @@ def faultsim_from_payload(
             potential=set(decode_faults(payload["potential"])),
         )
     except (KeyError, TypeError, ValueError, IndexError):
-        return None
-
-
-# -- SCOAP testability measures ---------------------------------------------
-
-
-def scoap_payload(circuit: Circuit, measures) -> Dict[str, object]:
-    """A :class:`~repro.atpg.guidance.ScoapMeasures` record (kind
-    ``scoap``).  Edge-indexed maps are keyed by the circuit's edge
-    numbering, so the structural identity guards the whole payload."""
-    return {
-        "structure": structural_identity(circuit),
-        "cc0": {name: float(v) for name, v in measures.cc0.items()},
-        "cc1": {name: float(v) for name, v in measures.cc1.items()},
-        "co": {name: float(v) for name, v in measures.co.items()},
-        "edge_co": {str(i): float(v) for i, v in measures.edge_co.items()},
-        "depth": {name: int(v) for name, v in measures.depth.items()},
-        "min_frames": {
-            str(i): int(v) for i, v in measures.min_frames.items()
-        },
-        "known": {name: int(v) for name, v in measures.known.items()},
-        "pin_regs": {
-            str(i): int(v) for i, v in measures.pin_regs.items()
-        },
-    }
-
-
-def scoap_from_payload(payload: Dict[str, object], circuit: Circuit):
-    from repro.atpg.guidance import ScoapMeasures
-
-    if payload.get("structure") != structural_identity(circuit):
-        return None
-    try:
-        return ScoapMeasures(
-            cc0={str(n): float(v) for n, v in payload["cc0"].items()},
-            cc1={str(n): float(v) for n, v in payload["cc1"].items()},
-            co={str(n): float(v) for n, v in payload["co"].items()},
-            edge_co={
-                int(i): float(v) for i, v in payload["edge_co"].items()
-            },
-            depth={str(n): int(v) for n, v in payload["depth"].items()},
-            min_frames={
-                int(i): int(v) for i, v in payload["min_frames"].items()
-            },
-            known={str(n): int(v) for n, v in payload["known"].items()},
-            pin_regs={
-                int(i): int(v) for i, v in payload["pin_regs"].items()
-            },
-        )
-    except (KeyError, TypeError, ValueError, AttributeError):
         return None
 
 
@@ -533,20 +461,18 @@ def stepper_payload(
     scalar_source: str,
     vector_clean: str,
     vector_inject: str,
-    dual_source: str,
 ) -> Dict[str, object]:
     return {
         "structure": structural_identity(circuit),
         "scalar": scalar_source,
         "vector_clean": vector_clean,
         "vector_inject": vector_inject,
-        "dual": dual_source,
     }
 
 
 def stepper_sources_from_payload(
     payload: Dict[str, object], circuit: Circuit
-) -> Optional[Tuple[str, str, str, str]]:
+) -> Optional[Tuple[str, str, str]]:
     if payload.get("structure") != structural_identity(circuit):
         return None
     try:
@@ -554,7 +480,6 @@ def stepper_sources_from_payload(
             str(payload["scalar"]),
             str(payload["vector_clean"]),
             str(payload["vector_inject"]),
-            str(payload["dual"]),
         )
     except (KeyError, TypeError):
         return None
@@ -581,8 +506,6 @@ __all__ = [
     "reach_stg_payload",
     "retiming_from_payload",
     "retiming_payload",
-    "scoap_from_payload",
-    "scoap_payload",
     "stepper_payload",
     "stepper_sources_from_payload",
     "stg_arrays_from_payload",

@@ -7,7 +7,6 @@ Layout on disk::
       counters.json                persistent hit/miss/eviction counters
       journals/                    JSONL run journals (version-independent)
       v<schema>/                   one tree per store schema version
-        checkpoints/               ATPG resume checkpoints
         <kind>/<k0k1>/<key>.json   artifact records, sharded by key prefix
       tenants/<name>/              per-tenant namespaces, same inner layout
         journals/
@@ -54,8 +53,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.circuit.digest import DIGEST_VERSION
 from repro.store.locks import counters_lock, shard_lock, shard_of
 
-#: Bump when the record wrapper or on-disk layout changes.
-STORE_FORMAT = 1
+#: Bump when the record wrapper or on-disk layout changes.  Format 2
+#: drops the ``checkpoints/`` directory and the stepper record's dual
+#: source; it also keeps the composite version clear of the seven-part
+#: ``1.1.1.1.1.1.1`` an older layout already used.
+STORE_FORMAT = 2
 
 #: Default size bound applied by ``python -m repro store gc`` when no
 #: explicit ``--max-bytes`` is given.
@@ -83,18 +85,16 @@ class StoreError(RuntimeError):
 
 def schema_version() -> str:
     """The composite schema version governing the active artifact tree."""
-    from repro.atpg.guidance import GUIDANCE_FORMAT_VERSION
     from repro.equivalence.explicit import STG_FORMAT_VERSION
     from repro.equivalence.reach import REACH_FORMAT_VERSION
     from repro.simulation.backends import WORDPLANE_VERSION
     from repro.simulation.codegen import CODEGEN_VERSION
-    from repro.simulation.dual_codegen import DUAL_CODEGEN_VERSION
     from repro.simulation.vector_codegen import VECTOR_CODEGEN_VERSION
 
     return (
         f"{STORE_FORMAT}.{DIGEST_VERSION}.{CODEGEN_VERSION}"
-        f".{VECTOR_CODEGEN_VERSION}.{DUAL_CODEGEN_VERSION}.{STG_FORMAT_VERSION}"
-        f".{WORDPLANE_VERSION}.{REACH_FORMAT_VERSION}.{GUIDANCE_FORMAT_VERSION}"
+        f".{VECTOR_CODEGEN_VERSION}.{STG_FORMAT_VERSION}"
+        f".{WORDPLANE_VERSION}.{REACH_FORMAT_VERSION}"
     )
 
 
@@ -140,7 +140,7 @@ class ArtifactStore:
     """A content-addressed JSON artifact store rooted at ``root``.
 
     ``tenant`` selects a per-tenant namespace (``<root>/tenants/<name>/``)
-    for this instance's reads, writes, journals and checkpoints; ``None``
+    for this instance's reads, writes and journals; ``None``
     uses the shared tree.  Accounting and GC always cover the whole root,
     every tenant included, so one size bound governs the disk footprint.
     """
@@ -182,13 +182,6 @@ class ArtifactStore:
         """The service's persistent job index for this tenant namespace
         (version-independent, like journals: jobs outlive schema bumps)."""
         return os.path.join(self._tenant_root, "jobs-index.jsonl")
-
-    @property
-    def checkpoint_dir(self) -> str:
-        return os.path.join(self.version_dir, "checkpoints")
-
-    def checkpoint_path(self, key: str) -> str:
-        return os.path.join(self.checkpoint_dir, f"{key}.jsonl")
 
     @staticmethod
     def shard_of_path(path: str) -> str:
@@ -337,8 +330,6 @@ class ArtifactStore:
         files: List[str] = []
         for tree in self._version_trees():
             for dirpath, _dirnames, filenames in os.walk(tree):
-                if os.path.basename(dirpath) == "checkpoints":
-                    continue
                 for filename in sorted(filenames):
                     if filename.endswith(".json"):
                         files.append(os.path.join(dirpath, filename))
@@ -626,7 +617,7 @@ class ArtifactStore:
         }
 
     def clear(self) -> int:
-        """Delete every artifact record (journals and checkpoints stay)."""
+        """Delete every artifact record (journals stay)."""
         removed = 0
         for path in self.artifact_files():
             try:

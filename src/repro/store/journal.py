@@ -16,12 +16,11 @@ one JSON event with a wall-clock timestamp; the vocabulary is small:
   keeps its evidence replayable.
 
 Events are flushed per line, so a killed run leaves a readable journal up
-to the moment of death (the same property the ATPG checkpoint relies on).
-Writes are serialized by an internal lock, so a journal shared between the
-service's event loop and its worker threads never interleaves two events
-on one line; :func:`tail_journal` incrementally reads complete lines from
-a given offset, which is how the server streams a run's progress as NDJSON
-while the run is still writing.
+to the moment of death.  Writes are serialized by an internal lock, so a
+journal shared between the service's event loop and its worker threads
+never interleaves two events on one line; :func:`tail_journal`
+incrementally reads complete lines from a given offset, which is how the
+server streams a run's progress as NDJSON while the run is still writing.
 """
 
 from __future__ import annotations

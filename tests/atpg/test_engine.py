@@ -1,11 +1,12 @@
-"""Tests for the ATPG engine (random + deterministic phases)."""
+"""Tests for the ATPG engine (random phase + exact search)."""
+
+import inspect
 
 import pytest
 
-from repro.atpg import AtpgBudget, PodemEngine, run_atpg, structurally_untestable
-from repro.atpg.budget import EffortMeter
+from repro.atpg import AtpgBudget, run_atpg, structurally_untestable
 from repro.circuit import CircuitBuilder, LineRef
-from repro.faults import StuckAtFault, collapse_faults
+from repro.faults import StuckAtFault
 from repro.faultsim import fault_simulate
 
 from tests.helpers import (
@@ -15,14 +16,7 @@ from tests.helpers import (
     resettable_counter,
 )
 
-FAST = AtpgBudget(
-    total_seconds=10.0,
-    seconds_per_fault=0.2,
-    backtracks_per_fault=300,
-    max_frames=8,
-    random_sequences=16,
-    random_length=16,
-)
+FAST = AtpgBudget(total_seconds=10.0, random_sequences=16, random_length=16)
 
 
 class TestEngine:
@@ -59,27 +53,35 @@ class TestEngine:
         assert 0 <= result.fault_coverage <= result.fault_efficiency <= 100.0
 
     def test_deterministic_phase_contributes(self):
-        """With the random phase disabled PODEM must find tests alone."""
+        """With the random phase disabled the search finds every test."""
         circuit = pipelined_logic()
-        budget = AtpgBudget(
-            total_seconds=10.0,
-            random_sequences=0,
-            backtracks_per_fault=300,
-            max_frames=6,
-            seconds_per_fault=0.3,
-        )
-        result = run_atpg(circuit, budget=budget)
-        assert result.deterministic_detected > 0
+        result = run_atpg(circuit, budget=AtpgBudget(random_sequences=0))
+        assert result.random_detected == 0
+        assert result.deterministic_detected == len(result.detected) > 0
         assert result.fault_coverage == 100.0
+        assert {row.status for row in result.fault_rows} <= {"det", "proved"}
 
     def test_summary(self):
         result = run_atpg(pipelined_logic(), budget=FAST)
         assert "FC" in result.summary()
 
-    def test_budget_scaled(self):
-        scaled = FAST.scaled(2.0)
-        assert scaled.total_seconds == 20.0
-        assert scaled.backtracks_per_fault == 600
+
+#: Execution options an ATPG entry point must not take: ATPG has one
+#: configuration, the random phase and then the exact search.
+RETIRED_OPTIONS = {"workers", "engine", "guidance", "checkpoint", "resume", "checkpoint_path"}
+
+
+def test_no_atpg_entry_point_takes_a_retired_option():
+    """ATPG has one configuration at every layer.  ``fault_simulate``'s
+    own ``engine``/``workers`` pick fault-simulation engines and are out
+    of scope."""
+    from repro.core.experiments import table2_row
+    from repro.core.flow import retime_for_testability_flow
+    from repro.pipeline import FlowPipeline
+
+    for function in (run_atpg, FlowPipeline.__init__, retime_for_testability_flow, table2_row):
+        taken = set(inspect.signature(function).parameters) & RETIRED_OPTIONS
+        assert not taken, (function.__qualname__, taken)
 
 
 class TestStructuralUntestability:
@@ -107,41 +109,3 @@ class TestStructuralUntestability:
 
     def test_feedback_loops_handled(self):
         assert structurally_untestable(feedback_and()) == set()
-
-
-class TestPodemUnit:
-    def test_detects_simple_stuck_fault(self):
-        circuit = pipelined_logic()
-        engine = PodemEngine(circuit)
-        meter = EffortMeter(FAST)
-        fault = collapse_faults(circuit).representatives[0]
-        outcome = engine.generate(fault, meter)
-        if outcome.detected:
-            check = fault_simulate(circuit, [outcome.sequence], [fault])
-            assert check.num_detected == 1
-
-    def test_generated_sequences_verify(self):
-        """PODEM's claimed tests must always replay (engine invariant)."""
-        circuit = resettable_counter()
-        engine = PodemEngine(circuit)
-        meter = EffortMeter(FAST)
-        for fault in collapse_faults(circuit).representatives:
-            outcome = engine.generate(fault, meter)
-            if outcome.detected:
-                check = fault_simulate(circuit, [outcome.sequence], [fault])
-                assert check.num_detected == 1, fault.describe(circuit)
-
-    def test_respects_backtrack_limit(self):
-        circuit = feedback_and()
-        engine = PodemEngine(circuit)
-        meter = EffortMeter(
-            AtpgBudget(total_seconds=5, backtracks_per_fault=5, max_frames=6)
-        )
-        # Per depth level the backtrack budget is fresh; with max_frames 6
-        # the levels are 1, 2, 4, 6, so at most 4 x 5 backtracks total.
-        results = [
-            engine.generate(f, meter)
-            for f in collapse_faults(circuit).representatives
-        ]
-        for outcome in results:
-            assert outcome.backtracks <= 4 * 5 or outcome.detected

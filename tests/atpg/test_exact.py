@@ -3,10 +3,9 @@
 Every leaf of a cube row must stand for exactly its minterms under the
 scalar simulators; outcomes must equal a brute-force search that
 enumerates every vector; every test it finds must replay under the scalar
-serial fault simulator; no fault that PODEM or a random test set detects
-may ever be proved untestable; outcomes must not depend on how faults
-share steps or on the bookkeeping leg; and with the search off,
-``run_atpg`` must be the PODEM engine byte for byte.
+serial fault simulator; no fault a random test set detects may ever be
+proved untestable; and outcomes must not depend on how faults share
+steps or on the bookkeeping leg.
 """
 
 import functools
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.atpg import AtpgBudget, run_atpg, structurally_untestable
+from repro.atpg import AtpgBudget, EffortMeter, run_atpg, structurally_untestable
 from repro.atpg import exact
 from repro.atpg.exact import ProductSearch, StepKeys, iter_exact, key_planes, lane_keys
 from repro.circuit import CircuitBuilder, GateType
@@ -30,7 +29,6 @@ from repro.faultsim.serial import serial_fault_simulate
 from repro.logic.three_valued import ONE, X, ZERO
 from repro.papercircuits import fig5_pair
 from repro.simulation.codegen import FastStepper
-from repro.store import AtpgCheckpoint
 
 from tests.helpers import (
     HAVE_NUMPY,
@@ -40,23 +38,11 @@ from tests.helpers import (
     resettable_random_circuit,
 )
 
-#: PODEM limits that bind before any clock does.
-PODEM = AtpgBudget(
-    total_seconds=120.0,
-    seconds_per_fault=5.0,
-    backtracks_per_fault=200,
-    max_frames=8,
-    random_sequences=8,
-    random_length=16,
-)
+#: A short random phase, so the search has faults left to decide.
+BUDGET = AtpgBudget(total_seconds=120.0, random_sequences=8, random_length=16)
 
 #: The e2e benchmark's flow budget: effort-bound, the clock out of reach.
-FLOW = AtpgBudget(
-    backtracks_per_fault=4,
-    frames_cap=6,
-    total_seconds=1e6,
-    seconds_per_fault=1e6,
-)
+FLOW = AtpgBudget(total_seconds=1e6)
 
 LEGS = ["bigint"] + (["numpy"] if HAVE_NUMPY else [])
 
@@ -388,7 +374,6 @@ class TestOracles:
         outcomes = dict(_searched(circuit))
         assert all(o.status != "cap" for o in outcomes.values())
         proved = {f for f, o in outcomes.items() if o.status == "proved"}
-        podem = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=0))
         rng = random.Random(circuit.name)
         width = len(circuit.input_names)
         sequences = [
@@ -396,7 +381,7 @@ class TestOracles:
             for _ in range(64)
         ]
         randomly = set(fault_simulate(circuit, sequences, list(outcomes)).detections)
-        assert not proved & podem.detected
+        assert randomly
         assert not proved & randomly
 
     @pytest.mark.parametrize("circuit", CIRCUITS, ids=IDS)
@@ -406,7 +391,7 @@ class TestOracles:
 
     @pytest.mark.parametrize("circuit", CIRCUITS, ids=IDS)
     def test_run_atpg_reaches_full_efficiency(self, circuit):
-        result = run_atpg(circuit, budget=PODEM)
+        result = run_atpg(circuit, budget=BUDGET)
         assert result.fault_efficiency == 100.0
         assert not result.aborted
         assert result.search_proved <= result.untestable
@@ -435,8 +420,6 @@ class TestPastTheWall:
         for fault, outcome in found:
             replay = serial_fault_simulate(circuit, [outcome.sequence], [fault])
             assert fault in replay.detections, fault
-        budget = replace(PODEM, backtracks_per_fault=40, exact_lane_steps=0)
-        podem = run_atpg(circuit, budget=budget)
         rng = random.Random(circuit.name)
         width = len(circuit.input_names)
         sequences = [
@@ -444,12 +427,11 @@ class TestPastTheWall:
             for _ in range(64)
         ]
         randomly = set(fault_simulate(circuit, sequences, [f for f, _o in outcomes]).detections)
-        assert podem.detected and randomly
-        assert not proved & podem.detected
+        assert randomly
         assert not proved & randomly
 
     def test_run_atpg_reaches_full_efficiency(self):
-        result = run_atpg(WIDE[0], budget=PODEM)
+        result = run_atpg(WIDE[0], budget=BUDGET)
         assert result.fault_efficiency == 100.0
         assert not result.aborted and result.search_proved
 
@@ -486,10 +468,10 @@ class TestBatching:
     def test_batches_give_the_same_outcomes(self, monkeypatch, knob, value):
         circuit = CIRCUITS[1]
         reference = _searched(circuit)
-        reference_run = run_atpg(circuit, budget=PODEM)
+        reference_run = run_atpg(circuit, budget=BUDGET)
         monkeypatch.setattr(exact, knob, value)
         assert _searched(circuit) == reference
-        run = run_atpg(circuit, budget=PODEM)
+        run = run_atpg(circuit, budget=BUDGET)
         assert run.test_set.to_text() == reference_run.test_set.to_text()
         assert run.untestable == reference_run.untestable
 
@@ -506,47 +488,42 @@ class TestBatching:
 
 
 class TestCap:
-    def test_tiny_cap_sends_every_fault_to_podem(self):
+    def test_tiny_cap_aborts_what_the_random_phase_leaves(self):
         circuit = CIRCUITS[0]
-        podem = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=0))
         # One lane-step never finishes the root row: its all-X cube splits.
-        tiny = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=1))
-        assert tiny.test_set.to_text() == podem.test_set.to_text()
-        assert tiny.detected == podem.detected
-        assert tiny.aborted == podem.aborted
-        assert not tiny.search_proved
-        assert not any(row.lane_steps for row in tiny.fault_rows)
-        assert tiny.backtracks == podem.backtracks
+        tiny = run_atpg(circuit, budget=replace(BUDGET, exact_lane_steps=1))
+        left = set(_targets(circuit)) - tiny.detected
+        assert left and tiny.aborted == left
+        assert not tiny.search_proved and not tiny.deterministic_detected
+        rows = {row.fault_key: row for row in tiny.fault_rows}
+        assert set(rows) == {EffortMeter.fault_key(f) for f in left}
+        assert all(row.status == "cap" and not row.lane_steps for row in rows.values())
+        # The test set is the random phase's: the walks a run whose search
+        # decides every fault starts with.
+        full = run_atpg(circuit, budget=BUDGET)
+        assert tiny.random_detected == full.random_detected == len(tiny.detected)
+        walks = tiny.test_set.as_lists()
+        assert walks == full.test_set.as_lists()[: len(walks)]
 
-    def test_over_cap_faults_go_on_to_podem(self):
+    def test_over_cap_faults_get_cap_rows(self):
         circuit = CIRCUITS[1]
         alphabet = 2 ** len(circuit.input_names)
         outcomes = _searched(circuit, lane_cap=2 * alphabet)
-        over = [f for f, o in outcomes if o.status == "cap"]
+        over = {f for f, o in outcomes if o.status == "cap"}
         assert over and len(over) < len(outcomes)
         assert all(o.lane_steps <= 2 * alphabet for _f, o in outcomes)
-        budget = replace(PODEM, backtracks_per_fault=20, exact_lane_steps=2 * alphabet)
-        result = run_atpg(circuit, budget=budget)
-        podem_rows = [row for row in result.fault_rows if not row.lane_steps]
-        assert podem_rows
-        assert {row.status for row in podem_rows} <= {"det", "abort", "exhausted"}
-        # Every fault the search left open was either targeted by PODEM
-        # or detected by an earlier test on the way.
-        keys = {row.fault_key for row in podem_rows}
+        result = run_atpg(circuit, budget=replace(BUDGET, exact_lane_steps=2 * alphabet))
+        capped = {row.fault_key for row in result.fault_rows if row.status == "cap"}
+        assert {row.status for row in result.fault_rows} <= {"det", "proved", "cap"}
+        # A fault's verdict does not depend on the faults searched beside
+        # it: the run caps exactly the over-cap faults it searches, and
+        # the other ones were detected before their turn.
+        assert capped and capped <= {EffortMeter.fault_key(f) for f in over}
         for fault in over:
-            key = (fault.line.edge_index, fault.line.segment, fault.value)
-            assert key in keys or fault in result.detected
-
-
-    def test_pool_gets_the_same_over_cap_faults(self):
-        circuit = CIRCUITS[1]
-        alphabet = 2 ** len(circuit.input_names)
-        budget = replace(PODEM, backtracks_per_fault=20, exact_lane_steps=2 * alphabet)
-        serial = run_atpg(circuit, budget=budget, engine="serial")
-        pooled = run_atpg(circuit, budget=budget, engine="process", workers=2)
-        assert pooled.test_set.to_text() == serial.test_set.to_text()
-        assert pooled.untestable == serial.untestable
-        assert pooled.aborted == serial.aborted
+            assert EffortMeter.fault_key(fault) in capped or fault in result.detected
+        assert result.aborted == over - result.detected
+        assert result.search_exhausted == len(result.aborted)
+        assert not result.budget_aborted
 
 
 class TestClock:
@@ -579,10 +556,9 @@ class TestClock:
 
     def test_tiny_budget_bounds_a_long_search(self):
         """This circuit's search runs for minutes; at a half-second
-        budget ATPG returns with the undecided faults budget-aborted,
-        as PODEM's would be."""
+        budget ATPG returns with the undecided faults budget-aborted."""
         circuit = random_circuit(881, num_inputs=24, num_gates=48, num_dffs=6)
-        budget = replace(PODEM, total_seconds=0.5)
+        budget = replace(BUDGET, total_seconds=0.5)
         start = time.perf_counter()
         result = run_atpg(circuit, budget=budget)
         assert time.perf_counter() - start < budget.total_seconds + 2.0
@@ -590,30 +566,6 @@ class TestClock:
         rows = {row.fault_key: row.status for row in result.fault_rows}
         for fault in result.aborted:
             assert rows[(fault.line.edge_index, fault.line.segment, fault.value)] == "budget"
-
-
-class TestPodemOnly:
-    def test_search_off_reproduces_podem_test_set(self):
-        """With ``exact_lane_steps=0`` the flow's dk16.ji.sd easy circuit
-        gets the PODEM test set byte for byte (digest pinned from the
-        engine before the search existed)."""
-        from repro.core.experiments import TABLE2_CIRCUITS, build_pair
-        from repro.pipeline import FlowPipeline
-
-        spec = next(s for s in TABLE2_CIRCUITS if s.name == "dk16.ji.sd")
-        hard = build_pair(spec, store=None).retimed
-        retiming = FlowPipeline(store=None).stage_easy_retiming(hard)
-        easy = retiming.apply(f"{hard.name}.easy")
-        budget = AtpgBudget(
-            backtracks_per_fault=4,
-            frames_cap=6,
-            total_seconds=1e6,
-            seconds_per_fault=1e6,
-            exact_lane_steps=0,
-        )
-        result = run_atpg(easy, budget=budget)
-        assert _digest(result.test_set) == "ddc84ff2b5222ad3"
-        assert not result.search_proved
 
 
 #: Each flow's hard-circuit grade of ``P ∪ T``: (detected, faults).
@@ -708,31 +660,6 @@ class TestPins:
         assert budget_fingerprint(AtpgBudget()) != asdict(AtpgBudget())
 
 
-class TestResume:
-    def test_killed_run_resumes_bit_identical_with_search(self, tmp_path):
-        """A capped search leaves faults to PODEM, whose outcomes are
-        journaled; the search itself reruns on resume."""
-        circuit = CIRCUITS[1]
-        faults = collapse_faults(circuit).representatives
-        alphabet = 2 ** len(circuit.input_names)
-        budget = replace(PODEM, backtracks_per_fault=20, exact_lane_steps=2 * alphabet)
-        reference = run_atpg(circuit, faults, budget)
-
-        checkpoint = AtpgCheckpoint(str(tmp_path / "run.ckpt"))
-        run_atpg(circuit, faults, budget, checkpoint=checkpoint)
-        lines = open(checkpoint.path).read().splitlines()
-        fault_lines = [i for i, line in enumerate(lines) if json.loads(line)["e"] == "fault"]
-        assert len(fault_lines) > 2, "too few PODEM targets to simulate a kill"
-        with open(checkpoint.path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[: fault_lines[2]]) + "\n" + '{"e": "fault", "f": [1')
-
-        resumed = run_atpg(circuit, faults, budget, checkpoint=checkpoint, resume=True)
-        assert resumed.test_set.to_text() == reference.test_set.to_text()
-        assert resumed.detected == reference.detected
-        assert resumed.untestable == reference.untestable
-        assert resumed.aborted == reference.aborted
-
-
 class TestInjectKernel:
     """The faulty half steps on one kernel per search, injecting at the
     searched faults' lines only."""
@@ -768,33 +695,29 @@ class TestInjectKernel:
         circuit = random_circuit(871, num_inputs=4, num_gates=18, num_dffs=4)
         clear_compile_cache()
         with on_leg("numpy", "exact"):
-            result = run_atpg(circuit, budget=PODEM)
+            result = run_atpg(circuit, budget=BUDGET)
         assert result.fault_efficiency == 100.0 and not result.backtracks
         assert "step_inject" not in vars(vector_fast_stepper(circuit))
 
 
 class TestCompileOnUse:
-    def test_searched_run_never_compiles_podem_steppers(self):
-        """A run the search decides alone writes the stepper record with
-        all four sources but execs neither the scalar nor the dual one;
-        PODEM, when it runs, still gets its usual results."""
+    def test_searched_run_never_compiles_the_scalar_stepper(self):
+        """A run writes the stepper record with its scalar and
+        bit-parallel sources but execs no scalar stepper: the random
+        phase, the search and the replays all step bit-parallel."""
         from repro.simulation.cache import (
             clear_compile_cache,
             compile_cache_stats,
-            dual_fast_stepper,
             fast_stepper,
         )
+        from repro.store.core import default_store
 
         circuit = random_circuit(870, num_inputs=4, num_gates=18, num_dffs=4)
         clear_compile_cache()
-        result = run_atpg(circuit, budget=PODEM)
+        result = run_atpg(circuit, budget=BUDGET)
         assert result.fault_efficiency == 100.0 and not result.backtracks
         assert compile_cache_stats()["persistent_writes"] == 1
         assert "step" not in vars(fast_stepper(circuit))
-        assert "step_dual" not in vars(dual_fast_stepper(circuit))
-        podem = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=0))
-        clear_compile_cache()
-        fresh = run_atpg(circuit, budget=replace(PODEM, exact_lane_steps=0))
-        assert podem.test_set.to_text() == fresh.test_set.to_text()
-        assert podem.backtracks == fresh.backtracks
-        assert "step_dual" in vars(dual_fast_stepper(circuit))
+        (record,) = default_store().artifact_files()
+        payload = json.loads(Path(record).read_text(encoding="utf-8"))["payload"]
+        assert sorted(payload) == ["scalar", "structure", "vector_clean", "vector_inject"]

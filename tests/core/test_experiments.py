@@ -15,9 +15,6 @@ from repro.core.experiments import CircuitSpec
 
 TINY = AtpgBudget(
     total_seconds=20.0,
-    seconds_per_fault=0.2,
-    backtracks_per_fault=30,
-    max_frames=6,
     random_sequences=24,
     random_length=48,
     random_stale_limit=8,

@@ -117,7 +117,9 @@ class TestBudgetAndOptions:
             ("sync_samples", 0),
             ("random_length", 2.5),
             ("total_seconds", float("nan")),
-            ("seconds_per_fault", -1.0),
+            ("total_seconds", -1.0),
+            # Every fault the random phase leaves would abort unsearched.
+            ("exact_lane_steps", 0),
         ],
     )
     def test_budget_that_cannot_run_rejected(self, field, value):
@@ -125,15 +127,16 @@ class TestBudgetAndOptions:
         with pytest.raises(SchemaError, match=f"budget: {field} must be"):
             parse_request({**_table2(), "budget": {field: value}})
 
+    @pytest.mark.parametrize(
+        "field", ["backtracks_per_fault", "max_frames", "frames_cap", "seconds_per_fault"]
+    )
+    def test_removed_budget_field_rejected(self, field):
+        """The budget has no fields for a time-frame search any more."""
+        with pytest.raises(SchemaError, match=f"budget: unknown field '{field}'"):
+            parse_request({**_table2(), "budget": {field: 4}})
+
     def test_options_apply(self):
-        request = parse_request(
-            {
-                **_table2(),
-                "options": {"workers": 2, "engine": "process", "verify": True},
-            }
-        )
-        assert request.workers == 2
-        assert request.engine == "process"
+        request = parse_request({**_table2(), "options": {"verify": True}})
         assert request.verify is True
 
     def test_options_unknown_key_rejected(self):
@@ -141,26 +144,26 @@ class TestBudgetAndOptions:
             parse_request({**_table2(), "options": {"turbo": True}})
 
     def test_options_bad_kernel_rejected(self):
-        """PODEM has one kernel, so ``kernel`` is no option at all."""
+        """ATPG has no kernel choice, so ``kernel`` is no option at all."""
         for kernel in ("warp", "dual"):
             with pytest.raises(SchemaError, match="unknown option 'kernel'"):
                 parse_request({**_table2(), "options": {"kernel": kernel}})
 
     def test_options_bad_workers_rejected(self):
-        with pytest.raises(SchemaError, match="workers"):
-            parse_request({**_table2(), "options": {"workers": 0}})
+        """ATPG has one configuration, so ``workers`` is no option at all."""
+        for workers in (0, 1, 2):
+            with pytest.raises(SchemaError, match="unknown option 'workers'"):
+                parse_request({**_table2(), "options": {"workers": workers}})
 
     @pytest.mark.parametrize("workers", [True, False, 1.5, "2"])
     def test_options_non_integer_workers_rejected(self, workers):
-        with pytest.raises(SchemaError, match="workers"):
+        with pytest.raises(SchemaError, match="unknown option 'workers'"):
             parse_request({**_table2(), "options": {"workers": workers}})
 
     def test_options_engine_validated(self):
-        for engine in ("serial", "process", "auto", None):
-            request = parse_request({**_table2(), "options": {"engine": engine}})
-            assert request.engine == engine
-        for engine in ("gpu", "", 2):
-            with pytest.raises(SchemaError, match="'engine' must be one of"):
+        """Nor is ``engine``, whatever its value."""
+        for engine in ("serial", "process", "auto", None, "gpu", "", 2):
+            with pytest.raises(SchemaError, match="unknown option 'engine'"):
                 parse_request({**_table2(), "options": {"engine": engine}})
 
     @pytest.mark.parametrize("value", ["auto", "bitset", "reference", "reach"])
@@ -178,20 +181,16 @@ class TestBudgetAndOptions:
             parse_request({**_table2(), "options": {"backend": value}})
 
     def test_every_other_option_parses_as_before(self):
-        options = {
-            "workers": 3,
-            "engine": "serial",
-            "guidance": "scoap",
-            "verify": True,
-        }
+        options = {"verify": True}
         request = parse_request({**_table2(), "options": options})
         assert {key: getattr(request, key) for key in options} == options
-        assert not hasattr(request, "stg_engine")
-        assert not hasattr(request, "backend")
+        for retired in ("stg_engine", "backend", "workers", "engine", "guidance"):
+            assert not hasattr(request, retired)
 
-    @pytest.mark.parametrize("guidance", ["learned", "auto", "psychic"])
-    def test_options_guidance_is_off_or_scoap(self, guidance):
-        with pytest.raises(SchemaError, match="off, scoap"):
+    @pytest.mark.parametrize("guidance", ["learned", "auto", "psychic", "off", "scoap"])
+    def test_options_guidance_is_unknown(self, guidance):
+        """Nor is ``guidance``: the search decides each fault exactly."""
+        with pytest.raises(SchemaError, match="unknown option 'guidance'"):
             parse_request({**_table2(), "options": {"guidance": guidance}})
 
     def test_invalid_tenant_rejected(self):
@@ -206,15 +205,11 @@ class TestBudgetAndOptions:
 
 
 class TestFingerprint:
-    def test_execution_knobs_do_not_change_the_fingerprint(self):
+    def test_tenant_does_not_change_the_fingerprint(self):
+        """The tenant picks a namespace, not the work."""
         base = parse_request(_table2()).fingerprint()
-        tuned = parse_request(
-            {
-                **_table2(),
-                "options": {"workers": 4, "engine": "process"},
-            }
-        ).fingerprint()
-        assert tuned == base  # bit-identical results => same work
+        tenant = parse_request({**_table2(), "tenant": "team-a"}).fingerprint()
+        assert tenant == base
 
     def test_budget_changes_the_fingerprint(self):
         base = parse_request(_table2()).fingerprint()

@@ -262,6 +262,29 @@ class TestValidationOverTheWire:
             assert excinfo.value.status == 400
             assert "unknown option 'backend'" in excinfo.value.message
 
+    def test_retired_atpg_inputs_are_400(self, store):
+        """ATPG has one configuration and no time-frame search: each
+        retired option, each retired budget field and a zero lane-step
+        cap is a 400 naming it."""
+        circuit = {"format": "table2", "fsm": "dk16", "style": "ji", "script": "sd"}
+        cases = [
+            ({"options": {"workers": 2}}, "unknown option 'workers'"),
+            ({"options": {"engine": "process"}}, "unknown option 'engine'"),
+            ({"options": {"guidance": "scoap"}}, "unknown option 'guidance'"),
+            ({"budget": {"backtracks_per_fault": 4}}, "unknown field 'backtracks_per_fault'"),
+            ({"budget": {"max_frames": 8}}, "unknown field 'max_frames'"),
+            ({"budget": {"frames_cap": 6}}, "unknown field 'frames_cap'"),
+            ({"budget": {"seconds_per_fault": 1.0}}, "unknown field 'seconds_per_fault'"),
+            ({"budget": {"exact_lane_steps": 0}}, "budget: exact_lane_steps must be"),
+        ]
+        with BackgroundServer(store=store, pool=1) as server:
+            client = _client(server)
+            for extra, message in cases:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit({"circuit": circuit, **extra})
+                assert excinfo.value.status == 400, extra
+                assert message in excinfo.value.message, extra
+
     def test_nan_budget_is_400(self, store):
         """``json.loads`` parses ``NaN``; a clock that never runs out
         must not reach a pool worker."""

@@ -8,7 +8,6 @@ from repro.simulation import (
     clear_compile_cache,
     compile_cache_stats,
     compiled_circuit,
-    dual_fast_stepper,
     fast_stepper,
     vector_fast_stepper,
     warm_compile_cache,
@@ -100,14 +99,11 @@ class TestPersistentLevel:
         assert compile_cache_stats()["persistent_hits"] == 1
         entry = getattr(fresh, cache._ATTR)
         assert entry.fast is None
-        assert entry.dual_fast is None
         assert stepper.sources() == vector_fast_stepper(written).sources()
 
         stats = default_store().stats
         reads = stats.hits + stats.misses
-        dual = dual_fast_stepper(fresh)
         scalar = fast_stepper(fresh)
         assert stats.hits + stats.misses == reads  # built from the loaded texts
         assert compile_cache_stats()["persistent_hits"] == 1
-        assert dual.source() == dual_fast_stepper(written).source()
         assert scalar._source == fast_stepper(written)._source

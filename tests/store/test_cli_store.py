@@ -55,9 +55,6 @@ class TestRunFlags:
         assert positional == ["dk16", "ji", "sd"]
         assert options == {
             "store": True,
-            "resume": False,
-            "workers": None,
-            "guidance": "off",
             "initial": "all",
             "retimed": False,
             "max_length": None,
@@ -69,13 +66,8 @@ class TestRunFlags:
             [
                 "--no-store",
                 "dk16",
-                "--resume",
                 "ji",
-                "--workers",
-                "3",
                 "sd",
-                "--guidance",
-                "scoap",
                 "--initial",
                 "reset",
                 "--retimed",
@@ -87,9 +79,6 @@ class TestRunFlags:
         assert positional == ["dk16", "ji", "sd"]
         assert options == {
             "store": False,
-            "resume": True,
-            "workers": 3,
-            "guidance": "scoap",
             "initial": "reset",
             "retimed": True,
             "max_length": 5,
@@ -97,8 +86,10 @@ class TestRunFlags:
         }
 
     def test_workers_without_count_is_an_error(self):
-        with pytest.raises(ValueError):
-            _pop_flags(["--workers"])
+        """ATPG has one configuration: ``--workers`` is no flag at all."""
+        for flags in (["--workers"], ["--workers", "2"]):
+            with pytest.raises(ValueError, match="unknown option '--workers'"):
+                _pop_flags(flags)
 
     def test_kernel_without_name_is_an_error(self):
         with pytest.raises(ValueError, match="--kernel"):
@@ -114,6 +105,9 @@ class TestRunFlags:
             ["--stg-engine", "auto"],
             ["--engine", "reach"],
             ["--backend", "numpy"],
+            ["--workers", "2"],
+            ["--guidance", "scoap"],
+            ["--resume"],
         ],
     )
     def test_retired_and_unknown_flags_exit_2(self, capsys, flags):
@@ -127,7 +121,7 @@ class TestRunFlags:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--workers", "many"], ["--workers", "0"], ["--initial", "bogus"]],
+        [["--max-length", "many"], ["--max-length", "1.5"], ["--initial", "bogus"]],
     )
     def test_bad_option_fails_the_same_warm_and_cold(self, capsys, flags):
         """The option is checked before any stage, so a cached ATPG stage
@@ -146,11 +140,15 @@ class TestRunFlags:
             _pop_flags(["--backend"])
 
     def test_guidance_rejects_unknown_modes(self):
-        with pytest.raises(ValueError):
+        """ATPG has no guidance: ``--guidance`` is no flag, whatever its
+        mode, and neither is the checkpoint's ``--resume``."""
+        with pytest.raises(ValueError, match="unknown option '--guidance'"):
             _pop_flags(["--guidance"])
-        for mode in ("psychic", "learned", "auto"):
-            with pytest.raises(ValueError, match="off or scoap"):
+        for mode in ("psychic", "learned", "auto", "off", "scoap"):
+            with pytest.raises(ValueError, match="unknown option '--guidance'"):
                 _pop_flags(["--guidance", mode])
+        with pytest.raises(ValueError, match="unknown option '--resume'"):
+            _pop_flags(["--resume"])
 
     def test_no_store_atpg_writes_nothing(self, capsys):
         assert main(["atpg", "--no-store", "dk16", "ji", "sd", "3"]) == 0

@@ -9,14 +9,7 @@ from repro.store.journal import journal_stage_summaries
 
 from tests.helpers import resettable_counter
 
-BUDGET = AtpgBudget(
-    total_seconds=60.0,
-    seconds_per_fault=2.0,
-    backtracks_per_fault=300,
-    max_frames=8,
-    random_sequences=16,
-    random_length=16,
-)
+BUDGET = AtpgBudget(total_seconds=60.0, random_sequences=16, random_length=16)
 
 STORE_BACKED = ("retime", "collapse", "atpg", "faultsim")
 
@@ -69,9 +62,6 @@ class TestWarmFlow:
 
         other_budget = AtpgBudget(
             total_seconds=BUDGET.total_seconds + 1.0,
-            seconds_per_fault=BUDGET.seconds_per_fault,
-            backtracks_per_fault=BUDGET.backtracks_per_fault,
-            max_frames=BUDGET.max_frames,
             random_sequences=BUDGET.random_sequences,
             random_length=BUDGET.random_length,
         )

@@ -146,6 +146,29 @@ class TestRunArguments:
         assert f"seconds must be a number >= 0, got {seconds!r}" in err
         assert self._journals() == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["atpg", "dk16", "ji", "sd", "3", "bogus"],
+            ["flow", "dk16", "ji", "sd", "3", "bogus", "--no-store"],
+            ["synth", "dk16", "ji", "sd", "bogus"],
+            ["retime", "dk16", "ji", "sd", "bogus"],
+            ["equiv", "dk16", "ji", "sd", "bogus"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_extra_positional_is_a_usage_error(self, capsys, monkeypatch, argv):
+        """A flag typed without its ``--`` is not silently dropped."""
+        from repro.core import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(experiments, "synthesize_original", never)
+        assert main(argv) == 2
+        assert "unexpected argument 'bogus'" in capsys.readouterr().err
+        assert self._journals() == []
+
     @pytest.mark.parametrize("command", ["atpg", "flow"])
     def test_failed_stage_ends_the_journal_not_ok(self, monkeypatch, command):
         from repro.pipeline import FlowPipeline
