@@ -45,7 +45,8 @@ store (``~/.cache/repro-store``, override with ``REPRO_STORE_DIR``) and
 journal each run under its ``journals/`` directory.  Flags:
 
 * ``--no-store`` — compute everything, touch no cache (``--store`` is the
-  default).
+  default): the command runs as under ``REPRO_STORE_DISABLE=1``, so the
+  compile cache's persistent stepper sources stay out of the store too.
 
 The compiled kernels run on numpy when it is installed and on Python
 bigints otherwise, with bit-identical results; no flag picks between them.
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 
 from repro.atpg import AtpgBudget
@@ -65,6 +67,8 @@ from repro.circuit import write_bench
 from repro.core import build_pair, format_table
 from repro.core.experiments import TABLE2_CIRCUITS, CircuitSpec
 from repro.fsm import table1
+
+_STORE_DISABLE = "REPRO_STORE_DISABLE"
 
 
 def _spec(fsm: str, style: str, script: str) -> CircuitSpec:
@@ -432,6 +436,90 @@ def _serve_command(rest) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _store_scope(use_store: bool):
+    """With ``--no-store``, the command runs as under
+    ``REPRO_STORE_DISABLE=1``: no level of the store is read or written,
+    the compile cache's persistent stepper sources included.  The setting
+    ends with the command."""
+    if use_store:
+        yield
+        return
+    saved = os.environ.get(_STORE_DISABLE)
+    os.environ[_STORE_DISABLE] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[_STORE_DISABLE]
+        else:
+            os.environ[_STORE_DISABLE] = saved
+
+
+def _spec_command(command, spec, rest, options) -> int:
+    """Run ``synth``, ``retime``, ``equiv``, ``atpg`` or ``flow`` on ``spec``."""
+    if command == "synth":
+        sys.stdout.write(write_bench(build_pair(spec).original))
+        return 0
+    if command == "equiv":
+        return _equiv_command(spec, options)
+    if command == "retime":
+        pair = build_pair(spec)
+        rows = [
+            {
+                "circuit": circuit.name,
+                "gates": circuit.num_gates(),
+                "dffs": circuit.num_registers(),
+                "period": circuit.clock_period(),
+            }
+            for circuit in (pair.original, pair.retimed)
+        ]
+        print(format_table(rows, ["circuit", "gates", "dffs", "period"]))
+        print(f"prefix |P| = {pair.prefix_length} (Theorem 4)")
+        return 0
+
+    from repro.pipeline import FlowPipeline
+
+    try:
+        budget = _budget(rest, 3)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    store, journal = _open_run(options, f"{command}-{spec.name}")
+    pipeline = FlowPipeline(store=store, journal=journal, verify=options["verify"])
+    # Closing the journal through its context manager records
+    # ``ok: false`` when a stage raises.
+    if command == "atpg":
+        with journal or contextlib.nullcontext():
+            pair = build_pair(spec, store=store)
+            faults = pipeline.stage_collapse(pair.original)
+            result = pipeline.stage_atpg(pair.original, faults, budget)
+        print(result.summary(), file=sys.stderr)
+        for stage in pipeline.stages:
+            print(
+                f"stage {stage.name}: {stage.cache} {stage.seconds:.2f}s",
+                file=sys.stderr,
+            )
+        if journal is not None:
+            print(f"journal: {journal.path}", file=sys.stderr)
+        sys.stdout.write(result.test_set.to_text())
+        return 0
+    with journal or contextlib.nullcontext():
+        result = pipeline.run_spec(spec, budget=budget)
+    print(result.flow.summary())
+    verify = result.stage("verify")
+    if verify is not None:
+        print(_verify_line(verify.detail, result.flow))
+    for stage in result.stages:
+        print(
+            f"stage {stage.name}: {stage.cache} {stage.seconds:.2f}s",
+            file=sys.stderr,
+        )
+    if journal is not None:
+        print(f"journal: {journal.path}", file=sys.stderr)
+    return 0
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
@@ -471,70 +559,8 @@ def main(argv=None) -> int:
             print(usage)
             return 2
         spec = _spec(rest[0], rest[1], rest[2])
-
-        if command == "synth":
-            sys.stdout.write(write_bench(build_pair(spec).original))
-            return 0
-        if command == "equiv":
-            return _equiv_command(spec, options)
-        if command == "retime":
-            pair = build_pair(spec)
-            rows = [
-                {
-                    "circuit": circuit.name,
-                    "gates": circuit.num_gates(),
-                    "dffs": circuit.num_registers(),
-                    "period": circuit.clock_period(),
-                }
-                for circuit in (pair.original, pair.retimed)
-            ]
-            print(format_table(rows, ["circuit", "gates", "dffs", "period"]))
-            print(f"prefix |P| = {pair.prefix_length} (Theorem 4)")
-            return 0
-
-        from repro.pipeline import FlowPipeline
-
-        try:
-            budget = _budget(rest, 3)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        store, journal = _open_run(options, f"{command}-{spec.name}")
-        pipeline = FlowPipeline(
-            store=store, journal=journal, verify=options["verify"]
-        )
-        # Closing the journal through its context manager records
-        # ``ok: false`` when a stage raises.
-        if command == "atpg":
-            with journal or contextlib.nullcontext():
-                pair = build_pair(spec, store=store)
-                faults = pipeline.stage_collapse(pair.original)
-                result = pipeline.stage_atpg(pair.original, faults, budget)
-            print(result.summary(), file=sys.stderr)
-            for stage in pipeline.stages:
-                print(
-                    f"stage {stage.name}: {stage.cache} {stage.seconds:.2f}s",
-                    file=sys.stderr,
-                )
-            if journal is not None:
-                print(f"journal: {journal.path}", file=sys.stderr)
-            sys.stdout.write(result.test_set.to_text())
-            return 0
-        if command == "flow":
-            with journal or contextlib.nullcontext():
-                result = pipeline.run_spec(spec, budget=budget)
-            print(result.flow.summary())
-            verify = result.stage("verify")
-            if verify is not None:
-                print(_verify_line(verify.detail, result.flow))
-            for stage in result.stages:
-                print(
-                    f"stage {stage.name}: {stage.cache} {stage.seconds:.2f}s",
-                    file=sys.stderr,
-                )
-            if journal is not None:
-                print(f"journal: {journal.path}", file=sys.stderr)
-            return 0
+        with _store_scope(options["store"]):
+            return _spec_command(command, spec, rest, options)
 
     print(f"unknown command {command!r}", file=sys.stderr)
     print(__doc__)

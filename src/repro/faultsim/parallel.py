@@ -51,14 +51,22 @@ from repro.simulation.vector_codegen import VectorFastStepper
 DEFAULT_GROUP_SIZE = 1024
 
 #: Bytes of word-plane state one numpy pass may allocate.  A 64-lane word
-#: costs 8 bytes in every value row, twice per gathered operand (OR and AND
-#: masks) and once per injection-table row; at 2 MiB, s510.jo.sr.re packs
-#: 2,304 lanes a pass.  Wider passes measured no faster on the flow and
-#: raised its peak memory.
+#: costs 8 bytes in every value row, three times per gathered operand (its
+#: operand row, OR and AND masks) and once per injection-table row; at
+#: 2 MiB, s510.jo.sr.re packs 2,304 lanes a pass.  Wider passes measured no
+#: faster on the flow and raised its peak memory.
 PASS_BUDGET_BYTES = 2 << 20
 
 #: Lanes one bigint pass may pack.
 BIGINT_PASS_LANES = 4096
+
+#: Cycles a numpy pass steps before comparing their outputs with lane 0 in
+#: one go; per cycle it only copies the outputs aside.  On a validate round
+#: the pass loop outside the step took 0.27, 0.21 and 0.30 s at spans of 4,
+#: 16 and 64 cycles: short spans repeat the per-span array calls more
+#: often, and long ones compare through temporaries of several MB (about 4
+#: MB for 64 cycles on scf's 1,024-lane passes).
+COMPARE_CYCLES = 16
 
 _TRITS = frozenset((ZERO, ONE, X))
 
@@ -88,8 +96,7 @@ def parallel_fault_simulate(
         faults = collapse_faults(circuit).representatives
     result = FaultSimResult(circuit.name, "parallel", tuple(faults))
     stepper = vector_fast_stepper(circuit)
-    _validate_fault_lines(circuit, faults, stepper)
-    slots = [stepper.line_slot[fault.line] for fault in faults]
+    slots = _fault_slots(circuit, faults, stepper)
     stuck = [fault.value for fault in faults]
     leg = (_WordPlaneLeg if numpy_or_none() is not None else _BigintLeg)(stepper)
     num_inputs = len(circuit.input_names)
@@ -131,16 +138,22 @@ def parallel_fault_simulate(
     return result
 
 
-def _validate_fault_lines(
+def _fault_slots(
     circuit: Circuit,
     faults: Sequence[StuckAtFault],
     stepper: VectorFastStepper,
-) -> None:
-    """Reject faults on lines that do not exist on their edge."""
+) -> List[int]:
+    """Each fault's injection slot; rejects lines that do not exist on
+    their edge."""
+    line_slot = stepper.line_slot
+    slots = []
     for fault in faults:
-        if fault.line not in stepper.line_slot:
+        slot = line_slot.get(fault.line)
+        if slot is None:
             edge = circuit.edge(fault.line.edge_index)
             raise ValueError(f"line {fault.line} does not exist on edge {edge}")
+        slots.append(slot)
+    return slots
 
 
 def _checked_vectors(sequence: TestSequence, num_inputs: int) -> List[Tuple[int, ...]]:
@@ -175,20 +188,19 @@ class _Layout:
         self.row_lanes = len(groups) * stride
         self.width = len(rows) * self.row_lanes
         self.cycles = max(len(vectors) for _index, vectors in rows)
-        # One row's fault lanes; every row repeats them.
+        # One row's fault lanes; every row repeats them.  ``members`` maps
+        # a row offset to its fault-list position (-1 on fault-free lanes).
         self.lanes: List[int] = []
-        self.slots: List[int] = []
-        self.values: List[int] = []
-        self.members: Dict[int, int] = {}
+        self.members: List[int] = [-1] * self.row_lanes
         valid = 0
         for position, group in enumerate(groups):
-            base = position * stride
-            valid |= ((1 << len(group)) - 1) << (base + 1)
-            for offset, index in enumerate(group, start=base + 1):
-                self.lanes.append(offset)
-                self.slots.append(slots[index])
-                self.values.append(stuck[index])
-                self.members[offset] = index
+            base = position * stride + 1
+            valid |= ((1 << len(group)) - 1) << base
+            self.lanes.extend(range(base, base + len(group)))
+            self.members[base : base + len(group)] = group
+        order = [index for group in groups for index in group]
+        self.slots = [slots[index] for index in order]
+        self.values = [stuck[index] for index in order]
         self.valid_row = valid
 
     def ends(self) -> Dict[int, List[int]]:
@@ -347,8 +359,12 @@ class _WordPlaneLeg:
     """Passes on the numpy word-plane runner, at any width.
 
     Blocks are padded to whole 64-lane words, so each block's fault-free
-    value is a per-word broadcast of its bit 0.  At most two runners, keyed
-    by word count, stay alive per call: dropping narrows the passes.
+    value is a per-word broadcast of its bit 0.  A pass steps up to
+    :data:`COMPARE_CYCLES` cycles, keeping their outputs, then compares the
+    span with lane 0 and scans it in (cycle, output) order in a few array
+    operations: detections and live masks never feed back into the step,
+    so deferring the compare changes no result.  At most two runners,
+    keyed by word count, stay alive per call: dropping narrows the passes.
     """
 
     def __init__(self, stepper: VectorFastStepper):
@@ -356,8 +372,9 @@ class _WordPlaneLeg:
 
         self.plan = wordplane_plan(stepper)
         plan = self.plan
-        # Bytes per 64-lane word: value rows, OR/AND gather masks, table.
-        self.footprint = 8 * (plan.nrows + 2 * plan.gather + 2 * plan.num_slots + 1)
+        # Bytes per 64-lane word: value rows, operand rows, OR/AND gather
+        # masks, table.
+        self.footprint = 8 * (plan.nrows + 3 * plan.gather + 2 * plan.num_slots + 1)
         self.runners: Dict[int, object] = {}
 
     @staticmethod
@@ -379,11 +396,15 @@ class _WordPlaneLeg:
     def run(self, layout: _Layout, drop: bool) -> _PassLanes:
         import numpy as np
 
-        from repro.simulation.wordplane import int_from_words, words_from_int
+        from repro.simulation.wordplane import (
+            block_compare,
+            int_from_words,
+            words_from_int,
+        )
 
         count = len(layout.rows)
+        cycles = layout.cycles
         words = layout.width // 64
-        row_words = words // count
         runner = self._runner(words)
         row_starts = np.arange(count, dtype=np.intp)[:, None] * layout.row_lanes
         lanes = (row_starts + np.asarray(layout.lanes, dtype=np.intp)).ravel()
@@ -392,45 +413,53 @@ class _WordPlaneLeg:
         )
         runner.reset_state()
         # Input word fills per (cycle, input, row); rows past their end read X.
-        trits = np.full((count, layout.cycles, self.plan.num_inputs), X, dtype=np.int8)
+        trits = np.full((count, cycles, self.plan.num_inputs), X, dtype=np.int8)
         for row, (_index, vectors) in enumerate(layout.rows):
             trits[row, : len(vectors)] = vectors
         full = np.uint64(0xFFFFFFFFFFFFFFFF)
         ones_in = np.where(trits == ONE, full, np.uint64(0)).transpose(1, 2, 0)
         zeros_in = np.where(trits == ZERO, full, np.uint64(0)).transpose(1, 2, 0)
-        live = np.tile(words_from_int(layout.valid_row, row_words), count)
-        # Lanes still without a detection; with dropping, exactly the live ones.
-        watch = live if drop else live.copy()
-        potential = np.zeros(words, dtype=np.uint64)
+        # Per cycle, the fault lanes of the rows whose sequence still runs.
+        lengths = np.array([len(vectors) for _index, vectors in layout.rows])
+        running = np.arange(cycles)[:, None] < lengths
+        valid = words_from_int(layout.valid_row, words // count)
+        live = (running[:, :, None] * valid).reshape(cycles, 1, words)
         blocks = words * 64 // layout.stride
-        ends = layout.ends()
+        outputs = runner.output_view()
+        span = min(cycles, COMPARE_CYCLES)
+        history = np.empty((span,) + outputs.shape, dtype=np.uint64)
+        # Row 0 holds the lanes detected before the span; row t + 1, after
+        # the scan, those detected up to its t-th (cycle, output).
+        scan = np.empty((span * self.plan.num_outputs + 1, words), dtype=np.uint64)
+        scan[0] = 0
+        potential = np.zeros(words, dtype=np.uint64)
         events: List[Tuple[int, int, int]] = []
-        for cycle in range(layout.cycles):
-            ended = ends.get(cycle)
-            if ended:
-                live.reshape(count, row_words)[ended] = 0
-                watch.reshape(count, row_words)[ended] = 0
-                if not live.any():
-                    break
-            runner.load_input_blocks(ones_in[cycle], zeros_in[cycle])
-            runner.step()
-            opposite, unknown = runner.block_compare(blocks)
-            hit = opposite & watch
-            if not hit.any():
-                potential |= np.bitwise_or.reduce(unknown, axis=0) & live
-                continue
-            # The ordered output scan: a lane detected at one output is
-            # no longer new (and, with dropping, no longer live) at later
-            # outputs of the same cycle.
-            reached = np.bitwise_or.accumulate(hit, axis=0)
-            hit[1:] &= ~reached[:-1]
+        for start in range(0, cycles, span):
+            stop = min(start + span, cycles)
+            for cycle in range(start, stop):
+                runner.load_input_blocks(ones_in[cycle], zeros_in[cycle])
+                runner.step()
+                history[cycle - start] = outputs
+            opposite, unknown = block_compare(history[: stop - start], blocks)
+            opposite &= live[start:stop]
+            unknown &= live[start:stop]
+            # The ordered scan over (cycle, output): a lane is new only at
+            # its first detection and, with dropping, live only before it.
+            opposite = opposite.reshape(-1, words)
+            unknown = unknown.reshape(-1, words)
+            depth = len(opposite)
+            scan[1 : depth + 1] = opposite
+            np.bitwise_or.accumulate(scan[: depth + 1], axis=0, out=scan[: depth + 1])
+            undetected = ~scan[:depth]
+            opposite &= undetected
             if drop:
-                unknown[1:] &= ~reached[:-1]
-            potential |= np.bitwise_or.reduce(unknown, axis=0) & live
-            watch &= ~reached[-1]
-            for output in np.flatnonzero(hit.any(axis=1)).tolist():
-                events.append((cycle, output, int_from_words(hit[output])))
-            if drop and not live.any():
+                unknown &= undetected
+            potential |= np.bitwise_or.reduce(unknown, axis=0)
+            scan[0] = scan[depth]
+            for at in np.flatnonzero(opposite.any(axis=1)).tolist():
+                cycle, output = divmod(at, self.plan.num_outputs)
+                events.append((start + cycle, output, int_from_words(opposite[at])))
+            if drop and stop < cycles and not (live[stop] & ~scan[0]).any():
                 break
         return events, int_from_words(potential)
 

@@ -7,14 +7,20 @@ the same compiled program to a *levelized word-plane* form executed with a
 handful of numpy ufunc calls per logic level:
 
 * every dual-rail plane (the ``ones``/``zeros`` mask of one signal) is a
-  row of one ``(rows, words)`` ``uint64`` array ``V``, lane ``i`` living at
-  bit ``i % 64`` of word ``i // 64``;
+  row of a ``(rows, words)`` ``uint64`` array, lane ``i`` living at bit
+  ``i % 64`` of word ``i // 64``.  The *value* array ``V`` holds the
+  constant, register, input and gate-output planes; the *operand* array
+  ``G`` holds every gathered operand, one contiguous block per level;
 * all gates of one topological level are evaluated together: one
-  ``np.take`` gathers every operand plane into a contiguous block, one
-  ``|=``/``&=`` pair applies the group's stuck-at injection masks, and one
-  contiguous ``bitwise_and``/``bitwise_or`` each computes all AND-products
-  and OR-unions of the level (operands are laid out as separate A/B blocks,
-  not interleaved, so the gate ufuncs run on contiguous 2-D slabs);
+  ``np.take`` gathers every operand plane from ``V`` into the level's
+  block of ``G``, one ``|=``/``&=`` pair applies the group's stuck-at
+  injection masks, and one contiguous ``bitwise_and``/``bitwise_or`` each
+  computes all AND-products and OR-unions of the level into ``V``
+  (operands are laid out as separate A/B blocks, not interleaved, so the
+  gate ufuncs run on contiguous 2-D slabs).  The gather never writes the
+  array it reads: numpy routes a ``take`` whose ``out`` overlaps its
+  source through a temporary copy of the whole block, about half the
+  gather's time at 16 words;
 * NOT / BUF / FANOUT / OUTPUT vertices are never materialized: a NOT is a
   rail swap and a copy is a row alias, so each is *folded* into the
   consuming read.  Folding composes the injection masks along the copy
@@ -308,13 +314,11 @@ class WordPlanePlan:
         def assign_level(ands, ors) -> None:
             nonlocal nrows
             na, no = len(ands), len(ors)
-            p = nrows
-            gather = 2 * na + 2 * no
-            d = p + gather
+            d = nrows
             e = d + na
             nrows = e + no
             # A operands first, then B operands, per op family: the gate
-            # ufuncs then run over contiguous blocks.
+            # ufuncs then run over contiguous blocks of G.
             operands: List[_Operand] = []
             for i, (out, a, b) in enumerate(ands):
                 out.row = d + i
@@ -329,24 +333,21 @@ class WordPlanePlan:
             gstart = len(all_src)
             add_operands(operands)
             self.levels.append(
-                dict(p=p, d=d, e=e, na=na, no=no, gstart=gstart,
-                     gend=len(all_src))
+                dict(d=d, e=e, na=na, no=no, gstart=gstart, gend=len(all_src))
             )
 
         for level in sorted(by_level):
             ands, ors = by_level[level]
             assign_level(ands, ors)
-        # The terminal gather is one more (gate-free) level.
-        self.fstart = nrows
-        gstart = len(all_src)
+        # The terminal gather is one more (gate-free) level; its operand
+        # block holds the next state, then the primary outputs.
+        self.nrows = nrows
+        self.next0 = len(all_src)
+        self.out0 = self.next0 + 2 * self.num_registers
         add_operands(final_ops)
         self.levels.append(
-            dict(p=self.fstart, d=self.fstart + len(final_ops),
-                 e=self.fstart + len(final_ops), na=0, no=0,
-                 gstart=gstart, gend=len(all_src))
+            dict(d=nrows, e=nrows, na=0, no=0, gstart=self.next0, gend=len(all_src))
         )
-        self.nrows = self.fstart + len(final_ops)
-        self.out0 = self.fstart + 2 * self.num_registers
 
         self.gather = len(all_src)
         self.src = np.array(all_src, dtype=np.intp)
@@ -357,24 +358,25 @@ class WordPlanePlan:
 
         # Deep chains, regrouped per extra stage depth for vectorized
         # composition: stage k holds every gather position whose chain has
-        # a (k+2)-th stage, with that stage's table indices.
+        # a (k+2)-th stage, with that stage's slot and table indices.
         max_extra = max((len(rest) for _pos, rest in deep), default=0)
-        self.deep_stages: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
+        self.deep_stages: List[Tuple["np.ndarray", ...]] = []
         for k in range(max_extra):
             positions = []
+            slots = []
             or_rows = []
             and_rows = []
             for pos, rest in deep:
                 if k < len(rest):
                     slot, rail = rest[k]
                     positions.append(pos)
+                    slots.append(slot)
                     or_rows.append(rail * ns + slot)
                     and_rows.append((1 - rail) * ns + slot)
             self.deep_stages.append(
-                (
-                    np.array(positions, dtype=np.intp),
-                    np.array(or_rows, dtype=np.intp),
-                    np.array(and_rows, dtype=np.intp),
+                tuple(
+                    np.array(column, dtype=np.intp)
+                    for column in (positions, slots, or_rows, and_rows)
                 )
             )
 
@@ -388,11 +390,15 @@ class WordPlanePlan:
 class WordPlaneRunner:
     """Executable state for one plan at one lane width.
 
-    A runner owns the value array, the width mask and the gather-ordered
-    injection mask matrices; :meth:`set_group` loads bigint stuck-at masks,
-    :meth:`set_lane_faults` one fault per lane, and :meth:`step` advances
-    every lane one clock cycle with no per-step allocation.  Runners are
-    reusable (reload the faults and call :meth:`reset_state` between uses).
+    A runner owns the value array ``V`` (``(plan.nrows, words)``: constant,
+    register, input and gate-output planes), the operand array ``G``
+    (``(plan.gather, words)``: every level's gathered operands, the last
+    level's being the next state and the primary outputs), the width mask
+    and the gather-ordered injection mask matrices; :meth:`set_group`
+    loads bigint stuck-at masks, :meth:`set_lane_faults` one fault per
+    lane, and :meth:`step` advances every lane one clock cycle with no
+    per-step allocation.  Runners are reusable (reload the faults and call
+    :meth:`reset_state` between uses).
     """
 
     def __init__(self, plan: WordPlanePlan, width: int):
@@ -402,8 +408,9 @@ class WordPlaneRunner:
         self.width = width
         self.words = W = word_count(width)
         self.mask_words = width_mask_words(width, W)
-        self.V = np.zeros((plan.nrows, W), dtype=_U64)
-        self.V[1] = self.mask_words  # the all-ones (width-clean) row
+        self.V = V = np.zeros((plan.nrows, W), dtype=_U64)
+        V[1] = self.mask_words  # the all-ones (width-clean) row
+        self.G = G = np.zeros((plan.gather, W), dtype=_U64)
         # Gather-ordered injection matrices (ANDM high bits may be garbage
         # after ~; value rows stay width-clean regardless) plus the per-
         # (slot, rail) mask table they are gathered from.
@@ -416,53 +423,54 @@ class WordPlaneRunner:
         # are the cheapest shape numpy has.
         self._exec = []
         for lv in plan.levels:
-            p, d, e, na, no = lv["p"], lv["d"], lv["e"], lv["na"], lv["no"]
-            buf = self.V[p:d]
-            q = p + 2 * na
+            g, d, e, na, no = lv["gstart"], lv["d"], lv["e"], lv["na"], lv["no"]
+            ops = G[g : lv["gend"]]
+            q = g + 2 * na
             self._exec.append(
                 (
                     lv["src"],
-                    buf,
-                    buf.reshape(-1),
-                    self._orm[lv["gstart"] : lv["gend"]].reshape(-1),
-                    self._andm[lv["gstart"] : lv["gend"]].reshape(-1),
-                    self.V[p : p + na].reshape(-1) if na else None,
-                    self.V[p + na : p + 2 * na].reshape(-1) if na else None,
-                    self.V[d:e].reshape(-1) if na else None,
-                    self.V[q : q + no].reshape(-1) if no else None,
-                    self.V[q + no : q + 2 * no].reshape(-1) if no else None,
-                    self.V[e : e + no].reshape(-1) if no else None,
+                    ops,
+                    ops.reshape(-1),
+                    self._orm[g : lv["gend"]].reshape(-1),
+                    self._andm[g : lv["gend"]].reshape(-1),
+                    G[g : g + na].reshape(-1) if na else None,
+                    G[g + na : q].reshape(-1) if na else None,
+                    V[d:e].reshape(-1) if na else None,
+                    G[q : q + no].reshape(-1) if no else None,
+                    G[q + no : q + 2 * no].reshape(-1) if no else None,
+                    V[e : e + no].reshape(-1) if no else None,
                 )
             )
         r0 = plan.reg0
-        self._reg_dst = slice(r0, r0 + 2 * plan.num_registers)
-        self._reg_src = slice(plan.fstart, plan.fstart + 2 * plan.num_registers)
+        self._reg_dst = V[r0 : r0 + 2 * plan.num_registers]
+        self._next = G[plan.next0 : plan.out0]
+        self._outputs = G[plan.out0 : plan.out0 + 2 * plan.num_outputs]
 
     # -- group loading ------------------------------------------------------
 
-    def _gather_masks(self) -> None:
-        """Rebuild the gather-ordered ORM/ANDM matrices from the table."""
+    def _gather_masks(self, faulted: "np.ndarray") -> None:
+        """Rebuild the gather-ordered ORM/ANDM matrices from the table;
+        ``faulted`` flags the slots whose table rows carry a mask."""
         table = self._table
         table.take(self.plan.or_idx, 0, self._orm, "clip")
         table.take(self.plan.and_idx, 0, self._andm, "clip")
         np.invert(self._andm, out=self._andm)
-        if not self.plan.deep_stages:
-            return
         # Deep-chain composition, restricted to rows whose outer stage
         # actually carries a mask in this group (an unfaulted outer slot
-        # composes as the identity, and most slots are unfaulted).
-        slot_active = table.any(axis=1)
-        for positions, or_rows, and_rows in self.plan.deep_stages:
-            active = np.nonzero(slot_active[or_rows] | slot_active[and_rows])[0]
+        # composes as the identity).
+        for positions, slots, or_rows, and_rows in self.plan.deep_stages:
+            active = np.flatnonzero(faulted[slots])
             if not active.size:
                 continue
             pos = positions[active]
             outer_o = table[or_rows[active]]
-            outer_a = ~table[and_rows[active]]
-            o = self._orm[pos]
-            a = self._andm[pos]
-            self._orm[pos] = outer_a & (outer_o | o)
-            self._andm[pos] = outer_a & (outer_o | a)
+            outer_a = table[and_rows[active]]
+            np.invert(outer_a, out=outer_a)
+            for masks in (self._orm, self._andm):
+                inner = masks[pos]
+                inner |= outer_o
+                inner &= outer_a
+                masks[pos] = inner
 
     def set_group(self, sa1: Sequence[int], sa0: Sequence[int]) -> None:
         """Load one fault group's per-slot stuck-at masks (bigint form).
@@ -474,13 +482,13 @@ class WordPlaneRunner:
         W = self.words
         table = self._table
         table[:] = 0
-        for slot, value in enumerate(sa1):
-            if value:
-                table[slot] = words_from_int(value, W)
-        for slot, value in enumerate(sa0):
-            if value:
-                table[ns + slot] = words_from_int(value, W)
-        self._gather_masks()
+        faulted = np.zeros(ns, dtype=bool)
+        for rail, masks in enumerate((sa1, sa0)):
+            for slot, value in enumerate(masks):
+                if value:
+                    table[rail * ns + slot] = words_from_int(value, W)
+                    faulted[slot] = True
+        self._gather_masks(faulted)
 
     def set_lane_faults(
         self, lanes: Sequence[int], slots: Sequence[int], values: Sequence[int]
@@ -496,6 +504,7 @@ class WordPlaneRunner:
         W = self.words
         table = self._table
         table[:] = 0
+        faulted = np.zeros(ns, dtype=bool)
         if len(lanes):
             lane_arr = np.asarray(lanes, dtype=np.intp)
             slot_arr = np.asarray(slots, dtype=np.intp)
@@ -503,7 +512,8 @@ class WordPlaneRunner:
             flat = (slot_arr + ns * (1 - value_arr)) * W + (lane_arr >> 6)
             bits = _ONE64 << (lane_arr & 63).astype(_U64)
             np.bitwise_or.at(table.reshape(-1), flat, bits)
-        self._gather_masks()
+            faulted[slot_arr] = True
+        self._gather_masks(faulted)
 
     def clear_group(self) -> None:
         """Reset every injection mask (the fault-free ``step_clean`` form)."""
@@ -515,7 +525,7 @@ class WordPlaneRunner:
 
     def reset_state(self) -> None:
         """All registers X on every lane (the fault-group initial state)."""
-        self.V[self._reg_dst] = 0
+        self._reg_dst[:] = 0
 
     def load_state_ints(self, state: Sequence[Tuple[int, int]]) -> None:
         """Load packed bigint ``(ones, zeros)`` rails into the registers."""
@@ -553,29 +563,28 @@ class WordPlaneRunner:
         Leaves primary-output planes in :meth:`output_view` and copies the
         next state into the register source rows.
         """
-        V = self.V
-        take = V.take
+        take = self.V.take
         band = np.bitwise_and
         bor = np.bitwise_or
-        for src, buf, buf1, orm, andm, a, b, ao, oa, ob, oo in self._exec:
+        for src, ops, ops1, orm, andm, a, b, ao, oa, ob, oo in self._exec:
             # mode="clip" skips per-index bounds checking (indices are
-            # plan-constructed, always in range).
-            take(src, 0, buf, "clip")
-            bor(buf1, orm, out=buf1)
-            band(buf1, andm, out=buf1)
+            # plan-constructed, always in range); a positional ``out``
+            # parses faster than the keyword.
+            take(src, 0, ops, "clip")
+            bor(ops1, orm, ops1)
+            band(ops1, andm, ops1)
             if a is not None:
-                band(a, b, out=ao)
+                band(a, b, ao)
             if oa is not None:
-                bor(oa, ob, out=oo)
-        V[self._reg_dst] = V[self._reg_src]
+                bor(oa, ob, oo)
+        self._reg_dst[:] = self._next
 
     # -- observation ---------------------------------------------------------
 
     def output_view(self) -> "np.ndarray":
         """The ``(2 * num_outputs, words)`` output plane block (ones, zeros
         interleaved, circuit output order)."""
-        plan = self.plan
-        return self.V[plan.out0 : plan.out0 + 2 * plan.num_outputs]
+        return self._outputs
 
     def output_ints(self) -> List[Tuple[int, int]]:
         block = self.output_view()
@@ -587,33 +596,44 @@ class WordPlaneRunner:
     def next_state_view(self) -> "np.ndarray":
         """The ``(2 * num_registers, words)`` next-state plane block after
         :meth:`step` (ones, zeros interleaved, register order)."""
-        return self.V[self._reg_src]
+        return self._next
 
     def state_ints(self) -> List[Tuple[int, int]]:
-        plan = self.plan
-        block = self.V[self._reg_src]
+        block = self._next
         return [
             (int_from_words(block[2 * k]), int_from_words(block[2 * k + 1]))
-            for k in range(plan.num_registers)
+            for k in range(self.plan.num_registers)
         ]
 
     def block_compare(self, blocks: int) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Each output lane against lane 0 of its block, after :meth:`step`.
+        """:func:`block_compare` of this step's :meth:`output_view`."""
+        return block_compare(self.output_view(), blocks)
 
-        The lanes split into ``blocks`` equal runs of whole words.  Returns
-        two ``(num_outputs, words)`` planes: the lanes binary and opposite
-        to their block's lane 0 (a detection when lane 0 is fault-free),
-        and the lanes X where their block's lane 0 is binary (a potential
-        detection).  Both are empty in a block whose lane 0 is X.
-        """
-        n = self.plan.num_outputs
-        rails = self.output_view().reshape(2 * n, blocks, self.words // blocks)
-        lane0 = np.multiply(rails[:, :, :1] & _ONE64, _FULL)
-        good_one, good_zero = lane0[0::2], lane0[1::2]
-        ones, zeros = rails[0::2], rails[1::2]
-        opposite = (good_one & zeros) | (good_zero & ones)
-        unknown = (good_one | good_zero) & ~(ones | zeros)
-        return opposite.reshape(n, self.words), unknown.reshape(n, self.words)
+
+def block_compare(rails: "np.ndarray", blocks: int) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Each output lane against lane 0 of its block.
+
+    ``rails`` holds ``(2 * outputs, words)`` output plane blocks (ones,
+    zeros interleaved), with any leading axes (say, several cycles); the
+    lanes split into ``blocks`` equal runs of whole words.  Returns two
+    ``(..., outputs, words)`` planes: the lanes binary and opposite to their
+    block's lane 0 (a detection when lane 0 is fault-free), and the lanes X
+    where their block's lane 0 is binary (a potential detection).  Both are
+    empty in a block whose lane 0 is X.
+
+    XOR-ing both rails with their block's lane 0 leaves, under a binary
+    lane 0, both rails set on the opposite value and exactly one set on
+    X; under an X lane 0 it leaves the lane's own rails, never both set.
+    """
+    *lead, rows, words = rails.shape
+    n = rows // 2
+    planes = rails.reshape(*lead, n, 2, blocks, words // blocks)
+    lane0 = np.multiply(planes[..., :1] & _ONE64, _FULL)
+    diff = planes ^ lane0
+    ones, zeros = diff[..., 0, :, :], diff[..., 1, :, :]
+    opposite = ones & zeros
+    unknown = (ones ^ zeros) & (lane0[..., 0, :, :] | lane0[..., 1, :, :])
+    return opposite.reshape(*lead, n, words), unknown.reshape(*lead, n, words)
 
 
 # -- plan caching ------------------------------------------------------------
@@ -634,6 +654,7 @@ __all__ = [
     "WORDPLANE_VERSION",
     "WordPlanePlan",
     "WordPlaneRunner",
+    "block_compare",
     "int_from_words",
     "width_mask_words",
     "word_count",

@@ -19,7 +19,7 @@ from repro.faultsim.shard import sharded_fault_simulate
 from repro.logic.three_valued import ONE, X, ZERO
 from repro.simulation.cache import vector_fast_stepper
 
-from tests.helpers import HAVE_NUMPY, on_leg, random_circuit
+from tests.helpers import HAVE_NUMPY, on_leg, random_circuit, requires_numpy
 
 LEGS = ["bigint"] + (["numpy"] if HAVE_NUMPY else [])
 GROUP_SIZES = (2, 3, 5, 64)
@@ -81,21 +81,45 @@ class TestPassLayout:
         reference = serial_fault_simulate(circuit, sequences, faults, drop=drop)
         for group_size in GROUP_SIZES:
             for blocks in (None, 1, 3):
-                monkeypatch.undo()
+                # Each budget is undone on its own: the test's monkeypatch
+                # also holds the hermetic store root.
+                with monkeypatch.context() as patch:
+                    if blocks is not None:
+                        _limit_blocks(patch, circuit, group_size, blocks)
+                    for leg in LEGS:
+                        with on_leg(leg, "faultsim"):
+                            result = parallel_fault_simulate(
+                                circuit,
+                                sequences,
+                                faults,
+                                drop=drop,
+                                group_size=group_size,
+                            )
+                        where = (group_size, blocks, leg)
+                        assert result.detections == reference.detections, where
+                        assert result.potential == reference.potential, where
+
+    @requires_numpy
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("span", [1, 2, 5])
+    def test_compare_spans_match_serial(self, seed, drop, span, monkeypatch):
+        """The numpy leg compares the outputs of several cycles at once;
+        spans shorter than the sequences carry detections across spans,
+        and one-fault passes stop early once their fault is detected."""
+        monkeypatch.setattr(lanes, "COMPARE_CYCLES", span)
+        circuit, faults, sequences = _case(seed + 40)
+        reference = serial_fault_simulate(circuit, sequences, faults, drop=drop)
+        for group_size, blocks in ((2, 1), (64, None)):
+            with monkeypatch.context() as patch:
                 if blocks is not None:
-                    _limit_blocks(monkeypatch, circuit, group_size, blocks)
-                for leg in LEGS:
-                    with on_leg(leg, "faultsim"):
-                        result = parallel_fault_simulate(
-                            circuit,
-                            sequences,
-                            faults,
-                            drop=drop,
-                            group_size=group_size,
-                        )
-                    where = (group_size, blocks, leg)
-                    assert result.detections == reference.detections, where
-                    assert result.potential == reference.potential, where
+                    _limit_blocks(patch, circuit, group_size, blocks)
+                with on_leg("numpy", "faultsim"):
+                    result = parallel_fault_simulate(
+                        circuit, sequences, faults, drop=drop, group_size=group_size
+                    )
+            assert result.detections == reference.detections, group_size
+            assert result.potential == reference.potential, group_size
 
     @pytest.mark.parametrize("leg", LEGS)
     def test_budgets_shape_the_passes(self, leg, monkeypatch, pass_shapes):

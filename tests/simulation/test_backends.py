@@ -281,6 +281,23 @@ class TestVectorKernelParity:
 
 
 @requires_numpy
+class TestWordPlaneLayout:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("width", [5, 130])
+    def test_gathers_never_write_the_array_they_read(self, seed, width):
+        """Every level gathers its operands from the value array ``V`` into
+        rows of their own: numpy routes a ``take`` whose output overlaps
+        its source through a temporary copy of the whole block."""
+        import numpy as np
+
+        circuit = random_circuit(seed + 390, num_inputs=3, num_gates=24, num_dffs=3)
+        runner = vector_fast_stepper(circuit).word_runner(width)
+        assert len(runner._exec) == len(runner.plan.levels) > 1
+        for _src, destination, *_views in runner._exec:
+            assert not np.shares_memory(destination, runner.V)
+
+
+@requires_numpy
 class TestEngineBackendParity:
     """End-to-end engines: identical results on both legs."""
 

@@ -1,11 +1,23 @@
 """CLI coverage for the ``store`` subcommand and the shared run flags."""
 
 import json
+import os
 
 import pytest
 
 from repro.__main__ import _pop_flags, _spec, main
+from repro.simulation.cache import clear_compile_cache
 from repro.store.core import default_store
+
+
+def _store_files():
+    """Every file under the test's store root."""
+    root = os.environ["REPRO_STORE_DIR"]
+    return sorted(
+        os.path.join(directory, name)
+        for directory, _subdirs, names in os.walk(root)
+        for name in names
+    )
 
 
 class TestStoreSubcommand:
@@ -155,6 +167,28 @@ class TestRunFlags:
         capsys.readouterr()
         assert main(["store", "stats", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["artifacts"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["atpg", "dk16", "ji", "sd", "3"],
+            ["flow", "dk16", "ji", "sd", "3"],
+            ["equiv", "dk16", "ji", "sd"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_store_keeps_every_level_out_of_the_store(self, capsys, argv):
+        """A freshly compiled circuit writes no stepper record either, and
+        the store is enabled again once the command returns."""
+        clear_compile_cache()
+        assert main(argv + ["--no-store"]) == 0
+        assert _store_files() == []
+        assert "REPRO_STORE_DISABLE" not in os.environ
+
+    def test_stored_run_writes_its_stepper_record(self, capsys):
+        clear_compile_cache()
+        assert main(["atpg", "dk16", "ji", "sd", "3"]) == 0
+        assert any(f"{os.sep}stepper{os.sep}" in path for path in _store_files())
 
     def test_warm_atpg_reprints_identical_testset(self, capsys):
         assert main(["atpg", "dk16", "ji", "sd", "3"]) == 0
