@@ -51,10 +51,11 @@ from repro.simulation.vector_codegen import VectorFastStepper
 DEFAULT_GROUP_SIZE = 1024
 
 #: Bytes of word-plane state one numpy pass may allocate.  A 64-lane word
-#: costs 8 bytes in every value row, three times per gathered operand (its
-#: operand row, OR and AND masks) and once per injection-table row; at
-#: 2 MiB, s510.jo.sr.re packs 2,304 lanes a pass.  Wider passes measured no
-#: faster on the flow and raised its peak memory.
+#: costs 8 bytes in every value row and operand row, and at most 32 more
+#: per operand row an injection entry can fall in; at 2 MiB, s510.jo.sr.re
+#: packs 2,240 lanes a pass.  The entries a pass loads are a few percent of
+#: that bound, so a pass holds well under the budget; 2.5 and 3 MiB
+#: measured no faster on validate and raised its peak memory.
 PASS_BUDGET_BYTES = 2 << 20
 
 #: Lanes one bigint pass may pack.
@@ -372,9 +373,10 @@ class _WordPlaneLeg:
 
         self.plan = wordplane_plan(stepper)
         plan = self.plan
-        # Bytes per 64-lane word: value rows, operand rows, OR/AND gather
-        # masks, table.
-        self.footprint = 8 * (plan.nrows + 3 * plan.gather + 2 * plan.num_slots + 1)
+        # Bytes per 64-lane word: value rows, operand rows and, at most
+        # one per operand row an entry can fall in, injection entries of
+        # four words (index, OR, AND, buffer).
+        self.footprint = 8 * (plan.nrows + plan.gather + 4 * plan.injectable)
         self.runners: Dict[int, object] = {}
 
     @staticmethod

@@ -13,24 +13,26 @@ handful of numpy ufunc calls per logic level:
   ``G`` holds every gathered operand, one contiguous block per level;
 * all gates of one topological level are evaluated together: one
   ``np.take`` gathers every operand plane from ``V`` into the level's
-  block of ``G``, one ``|=``/``&=`` pair applies the group's stuck-at
-  injection masks, and one contiguous ``bitwise_and``/``bitwise_or`` each
-  computes all AND-products and OR-unions of the level into ``V``
-  (operands are laid out as separate A/B blocks, not interleaved, so the
-  gate ufuncs run on contiguous 2-D slabs).  The gather never writes the
-  array it reads: numpy routes a ``take`` whose ``out`` overlaps its
-  source through a temporary copy of the whole block, about half the
-  gather's time at 16 words;
+  block of ``G``, the group's stuck-at injection touches only the operand
+  words that hold a forced lane (below), and one contiguous
+  ``bitwise_and``/``bitwise_or`` each computes all AND-products and
+  OR-unions of the level into ``V`` (operands are laid out as separate
+  A/B blocks, not interleaved, so the gate ufuncs run on contiguous 2-D
+  slabs).  The gather never writes the array it reads: numpy routes a
+  ``take`` whose ``out`` overlaps its source through a temporary copy of
+  the whole block, about half the gather's time at 16 words;
 * NOT / BUF / FANOUT / OUTPUT vertices are never materialized: a NOT is a
   rail swap and a copy is a row alias, so each is *folded* into the
-  consuming read.  Folding composes the injection masks along the copy
-  chain -- per lane, any chain of ``(x | force1) & ~force0`` stages is
-  again a single ``(x | O) & A`` stage with::
-
-      A' = a_outer & (o_outer | A)        O' = a_outer & (o_outer | O)
-
-  computed once per fault group (``O subset A`` holds inductively because a
-  lane is never simultaneously forced to 0 and 1).
+  consuming read.  Each gather position keeps its copy chain as
+  ``(slot, rail)`` stages, swaps already resolved; per lane, any chain of
+  ``(x | force1) & ~force0`` stages is again a single ``(x | O) & A``
+  stage;
+* the injection is sparse, as in PROOFS, where each faulty machine is
+  forced only where its fault sits: loading a fault group builds one
+  *entry* per operand word that holds a forced lane -- its flat index into
+  ``G``, an OR word and an AND word -- and each level takes its entries'
+  words, ORs, ANDs and puts them back.  A level without entries (every
+  level of a fault-free step) makes no injection call.
 
 Gate semantics match :func:`repro.simulation.codegen.gate_rail_exprs`
 bit-for-bit: AND/OR reduce pairwise (associative on both rails), NAND/NOR
@@ -40,9 +42,9 @@ asserts packed-word equality against the bigint kernel on randomized
 circuits, states and fault groups.
 
 High bits of the last word (beyond the lane count) are kept zero in every
-value row by construction: injection masks are width-clean, so ``| ORM``
-cannot set garbage, and ``& ANDM`` (whose high bits may be garbage after
-``~``) cannot turn zeros into ones.
+value row by construction: the loaders reject lanes and mask bits past the
+width, so an OR word cannot set garbage, and an AND word (whose high bits
+are ones after ``~``) cannot turn zeros into ones.
 """
 
 from __future__ import annotations
@@ -281,35 +283,15 @@ class WordPlanePlan:
             ands, ors = by_level.setdefault(out.level, ([], []))
             (ands if kind == "and" else ors).append((out, a, b))
 
-        ns = self.num_slots
-        zero_row = 2 * ns  # index of the all-zero row of the slot table
-
-        def table_indices(operand_: _Operand) -> Tuple[int, int]:
-            """(or_idx, and_idx_raw) into the slot table for the innermost
-            stage; the AND mask is the complement of its table row."""
-            mask_ops = operand_[1]
-            if not mask_ops:
-                return zero_row, zero_row
-            slot, rail = mask_ops[0]
-            return rail * ns + slot, (1 - rail) * ns + slot
-
         self.levels: List[dict] = []
         all_src: List[int] = []
-        all_or_idx: List[int] = []
-        all_and_idx: List[int] = []
-        # Gather positions whose composed chain is deeper than one stage,
-        # fixed up (vectorized, stage by stage) after the table gather.
-        deep: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+        # Each gather position's composed injection chain, innermost first.
+        chains: List[Tuple[Tuple[int, int], ...]] = []
 
         def add_operands(operands: List[_Operand]) -> None:
-            for op_ in operands:
-                plane = op_[0]
+            for plane, mask_ops in operands:
                 all_src.append(plane.row if isinstance(plane, _Out) else plane)
-                or_idx, and_idx = table_indices(op_)
-                all_or_idx.append(or_idx)
-                all_and_idx.append(and_idx)
-                if len(op_[1]) > 1:
-                    deep.append((len(all_src) - 1, op_[1][1:]))
+                chains.append(mask_ops)
 
         def assign_level(ands, ors) -> None:
             nonlocal nrows
@@ -351,34 +333,36 @@ class WordPlanePlan:
 
         self.gather = len(all_src)
         self.src = np.array(all_src, dtype=np.intp)
-        self.or_idx = np.array(all_or_idx, dtype=np.intp)
-        self.and_idx = np.array(all_and_idx, dtype=np.intp)
         for level in self.levels:
             level["src"] = self.src[level["gstart"] : level["gend"]]
 
-        # Deep chains, regrouped per extra stage depth for vectorized
-        # composition: stage k holds every gather position whose chain has
-        # a (k+2)-th stage, with that stage's slot and table indices.
-        max_extra = max((len(rest) for _pos, rest in deep), default=0)
-        self.deep_stages: List[Tuple["np.ndarray", ...]] = []
-        for k in range(max_extra):
-            positions = []
-            slots = []
-            or_rows = []
-            and_rows = []
-            for pos, rest in deep:
-                if k < len(rest):
-                    slot, rail = rest[k]
-                    positions.append(pos)
-                    slots.append(slot)
-                    or_rows.append(rail * ns + slot)
-                    and_rows.append((1 - rail) * ns + slot)
-            self.deep_stages.append(
-                tuple(
-                    np.array(column, dtype=np.intp)
-                    for column in (positions, slots, or_rows, and_rows)
-                )
-            )
+        # The chains as two CSR indexes (int32 positions and slots, uint8
+        # rails: 32 plans stay alive through a Table III round).  Per gather
+        # position, its stages ``chain_slot``/``chain_rail[chain_ptr[p] :
+        # chain_ptr[p + 1]]``, innermost first; per slot, the ``(slot_pos,
+        # slot_rail)`` stages that read it, by ascending position (a slot
+        # occurs at most once in a chain: copy chains are paths of
+        # distinct lines).
+        depths = np.array([len(chain) for chain in chains], dtype=np.int32)
+        self.chain_ptr = np.zeros(self.gather + 1, dtype=np.int32)
+        np.cumsum(depths, out=self.chain_ptr[1:])
+        stages = [stage for chain in chains for stage in chain]
+        self.chain_slot = np.array([s for s, _r in stages], dtype=np.int32)
+        self.chain_rail = np.array([r for _s, r in stages], dtype=np.uint8)
+        order = np.argsort(self.chain_slot, kind="stable")
+        self.slot_pos = np.repeat(np.arange(self.gather, dtype=np.int32), depths)[order]
+        self.slot_rail = self.chain_rail[order]
+        self.slot_ptr = np.zeros(self.num_slots + 1, dtype=np.int32)
+        np.cumsum(
+            np.bincount(self.chain_slot, minlength=self.num_slots),
+            out=self.slot_ptr[1:],
+        )
+        # The operand rows an entry can fall in.
+        self.injectable = int(np.count_nonzero(depths))
+        # Entries sort by flat G index; a level's words start here.
+        self.level_starts = np.array(
+            [lv["gstart"] for lv in self.levels] + [self.gather], dtype=np.intp
+        )
 
     def runner(self, width: int) -> "WordPlaneRunner":
         return WordPlaneRunner(self, width)
@@ -394,11 +378,15 @@ class WordPlaneRunner:
     register, input and gate-output planes), the operand array ``G``
     (``(plan.gather, words)``: every level's gathered operands, the last
     level's being the next state and the primary outputs), the width mask
-    and the gather-ordered injection mask matrices; :meth:`set_group`
-    loads bigint stuck-at masks, :meth:`set_lane_faults` one fault per
-    lane, and :meth:`step` advances every lane one clock cycle with no
-    per-step allocation.  Runners are reusable (reload the faults and call
-    :meth:`reset_state` between uses).
+    and the loaded fault group's injection :attr:`entries`: one per operand
+    word that holds a forced lane, as ``(flat, orw, andw)`` arrays of its
+    flat index into ``G`` and the OR and AND words that force it, sorted by
+    index and split by level.
+    :meth:`set_group` loads bigint stuck-at masks, :meth:`set_lane_faults`
+    one fault per lane, :meth:`clear_group` nothing, and :meth:`step`
+    advances every lane one clock cycle with no per-step allocation; a
+    level without entries makes no injection call.  Runners are reusable
+    (reload the faults and call :meth:`reset_state` between uses).
     """
 
     def __init__(self, plan: WordPlanePlan, width: int):
@@ -411,36 +399,27 @@ class WordPlaneRunner:
         self.V = V = np.zeros((plan.nrows, W), dtype=_U64)
         V[1] = self.mask_words  # the all-ones (width-clean) row
         self.G = G = np.zeros((plan.gather, W), dtype=_U64)
-        # Gather-ordered injection matrices (ANDM high bits may be garbage
-        # after ~; value rows stay width-clean regardless) plus the per-
-        # (slot, rail) mask table they are gathered from.
-        self._orm = np.zeros((plan.gather, W), dtype=_U64)
-        self._andm = np.full((plan.gather, W), _FULL)
-        self._table = np.zeros((2 * plan.num_slots + 1, W), dtype=_U64)
+        self._flat = G.reshape(-1)
         # Per-level execution records, flattened to 1-D views where the
         # storage is contiguous: ufunc dispatch overhead at these sizes
         # (~1us/call) rivals the actual bit work, and 1-D contiguous loops
-        # are the cheapest shape numpy has.
-        self._exec = []
+        # are the cheapest shape numpy has.  :meth:`_load` puts the
+        # level's injection (``None`` when no entry falls in it) between
+        # its gather and its gate views.
+        self._levels = []
         for lv in plan.levels:
             g, d, e, na, no = lv["gstart"], lv["d"], lv["e"], lv["na"], lv["no"]
-            ops = G[g : lv["gend"]]
             q = g + 2 * na
-            self._exec.append(
-                (
-                    lv["src"],
-                    ops,
-                    ops.reshape(-1),
-                    self._orm[g : lv["gend"]].reshape(-1),
-                    self._andm[g : lv["gend"]].reshape(-1),
-                    G[g : g + na].reshape(-1) if na else None,
-                    G[g + na : q].reshape(-1) if na else None,
-                    V[d:e].reshape(-1) if na else None,
-                    G[q : q + no].reshape(-1) if no else None,
-                    G[q + no : q + 2 * no].reshape(-1) if no else None,
-                    V[e : e + no].reshape(-1) if no else None,
-                )
+            gates = (
+                G[g : g + na].reshape(-1) if na else None,
+                G[g + na : q].reshape(-1) if na else None,
+                V[d:e].reshape(-1) if na else None,
+                G[q : q + no].reshape(-1) if no else None,
+                G[q + no : q + 2 * no].reshape(-1) if no else None,
+                V[e : e + no].reshape(-1) if no else None,
             )
+            self._levels.append((lv["src"], G[g : lv["gend"]], gates))
+        self.clear_group()
         r0 = plan.reg0
         self._reg_dst = V[r0 : r0 + 2 * plan.num_registers]
         self._next = G[plan.next0 : plan.out0]
@@ -448,47 +427,77 @@ class WordPlaneRunner:
 
     # -- group loading ------------------------------------------------------
 
-    def _gather_masks(self, faulted: "np.ndarray") -> None:
-        """Rebuild the gather-ordered ORM/ANDM matrices from the table;
-        ``faulted`` flags the slots whose table rows carry a mask."""
-        table = self._table
-        table.take(self.plan.or_idx, 0, self._orm, "clip")
-        table.take(self.plan.and_idx, 0, self._andm, "clip")
-        np.invert(self._andm, out=self._andm)
-        # Deep-chain composition, restricted to rows whose outer stage
-        # actually carries a mask in this group (an unfaulted outer slot
-        # composes as the identity).
-        for positions, slots, or_rows, and_rows in self.plan.deep_stages:
-            active = np.flatnonzero(faulted[slots])
-            if not active.size:
-                continue
-            pos = positions[active]
-            outer_o = table[or_rows[active]]
-            outer_a = table[and_rows[active]]
-            np.invert(outer_a, out=outer_a)
-            for masks in (self._orm, self._andm):
-                inner = masks[pos]
-                inner |= outer_o
-                inner &= outer_a
-                masks[pos] = inner
+    def _load(self, flat: "np.ndarray", orw: "np.ndarray", andw: "np.ndarray") -> None:
+        """Install injection entries: ascending, distinct flat ``G``
+        indices with their OR and AND words."""
+        self.entries = (flat, orw, andw)
+        cuts = np.searchsorted(flat, self.plan.level_starts * self.words).tolist()
+        buf = np.empty(len(flat), dtype=_U64)
+        self._exec = [
+            (src, ops, (flat[i:j], orw[i:j], andw[i:j], buf[i:j]) if j > i else None)
+            + gates
+            for (src, ops, gates), i, j in zip(self._levels, cuts, cuts[1:])
+        ]
 
     def set_group(self, sa1: Sequence[int], sa0: Sequence[int]) -> None:
         """Load one fault group's per-slot stuck-at masks (bigint form).
 
         Accepts exactly the ``(sa1, sa0)`` arrays that drive the bigint
         ``step_inject``, so group construction is shared across backends.
+        A lane may carry several faults: each gather position whose chain
+        reads a faulted slot composes its stages, per lane, as::
+
+            A' = a_outer & (o_outer | A)        O' = a_outer & (o_outer | O)
+
+        and the words that are not the identity become entries.  Raises
+        ``ValueError``, loading nothing, on a slot past ``num_slots`` or a
+        mask bit past the width.
         """
-        ns = self.plan.num_slots
-        W = self.words
-        table = self._table
-        table[:] = 0
-        faulted = np.zeros(ns, dtype=bool)
-        for rail, masks in enumerate((sa1, sa0)):
-            for slot, value in enumerate(masks):
+        plan = self.plan
+        ns, W = plan.num_slots, self.words
+        if len(sa1) > ns or len(sa0) > ns:
+            raise ValueError(f"masks name slots past the {ns} of this plan")
+        masks = {}
+        for rail, values in enumerate((sa1, sa0)):
+            for slot, value in enumerate(values):
                 if value:
-                    table[rail * ns + slot] = words_from_int(value, W)
-                    faulted[slot] = True
-        self._gather_masks(faulted)
+                    if value < 0 or value >> self.width:
+                        raise ValueError(
+                            f"slot {slot} mask has bits outside the "
+                            f"{self.width} lanes"
+                        )
+                    masks[rail, slot] = value
+        faulted = sorted({slot for _rail, slot in masks})
+        if not faulted:
+            self.clear_group()
+            return
+        # Forced words per faulted slot and rail; row -1 (past the faulted
+        # slots) is the identity an unfaulted stage reads.
+        index = np.full(ns, -1, dtype=np.intp)
+        index[faulted] = np.arange(len(faulted))
+        force = np.zeros((2, len(faulted) + 1, W), dtype=_U64)
+        for (rail, slot), value in masks.items():
+            force[rail, index[slot]] = words_from_int(value, W)
+        touched = np.zeros(plan.gather, dtype=bool)
+        for slot in faulted:
+            touched[plan.slot_pos[plan.slot_ptr[slot] : plan.slot_ptr[slot + 1]]] = True
+        positions = np.flatnonzero(touched)
+        starts = plan.chain_ptr[positions]
+        depths = plan.chain_ptr[positions + 1] - starts
+        orw = np.zeros((len(positions), W), dtype=_U64)
+        andw = np.full((len(positions), W), _FULL)
+        for depth in range(int(depths.max(initial=0))):
+            rows = np.flatnonzero(depths > depth)
+            stage = starts[rows] + depth
+            row = index[plan.chain_slot[stage]]
+            rail = plan.chain_rail[stage]
+            outer_o = force[rail, row]
+            outer_a = ~force[1 - rail, row]
+            orw[rows] = outer_a & (outer_o | orw[rows])
+            andw[rows] = outer_a & (outer_o | andw[rows])
+        forced = (orw != 0) | (andw != _FULL)
+        at, word = np.nonzero(forced)
+        self._load(positions[at] * W + word, orw[forced], andw[forced])
 
     def set_lane_faults(
         self, lanes: Sequence[int], slots: Sequence[int], values: Sequence[int]
@@ -497,29 +506,58 @@ class WordPlaneRunner:
 
         Lane ``lanes[i]`` carries the fault with injection slot ``slots[i]``
         stuck at ``values[i]``; every other lane is fault-free.  Builds the
-        same table :meth:`set_group` builds from the equivalent bigint
-        masks, without materializing them.
+        entries :meth:`set_group` builds from the equivalent bigint masks,
+        without materializing them: a lane's one fault forces it at exactly
+        one stage of every chain through its slot, so nothing composes --
+        the bit is set where the stage's rail differs from the stuck value
+        and cleared where they are equal.  Raises ``ValueError``, loading
+        nothing, on a lane outside ``[0, width)`` or listed twice, a slot
+        outside ``[0, num_slots)`` or a value other than 0 and 1.
         """
-        ns = self.plan.num_slots
+        plan = self.plan
         W = self.words
-        table = self._table
-        table[:] = 0
-        faulted = np.zeros(ns, dtype=bool)
-        if len(lanes):
-            lane_arr = np.asarray(lanes, dtype=np.intp)
-            slot_arr = np.asarray(slots, dtype=np.intp)
-            value_arr = np.asarray(values, dtype=np.intp)
-            flat = (slot_arr + ns * (1 - value_arr)) * W + (lane_arr >> 6)
-            bits = _ONE64 << (lane_arr & 63).astype(_U64)
-            np.bitwise_or.at(table.reshape(-1), flat, bits)
-            faulted[slot_arr] = True
-        self._gather_masks(faulted)
+        lane_arr = np.asarray(lanes, dtype=np.intp).reshape(-1)
+        slot_arr = np.asarray(slots, dtype=np.intp).reshape(-1)
+        value_arr = np.asarray(values, dtype=np.intp).reshape(-1)
+        if not len(lane_arr) == len(slot_arr) == len(value_arr):
+            raise ValueError("lanes, slots and values differ in length")
+        for name, arr, bound in (
+            ("lane", lane_arr, self.width),
+            ("slot", slot_arr, plan.num_slots),
+            ("value", value_arr, 2),
+        ):
+            if len(arr) and (arr.min() < 0 or arr.max() >= bound):
+                raise ValueError(f"a {name} is outside [0, {bound})")
+        ordered = np.sort(lane_arr)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("a lane is listed twice")
+        # Expand each fault over its slot's stages (CSR rows), as sort keys
+        # (flat G index, lane bit, whether the stage sets the lane).
+        starts = plan.slot_ptr[slot_arr]
+        counts = plan.slot_ptr[slot_arr + 1] - starts
+        fault = np.repeat(np.arange(len(lane_arr)), counts)
+        stage = np.arange(len(fault)) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
+        lane = lane_arr[fault]
+        key = (plan.slot_pos[stage].astype(np.intp) * W + (lane >> 6)) << 7
+        key |= (lane & 63) << 1
+        key |= plan.slot_rail[stage] != value_arr[fault]
+        key.sort()
+        flat = key >> 7
+        head = np.flatnonzero(np.diff(flat, prepend=-1))
+        # Per word, OR the set bits and (column 1) the cleared ones; each
+        # lane has one fault, so no bit lands in both columns.
+        bits = np.empty((len(key), 2), dtype=_U64)
+        np.left_shift(_ONE64, ((key >> 1) & 63).astype(_U64), out=bits[:, 1])
+        np.multiply(bits[:, 1], (key & 1).astype(_U64), out=bits[:, 0])
+        bits[:, 1] ^= bits[:, 0]
+        words = np.bitwise_or.reduceat(bits, head, axis=0) if len(key) else bits
+        self._load(flat[head], words[:, 0].copy(), ~words[:, 1])
 
     def clear_group(self) -> None:
-        """Reset every injection mask (the fault-free ``step_clean`` form)."""
-        self._table[:] = 0
-        self._orm[:] = 0
-        self._andm[:] = _FULL
+        """Load no fault (the fault-free ``step_clean`` form): no entries."""
+        self._load(np.empty(0, np.intp), np.empty(0, _U64), np.empty(0, _U64))
 
     # -- state & input loading ----------------------------------------------
 
@@ -564,15 +602,21 @@ class WordPlaneRunner:
         next state into the register source rows.
         """
         take = self.V.take
+        flat = self._flat
+        gtake = flat.take
         band = np.bitwise_and
         bor = np.bitwise_or
-        for src, ops, ops1, orm, andm, a, b, ao, oa, ob, oo in self._exec:
+        for src, ops, inject, a, b, ao, oa, ob, oo in self._exec:
             # mode="clip" skips per-index bounds checking (indices are
             # plan-constructed, always in range); a positional ``out``
             # parses faster than the keyword.
             take(src, 0, ops, "clip")
-            bor(ops1, orm, ops1)
-            band(ops1, andm, ops1)
+            if inject is not None:
+                at, orw, andw, buf = inject
+                gtake(at, 0, buf, "clip")
+                bor(buf, orw, buf)
+                band(buf, andw, buf)
+                flat[at] = buf  # faster than ``put`` at these sizes
             if a is not None:
                 band(a, b, ao)
             if oa is not None:

@@ -197,9 +197,12 @@ class TestVectorKernelParity:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_set_group_forms_agree(self, seed):
-        """The lane-addressed fault loader builds the same masks as the
-        equivalent bigint rails, for faults on scattered lanes of several
-        words (several per slot, blank lanes in between)."""
+        """The lane-addressed fault loader builds the same injection
+        entries as the equivalent bigint rails, and steps alike, for
+        faults on scattered lanes of several words (several per slot,
+        blank lanes in between)."""
+        import numpy as np
+
         from repro.faults.collapse import collapse_faults
 
         rng = random.Random(seed)
@@ -220,9 +223,77 @@ class TestVectorKernelParity:
         via_ints.set_group(sa1, sa0)
         via_lanes = stepper.word_runner(width)
         via_lanes.set_lane_faults(lanes, slots, values)
-        assert (via_ints._table == via_lanes._table).all()
-        assert (via_ints._orm == via_lanes._orm).all()
-        assert (via_ints._andm == via_lanes._andm).all()
+        assert len(via_ints.entries[0]) > 0
+        for ints, lane_words in zip(via_ints.entries, via_lanes.entries):
+            assert np.array_equal(ints, lane_words)
+        state = _random_rails(rng, stepper.compiled.num_registers, width)
+        vector = _random_rails(rng, stepper.compiled.num_inputs, width)
+        outputs, next_state = stepper.step_inject(
+            state, vector, (1 << width) - 1, sa1, sa0
+        )
+        for runner in (via_ints, via_lanes):
+            runner.load_state_ints(state)
+            runner.load_vector_ints(vector)
+            runner.step()
+            assert tuple(runner.output_ints()) == outputs
+            assert tuple(runner.state_ints()) == next_state
+
+    @pytest.mark.parametrize("width", [70, 130])
+    def test_deep_chain_faults_match_bigint(self, width):
+        """A NOT -> BUF -> fanout chain folds into one gather position per
+        branch; with a fault on every stage, loaded one per lane and then
+        all on one lane (the outer stage wins), the step matches the
+        bigint ``step_inject``."""
+        import numpy as np
+
+        from repro.circuit import CircuitBuilder
+        from repro.faults import full_fault_universe
+
+        builder = CircuitBuilder("deep_chain")
+        builder.input("a")
+        builder.input("c")
+        builder.not_("n", "a")
+        builder.buf("b", "n")
+        builder.and_("g", "b", "c")
+        builder.or_("h", "b", "q")
+        builder.dff("q", "g")
+        builder.output("z", "h")
+        circuit = builder.build()
+        stepper = vector_fast_stepper(circuit)
+        assert np.diff(stepper.word_runner(64).plan.chain_ptr).max() >= 3
+        faults = full_fault_universe(circuit)
+        rng = random.Random(width)
+        mask = (1 << width) - 1
+
+        def check(runner, sa1, sa0):
+            for _ in range(3):
+                state = _random_rails(rng, stepper.compiled.num_registers, width)
+                vector = _random_rails(rng, stepper.compiled.num_inputs, width)
+                outputs, next_state = stepper.step_inject(state, vector, mask, sa1, sa0)
+                runner.load_state_ints(state)
+                runner.load_vector_ints(vector)
+                runner.step()
+                assert tuple(runner.output_ints()) == outputs
+                assert tuple(runner.state_ints()) == next_state
+
+        # One fault per lane, lanes past the first word included.
+        lanes = [1 + (index * 7) % (width - 1) for index in range(len(faults))]
+        assert len(set(lanes)) == len(lanes)
+        slots = [stepper.line_slot[fault.line] for fault in faults]
+        values = [fault.value for fault in faults]
+        sa1, sa0 = stepper.blank_injection_masks()
+        for lane, slot, value in zip(lanes, slots, values):
+            (sa1 if value else sa0)[slot] |= 1 << lane
+        runner = stepper.word_runner(width)
+        runner.set_lane_faults(lanes, slots, values)
+        check(runner, sa1, sa0)
+        # Every line faulted on one lane, with random stuck values.
+        sa1, sa0 = stepper.blank_injection_masks()
+        lane = width - 1
+        for slot in sorted(set(slots)):
+            (sa1 if rng.random() < 0.5 else sa0)[slot] |= 1 << lane
+        runner.set_group(sa1, sa0)
+        check(runner, sa1, sa0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_read_own_inputs_and_reference(self, seed):
@@ -295,6 +366,107 @@ class TestWordPlaneLayout:
         assert len(runner._exec) == len(runner.plan.levels) > 1
         for _src, destination, *_views in runner._exec:
             assert not np.shares_memory(destination, runner.V)
+
+    def test_clean_runner_makes_no_injection_call(self):
+        """A fresh runner and one cleared after a fault load carry no
+        entries, so no level injects, and the step is ``step_clean``."""
+        circuit = random_circuit(395, num_inputs=3, num_gates=24, num_dffs=3)
+        stepper = vector_fast_stepper(circuit)
+        width = 130
+        fresh = stepper.word_runner(width)
+        cleared = stepper.word_runner(width)
+        cleared.set_lane_faults([1, 70], [0, 1], [1, 0])
+        assert len(cleared.entries[0]) > 0
+        cleared.clear_group()
+        rng = random.Random(7)
+        mask = (1 << width) - 1
+        for runner in (fresh, cleared):
+            assert all(len(entries) == 0 for entries in runner.entries)
+            assert all(record[2] is None for record in runner._exec)
+            state = _random_rails(rng, stepper.compiled.num_registers, width)
+            vector = _random_rails(rng, stepper.compiled.num_inputs, width)
+            outputs, next_state = stepper.step_clean(state, vector, mask)
+            runner.load_state_ints(state)
+            runner.load_vector_ints(vector)
+            runner.step()
+            assert tuple(runner.output_ints()) == outputs
+            assert tuple(runner.state_ints()) == next_state
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pass_footprint_covers_a_loaded_runner(self, seed):
+        """``_WordPlaneLeg.footprint`` bytes per word cover what a runner
+        holds: value and operand rows, and its entries with their
+        buffer, even with every line forced on every lane."""
+        from repro.faults import full_fault_universe
+        from repro.faultsim.parallel import _WordPlaneLeg
+
+        circuit = random_circuit(seed + 399, num_inputs=3, num_gates=24, num_dffs=3)
+        stepper = vector_fast_stepper(circuit)
+        footprint = _WordPlaneLeg(stepper).footprint
+        faults = full_fault_universe(circuit)
+        words = -(-len(faults) // 64)
+        runner = stepper.word_runner(64 * words)
+
+        def held():
+            flat, orw, andw = runner.entries
+            return (
+                runner.V.nbytes + runner.G.nbytes
+                + flat.nbytes + orw.nbytes + andw.nbytes + orw.nbytes
+            )
+
+        runner.set_lane_faults(
+            range(len(faults)),
+            [stepper.line_slot[fault.line] for fault in faults],
+            [fault.value for fault in faults],
+        )
+        assert footprint * words >= held()
+        sa1, _sa0 = stepper.blank_injection_masks()
+        runner.set_group([(1 << runner.width) - 1] * len(sa1), [0] * len(sa1))
+        assert footprint * words >= held()
+
+
+@requires_numpy
+class TestLoaderValidation:
+    """Out-of-range faults raise ``ValueError`` before anything loads."""
+
+    @pytest.mark.parametrize(
+        "lanes, slots, values",
+        [
+            ([130], [0], [1]),  # past the last word
+            ([110], [0], [1]),  # past the width, inside the last word
+            ([-1], [0], [1]),  # a negative lane
+            ([3], [10**6], [1]),  # a slot past the plan's
+            ([3], [-1], [1]),  # a negative slot
+            ([3], [0], [2]),  # a value other than 0 and 1
+            ([7], [0], [1]),  # a lane listed twice
+        ],
+        ids=["lane-past-words", "lane-past-width", "negative-lane",
+             "slot-past-plan", "negative-slot", "value-not-binary",
+             "lane-twice"],
+    )
+    def test_set_lane_faults_rejects(self, lanes, slots, values):
+        import numpy as np
+
+        runner = vector_fast_stepper(toggle_counter()).word_runner(100)
+        runner.set_lane_faults([5], [0], [1])
+        before = [entries.copy() for entries in runner.entries]
+        with pytest.raises(ValueError):
+            runner.set_lane_faults([7] + lanes, [1] + slots, [0] + values)
+        assert all(map(np.array_equal, runner.entries, before))
+
+    @pytest.mark.parametrize("lane", [100, 127, 130])
+    def test_set_group_rejects_bits_past_the_width(self, lane):
+        import numpy as np
+
+        stepper = vector_fast_stepper(toggle_counter())
+        runner = stepper.word_runner(100)
+        runner.set_lane_faults([5], [0], [1])
+        before = [entries.copy() for entries in runner.entries]
+        sa1, sa0 = stepper.blank_injection_masks()
+        sa1[0] = (1 << lane) | 1
+        with pytest.raises(ValueError):
+            runner.set_group(sa1, sa0)
+        assert all(map(np.array_equal, runner.entries, before))
 
 
 @requires_numpy
